@@ -10,6 +10,10 @@ uniform load scale is found by binary search with Newton-Raphson feasibility
 checks (voltage bounds, branch MVA ratings, generator P/Q limits with
 PV-to-PQ switching).
 
+Each energized island's data (Ybus, branch admittance arrays, per-bus load
+lists) is built once per island per ``max_load_delivery`` call; the call's
+bisection and PV-to-PQ solves share it, and each solve still starts flat.
+
 Because the dispatch is a deterministic procedure rather than a nonlinear
 optimum, the reported true ENS is an upper bound on what a full multi-period
 AC redispatch could achieve; all orderings asserted in tests hold under this
@@ -103,6 +107,43 @@ def _ybus(net: Network, buses: list[int], branches: list[int]) -> np.ndarray:
     return Y
 
 
+@dataclass
+class IslandData:
+    """Power-flow data of one island: what every solve on it shares.
+
+    ``max_load_delivery`` builds it once per island and passes it to each
+    ``newton_pf`` of that island's bisection and PV-to-PQ rounds.
+    """
+    buses: list[int]  # sorted; bus i of the arrays below is buses[i]
+    pos: dict[int, int]
+    branches: list[int]
+    Y: np.ndarray
+    f: np.ndarray  # from-bus position per branch
+    t: np.ndarray  # to-bus position per branch
+    yff: np.ndarray
+    yft: np.ndarray
+    ytf: np.ndarray
+    ytt: np.ndarray
+    loads_at: dict[int, list[int]]  # bus -> its loads, in case order
+
+    @classmethod
+    def build(cls, net: Network, buses: list[int],
+              branches: list[int]) -> IslandData:
+        buses = sorted(buses)
+        pos = {b: i for i, b in enumerate(buses)}
+        brs = [net.branches[k] for k in branches]
+        adm = np.array([_branch_admittances(br) for br in brs],
+                       dtype=complex).reshape(-1, 4)
+        loads_at: dict[int, list[int]] = {}
+        for lid, ld in net.loads.items():
+            if ld.bus in pos:
+                loads_at.setdefault(ld.bus, []).append(lid)
+        return cls(buses, pos, list(branches), _ybus(net, buses, branches),
+                   np.array([pos[br.f_bus] for br in brs], dtype=int),
+                   np.array([pos[br.t_bus] for br in brs], dtype=int),
+                   *adm.T, loads_at)
+
+
 def branch_flows(net: Network, bid: int, vf: complex, vt: complex):
     yff, yft, ytf, ytt = _branch_admittances(net.branches[bid])
     s_fr = vf * (yff * vf + yft * vt).conjugate()
@@ -132,32 +173,50 @@ def residual_injections(net: Network, buses: list[int], branches: list[int],
 
 def power_flow_jacobian(Y: np.ndarray, v: np.ndarray):
     """dS/d(theta) and dS/d(Vm) for injections S = V conj(Y V)."""
-    ibus = Y @ v
-    diag_v = np.diag(v)
-    diag_i = np.diag(ibus)
-    diag_e = np.diag(v / np.abs(v))
-    ds_dva = 1j * diag_v @ (diag_i - Y @ diag_v).conjugate()
-    ds_dvm = diag_v @ (Y @ diag_e).conjugate() + diag_i.conjugate() @ diag_e
-    return ds_dva, ds_dvm
+    return _ds_blocks(Y, v, Y @ v, np.arange(len(v)))
+
+
+def _ds_blocks(Y, v, ibus, vm_cols):
+    """dS/d(theta), and the columns vm_cols of dS/d(Vm).
+
+    dS/d(theta) = j diag(V) conj(diag(I) - Y diag(V)) and
+    dS/d(Vm) = diag(V) conj(Y diag(E)) + conj(diag(I)) diag(E), E = V/|V|,
+    formed by scaling Y's rows and columns and adding the diagonal terms in
+    place.  Entry (i, k) needs only Y[i, k], V[i], V[k] and I[i], so Y may
+    be a principal submatrix, with v and ibus (= the full Y V) cut to it.
+    """
+    n = len(v)
+    dva = Y * v
+    dva.flat[::n + 1] -= ibus
+    np.conjugate(dva, out=dva)
+    dva *= (-1j * v)[:, None]
+    e = v[vm_cols] / np.abs(v[vm_cols])
+    dvm = Y[:, vm_cols] * e
+    np.conjugate(dvm, out=dvm)
+    dvm *= v[:, None]
+    dvm[vm_cols, np.arange(len(vm_cols))] += ibus[vm_cols].conjugate() * e
+    return dva, dvm
 
 
 def newton_pf(net: Network, buses: list[int], branches: list[int],
               pg_set: dict[int, float], slack_gen: int,
               load_frac: dict[int, float], pv_gens: dict[int, list[int]],
               q_fixed: dict[int, float] | None = None,
-              tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> PfState:
+              tol: float = PF_TOL, max_iter: int = PF_MAX_ITER,
+              island: IslandData | None = None) -> PfState:
     """Full Newton-Raphson polar power flow on one island.
 
     pv_gens maps PV bus id -> energized generator ids there (voltage held at
     the setpoint); q_fixed marks former PV buses pinned at a reactive limit
     (treated as PQ with that generation).  Flat start: V = 1 / PV setpoints,
-    angles zero.
+    angles zero.  island is the prebuilt data of (buses, branches); without
+    it the solve builds its own.
     """
     q_fixed = q_fixed or {}
-    buses = sorted(buses)
-    pos = {b: i for i, b in enumerate(buses)}
+    isl = island if island is not None else IslandData.build(net, buses,
+                                                             branches)
+    buses, pos, Y = isl.buses, isl.pos, isl.Y
     n = len(buses)
-    Y = _ybus(net, buses, branches)
 
     slack_bus = net.gens[slack_gen].bus
     if slack_bus not in pos:
@@ -183,14 +242,18 @@ def newton_pf(net: Network, buses: list[int], branches: list[int],
         vm[pos[b]] = net.gens[gids[0]].vg
     vm[pos[slack_bus]] = net.gens[slack_gen].vg
 
-    pvpq = [pos[b] for b in buses if b != slack_bus]
-    pq_i = [pos[b] for b in pq]
+    pvpq = np.array([pos[b] for b in buses if b != slack_bus], dtype=int)
+    pq_i = np.array([pos[b] for b in pq], dtype=int)
+    pq_at = np.searchsorted(pvpq, pq_i)  # rows of the pq buses within pvpq
+    y_pvpq = Y[np.ix_(pvpq, pvpq)]
+    nva = len(pvpq)
 
     mismatch = math.inf
     it = 0
     for it in range(max_iter + 1):
         v = vm * np.exp(1j * va)
-        s_calc = v * (Y @ v).conjugate()
+        ibus = Y @ v
+        s_calc = v * ibus.conjugate()
         dp = p_spec - s_calc.real
         dq = q_spec - s_calc.imag
         f = np.concatenate([dp[pvpq], dq[pq_i]])
@@ -199,31 +262,26 @@ def newton_pf(net: Network, buses: list[int], branches: list[int],
             break
         if it == max_iter:
             break
-        ds_dva, ds_dvm = power_flow_jacobian(Y, v)
-        j11 = ds_dva.real[np.ix_(pvpq, pvpq)]
-        j12 = ds_dvm.real[np.ix_(pvpq, pq_i)]
-        j21 = ds_dva.imag[np.ix_(pq_i, pvpq)]
-        j22 = ds_dvm.imag[np.ix_(pq_i, pq_i)]
-        jac = np.block([[j11, j12], [j21, j22]])
+        ds_dva, ds_dvm = _ds_blocks(y_pvpq, v[pvpq], ibus[pvpq], pq_at)
+        jac = np.block([[ds_dva.real, ds_dvm.real],
+                        [ds_dva.imag[pq_at], ds_dvm.imag[pq_at]]])
         try:
             dx = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
-            return _pf_state(net, buses, branches, vm, va, Y, pg_set, slack_gen,
-                             load_frac, False, it, mismatch)
-        nva = len(pvpq)
+            return _pf_state(net, isl, vm, va, pg_set, slack_gen, load_frac,
+                             False, it, mismatch)
         va[pvpq] += dx[:nva]
         vm[pq_i] += dx[nva:]
 
     converged = mismatch <= tol
-    return _pf_state(net, buses, branches, vm, va, Y, pg_set, slack_gen,
-                     load_frac, converged, it, mismatch)
+    return _pf_state(net, isl, vm, va, pg_set, slack_gen, load_frac,
+                     converged, it, mismatch)
 
 
-def _pf_state(net, buses, branches, vm, va, Y, pg_set, slack_gen, load_frac,
+def _pf_state(net, isl: IslandData, vm, va, pg_set, slack_gen, load_frac,
               converged, iterations, mismatch) -> PfState:
-    pos = {b: i for i, b in enumerate(buses)}
     v = vm * np.exp(1j * va)
-    s_calc = v * (Y @ v).conjugate()
+    s_calc = v * (isl.Y @ v).conjugate()
     gen_p = dict(pg_set)
     gen_q: dict[int, float] = {}
 
@@ -236,11 +294,10 @@ def _pf_state(net, buses, branches, vm, va, Y, pg_set, slack_gen, load_frac,
         by_bus[sb].append(slack_gen)
 
     for b, gids in by_bus.items():
-        i = pos[b]
-        pd = sum(load_frac.get(lid, 0.0) * net.loads[lid].pd
-                 for lid in net.loads if net.loads[lid].bus == b)
-        qd = sum(load_frac.get(lid, 0.0) * net.loads[lid].qd
-                 for lid in net.loads if net.loads[lid].bus == b)
+        i = isl.pos[b]
+        lids = isl.loads_at.get(b, [])
+        pd = sum(load_frac.get(lid, 0.0) * net.loads[lid].pd for lid in lids)
+        qd = sum(load_frac.get(lid, 0.0) * net.loads[lid].qd for lid in lids)
         p_gen_bus = s_calc.real[i] + pd
         q_gen_bus = s_calc.imag[i] + qd
         if b == sb:
@@ -252,18 +309,15 @@ def _pf_state(net, buses, branches, vm, va, Y, pg_set, slack_gen, load_frac,
             share = r / tot if tot > 0 else 1.0 / len(gids)
             gen_q[g] = q_gen_bus * share
 
-    flow_fr, flow_to = {}, {}
-    idx = {b: i for i, b in enumerate(buses)}
-    for bid in branches:
-        br = net.branches[bid]
-        s_fr, s_to = branch_flows(net, bid, v[idx[br.f_bus]], v[idx[br.t_bus]])
-        flow_fr[bid] = s_fr
-        flow_to[bid] = s_to
+    vf, vt = v[isl.f], v[isl.t]
+    s_fr = vf * (isl.yff * vf + isl.yft * vt).conjugate()
+    s_to = vt * (isl.ytf * vf + isl.ytt * vt).conjugate()
 
     return PfState(converged, iterations, mismatch,
-                   {b: float(vm[pos[b]]) for b in buses},
-                   {b: float(va[pos[b]]) for b in buses},
-                   gen_p, gen_q, flow_fr, flow_to, slack_gen)
+                   dict(zip(isl.buses, vm.tolist())),
+                   dict(zip(isl.buses, va.tolist())),
+                   gen_p, gen_q, dict(zip(isl.branches, s_fr.tolist())),
+                   dict(zip(isl.branches, s_to.tolist())), slack_gen)
 
 
 def _island_components(net: Network, island: set[int],
@@ -284,7 +338,7 @@ def _island_components(net: Network, island: set[int],
     return branches, gens, loads
 
 
-def _attempt(net, island_buses, branches, gens, loads, fractions, binding):
+def _attempt(net, isl: IslandData, gens, loads, fractions, binding):
     """One PV/PQ-switched power-flow solve; returns (PfState|None, ok)."""
     slack = max(gens, key=lambda g: (net.gens[g].pmax, -g))
     slack_bus = net.gens[slack].bus
@@ -304,8 +358,8 @@ def _attempt(net, island_buses, branches, gens, loads, fractions, binding):
     frac_map = {lid: fractions[lid] for lid in loads}
     pf = None
     for _ in range(QLIM_ROUNDS):
-        pf = newton_pf(net, island_buses, branches, pg_set, slack, frac_map,
-                       pv_gens, q_fixed)
+        pf = newton_pf(net, isl.buses, isl.branches, pg_set, slack, frac_map,
+                       pv_gens, q_fixed, island=isl)
         if not pf.converged:
             binding.append("non-convergence")
             return pf, False
@@ -328,12 +382,12 @@ def _attempt(net, island_buses, branches, gens, loads, fractions, binding):
             break
 
     ok = True
-    for b in island_buses:
+    for b in isl.buses:
         bus = net.buses[b]
         if pf.vm[b] < bus.vmin - LIMIT_TOL or pf.vm[b] > bus.vmax + LIMIT_TOL:
             binding.append(f"voltage bus {b}")
             ok = False
-    for bid in branches:
+    for bid in isl.branches:
         rate = net.branches[bid].rate_a
         if rate > 0.0:
             if (abs(pf.flow_fr[bid]) > rate + LIMIT_TOL
@@ -392,12 +446,11 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
 
         lam_floor = min(floors.values())
         binding: list[str] = []
+        isl = IslandData.build(net, sorted(island), branches)
 
         def feasible(lam):
             fr = {lid: max(lam, floors[lid]) for lid in loads}
-            pf, ok = _attempt(net, sorted(island), branches, gens, loads,
-                              fr, binding)
-            return pf, ok
+            return _attempt(net, isl, gens, loads, fr, binding)
 
         pf1, ok1 = feasible(1.0)
         if ok1:

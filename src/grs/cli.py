@@ -3,7 +3,8 @@
 Subcommands: parse, mrsp, rop, redispatch, pipeline, heuristic, gen-damage.
 All outputs are deterministic functions of (inputs, seed); wall-clock stage
 timings are only written when --timings is passed, to a separate file.
-Exit codes: 0 success, 1 infeasible, 2 input error, 3 solver limit.
+Exit codes: 0 success, 1 infeasible, 2 input error, 3 solver limit or
+numerical failure.
 Set GRS_LOG to a logging level name (e.g. DEBUG) for diagnostics on stderr.
 """
 
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import acvalidate, formulations, netio, workflows
 from .grid import BRANCH, GEN, GridError, apply_damage, replicate
-from .mip import SolveLimits, solve_mip
+from .mip import MipError, SolveLimits, solve_mip
 from .netio import NetioError
 
 log = logging.getLogger("grs")
@@ -359,6 +360,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except workflows.SolverLimit as exc:
         log.error("%s", exc)
+        return EXIT_LIMIT
+    except MipError as exc:
+        log.error("solver failure: %s", exc)
         return EXIT_LIMIT
     except workflows.PipelineInfeasible as exc:
         log.error("%s", exc)

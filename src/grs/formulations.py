@@ -143,9 +143,6 @@ class _Builder:
                     lb = ub = 1.0  # everything restored by the final period
             self.m.add_var(f"z_{kind}[{cid}]@{n}", lb, ub, BINARY)
 
-    def _bus_z_terms(self, bus_id: int, n: int):
-        return self.z(BUS, bus_id, n)
-
     # -- shared period pieces ---------------------------------------------
 
     def _add_load_shed_vars(self, n: int):

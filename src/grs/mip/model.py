@@ -180,14 +180,5 @@ def row_activity(row: LinRow, x: np.ndarray) -> float:
     return float(sum(c * x[i] for i, c in row.coeffs.items()))
 
 
-def row_violation(row: LinRow, x: np.ndarray) -> float:
-    a = row_activity(row, x)
-    if row.sense == LE:
-        return max(0.0, a - row.rhs)
-    if row.sense == GE:
-        return max(0.0, row.rhs - a)
-    return abs(a - row.rhs)
-
-
 def cone_violation(cone: ConeRow, x: np.ndarray) -> float:
     return float(x[cone.x] ** 2 + x[cone.y] ** 2 - x[cone.u] * x[cone.v])

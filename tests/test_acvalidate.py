@@ -1,16 +1,33 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from grs.acvalidate import (PlanCaseMismatch, _ybus, branch_flows,
+import grs.acvalidate
+from grs import cli, netio
+from grs.acvalidate import (PlanCaseMismatch, _ds_blocks, _ybus, branch_flows,
                             max_load_delivery, newton_pf, power_flow_jacobian,
                             redispatch_plan, residual_injections)
 from grs.formulations import DC, build_rop, decode_plan
 from grs.grid import (BRANCH, GEN, Bus, DamageScenario, Generator, Network,
                       RestorationPlan, replicate)
 from grs.mip import solve_mip
-from tests.conftest import make_two_bus
+from tests.conftest import CASES, make_two_bus
+
+
+@pytest.fixture(scope="module")
+def case118_area1(tmp_path_factory):
+    """case118 with its area-1 gen-damage scenario (seed 42) switched off."""
+    out = tmp_path_factory.mktemp("dmg118") / "seed42.json"
+    rc = cli.main(["gen-damage", "--case", str(CASES / "case118_smoke.m"),
+                   "--fraction", "0.35", "--area", "1-23,25-32,113-115,117",
+                   "--seed", "42", "--out", str(out)])
+    assert rc == 0
+    net = netio.load_case(CASES / "case118_smoke.m")
+    dmg = netio.damage_from_dict(json.loads(out.read_text()))
+    dmg.resolve(net)
+    return net, {item: False for item in dmg.sorted_items()}
 
 
 def test_single_bus_trivial():
@@ -181,3 +198,86 @@ def test_branch_flow_convention(case5):
             pf.vm[br.t_bus] * np.exp(1j * pf.va[br.t_bus]))
         assert s_fr == pytest.approx(pf.flow_fr[k], abs=1e-9)
         assert (s_fr + s_to).real >= -1e-9
+
+
+def _jacobian_by_diag_products(Y, v):
+    # the textbook dense form, O(n^3): the reference for the scaled form
+    ibus = Y @ v
+    diag_v = np.diag(v)
+    diag_i = np.diag(ibus)
+    diag_e = np.diag(v / np.abs(v))
+    ds_dva = 1j * diag_v @ (diag_i - Y @ diag_v).conjugate()
+    ds_dvm = diag_v @ (Y @ diag_e).conjugate() + diag_i.conjugate() @ diag_e
+    return ds_dva, ds_dvm
+
+
+def test_jacobian_matches_diag_products_case118(case118_area1):
+    net, energized = case118_area1
+    disp = max_load_delivery(net, energized)
+    isl = max(disp.islands, key=lambda i: len(i.buses))
+    buses = isl.buses
+    Y = _ybus(net, buses, sorted(isl.pf.flow_fr))
+    rng = np.random.default_rng(5)
+    vm = 1.0 + 0.05 * rng.standard_normal(len(buses))
+    va = 0.2 * rng.standard_normal(len(buses))
+    v = vm * np.exp(1j * va)
+    ref_va, ref_vm = _jacobian_by_diag_products(Y, v)
+    ds_dva, ds_dvm = power_flow_jacobian(Y, v)
+    scale = max(np.max(np.abs(ref_va)), np.max(np.abs(ref_vm)))
+    assert np.max(np.abs(ds_dva - ref_va)) <= 1e-12 * scale
+    assert np.max(np.abs(ds_dvm - ref_vm)) <= 1e-12 * scale
+    # newton_pf's blocks: rows and columns without one slack bus, and the
+    # |V| columns of a subset of buses, from the principal submatrix
+    rest = np.delete(np.arange(len(buses)), 3)
+    sub = np.arange(0, len(rest), 3)
+    blk_va, blk_vm = _ds_blocks(Y[np.ix_(rest, rest)], v[rest],
+                                (Y @ v)[rest], sub)
+    assert np.max(np.abs(blk_va - ref_va[np.ix_(rest, rest)])) <= 1e-12 * scale
+    assert np.max(np.abs(blk_vm - ref_vm[np.ix_(rest, rest[sub])])) \
+        <= 1e-12 * scale
+
+
+def test_multi_island_flows_and_residuals(case118_area1):
+    net, energized = case118_area1
+    disp = max_load_delivery(net, energized)
+    solved = [i for i in disp.islands if i.pf is not None]
+    assert len(solved) >= 2
+    for isl in solved:
+        pf = isl.pf
+        assert pf.converged
+        v = {b: pf.vm[b] * complex(math.cos(pf.va[b]), math.sin(pf.va[b]))
+             for b in isl.buses}
+        for k in pf.flow_fr:
+            br = net.branches[k]
+            s_fr, s_to = branch_flows(net, k, v[br.f_bus], v[br.t_bus])
+            assert abs(pf.flow_fr[k] - s_fr) <= 1e-12
+            assert abs(pf.flow_to[k] - s_to) <= 1e-12
+        inj = residual_injections(net, isl.buses, sorted(pf.flow_fr),
+                                  pf.vm, pf.va)
+        for b in isl.buses:
+            gen = sum(complex(pf.gen_p[g], pf.gen_q.get(g, 0.0))
+                      for g in pf.gen_p if net.gens[g].bus == b)
+            load = sum(disp.fractions[lid] * complex(d.pd, d.qd)
+                       for lid, d in net.loads.items() if d.bus == b)
+            assert abs(inj[b] - (gen - load)) < 1e-7
+
+
+def test_ybus_built_once_per_served_island(case118_area1, monkeypatch):
+    net, energized = case118_area1
+    calls = {"_ybus": 0, "newton_pf": 0}
+
+    def counted(name):
+        real = getattr(grs.acvalidate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(grs.acvalidate, name, counted(name))
+    disp = max_load_delivery(net, energized)
+    with_loads_and_gens = [i for i in disp.islands if i.pf is not None]
+    assert len(with_loads_and_gens) >= 2
+    assert calls["_ybus"] == len(with_loads_and_gens)
+    assert calls["newton_pf"] > calls["_ybus"]

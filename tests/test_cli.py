@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+import grs.cli
+import grs.workflows
 from grs.cli import main
+from grs.mip import NumericalFailure
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 CASE2 = str(CASES / "case2_parallel.m")
@@ -140,3 +143,21 @@ def test_batch_scenarios(tmp_path):
     assert rc == 0
     assert (out_dir / "one.result.json").exists()
     assert (out_dir / "two.result.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["rop", "--case", CASE2, "--damage", DMG2, "--periods", "2"],
+    ["pipeline", "--case", CASE2, "--damage", DMG2, "--periods", "2"],
+])
+def test_numerical_failure_is_solver_limit(tmp_path, monkeypatch, caplog,
+                                           command):
+    def fail(*args, **kwargs):
+        raise NumericalFailure("simplex iteration limit")
+
+    monkeypatch.setattr(grs.cli, "solve_mip", fail)
+    monkeypatch.setattr(grs.workflows, "solve_mip", fail)
+    rc = main(command + ["--out", str(tmp_path / "out.json")])
+    assert rc == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert "simplex iteration limit" in errors[0].getMessage()
