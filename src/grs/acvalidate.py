@@ -89,14 +89,18 @@ def _branch_admittances(br):
     return yff, yft, ytf, ytt
 
 
-def _ybus(net: Network, buses: list[int], branches: list[int]) -> np.ndarray:
+def _ybus(net: Network, buses: list[int], branches: list[int],
+          adm: np.ndarray | None = None) -> np.ndarray:
+    """Bus admittance matrix; adm, if given, holds each branch's
+    (yff, yft, ytf, ytt) row as ``_branch_admittances`` computes it."""
     pos = {b: i for i, b in enumerate(buses)}
     n = len(buses)
     Y = np.zeros((n, n), dtype=complex)
-    for bid in branches:
+    rows = (adm.tolist() if adm is not None else
+            [_branch_admittances(net.branches[bid]) for bid in branches])
+    for bid, (yff, yft, ytf, ytt) in zip(branches, rows):
         br = net.branches[bid]
         f, t = pos[br.f_bus], pos[br.t_bus]
-        yff, yft, ytf, ytt = _branch_admittances(br)
         Y[f, f] += yff
         Y[f, t] += yft
         Y[t, f] += ytf
@@ -138,7 +142,8 @@ class IslandData:
         for lid, ld in net.loads.items():
             if ld.bus in pos:
                 loads_at.setdefault(ld.bus, []).append(lid)
-        return cls(buses, pos, list(branches), _ybus(net, buses, branches),
+        return cls(buses, pos, list(branches),
+                   _ybus(net, buses, branches, adm),
                    np.array([pos[br.f_bus] for br in brs], dtype=int),
                    np.array([pos[br.t_bus] for br in brs], dtype=int),
                    *adm.T, loads_at)

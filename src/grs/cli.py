@@ -120,13 +120,10 @@ def cmd_mrsp(args):
     model = formulations.build_mrsp(damaged, args.formulation)
     if args.dump_lp:
         _write(args.dump_lp, model.to_lp_string())
-    sol = solve_mip(model, _limits_from(args))
-    if sol.status == "infeasible":
-        log.error("mrsp infeasible: full load unreachable with all repairs")
-        return EXIT_INFEASIBLE
-    if sol.status not in ("optimal", "gap_limit"):
-        log.error("mrsp hit solver limit: %s", sol.status)
-        return EXIT_LIMIT
+    try:
+        sol = workflows._checked(solve_mip(model, _limits_from(args)), "mrsp")
+    except workflows.PipelineInfeasible as exc:
+        raise workflows.MrspInfeasible() from exc
     indicators = formulations.mrsp_set(damaged, model, sol)
     kept = sorted(item for item, z in indicators.items() if round(z) == 1)
     out = {
@@ -149,11 +146,7 @@ def cmd_rop(args):
     model = formulations.build_rop(case, args.formulation)
     if args.dump_lp:
         _write(args.dump_lp, model.to_lp_string())
-    sol = solve_mip(model, _limits_from(args))
-    if sol.status == "infeasible":
-        return EXIT_INFEASIBLE
-    if sol.status not in ("optimal", "gap_limit"):
-        return EXIT_LIMIT
+    sol = workflows._checked(solve_mip(model, _limits_from(args)), "rop")
     plan = formulations.decode_plan(case, model, sol, args.formulation)
     _dump_json(args.out, netio.plan_to_dict(plan))
     est = formulations.estimated_ens_mwh(case, plan, args.count_initial_period)

@@ -7,6 +7,8 @@ by outer approximation: whenever a node LP solution violates a cone by more
 than cone_tol, the equivalent standard-cone function
 f = sqrt(x^2 + y^2 + ((u-v)/2)^2) - (u+v)/2 is linearized at that point and
 the gradient cut is added globally (cuts are valid for the whole tree).
+The pool only grows: each round's new cuts are appended to the standard
+form as rows with their own slacks, and the form is never rebuilt.
 
 A deterministic fix-and-round dive runs at the root and every dive_every
 processed nodes to supply incumbents early; it changes neither the node
@@ -82,7 +84,8 @@ class _LpContext:
         return True
 
     def rebuild(self):
-        self.lp = build_lp_data(self.model, self.cuts)
+        """Append the cuts pooled since the last build to the standard form."""
+        self.lp = build_lp_data(self.model, self.cuts, prev=self.lp)
 
     def extend_basis(self, bas: Basis) -> Basis:
         m = self.lp.m
@@ -121,6 +124,8 @@ def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
             bas = ctx.extend_basis(bas)
         res = solve_lp_core(lpd, start=bas)
         stats.lp_iters += res.iters
+        stats.refactors += res.refactors
+        stats.basis_restarts += res.restarts
         if res.status != simplex.LP_OPTIMAL:
             return res, True
         if not ctx.model.cone_rows:
@@ -143,6 +148,7 @@ def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
             # violation is below what these cuts can trim
             return res, False
         ctx.rebuild()
+        stats.cut_rounds += 1
         bas = res.basis
     return res, False
 
@@ -176,7 +182,8 @@ def solve_lp(model: MipModel, start: Basis | None = None) -> MipSolution:
     lpd = build_lp_data(model)
     res = solve_lp_core(lpd, start=start)
     stats = SolveStats(nodes=0, lp_iters=res.iters,
-                       wall_time=time.perf_counter() - t0)
+                       wall_time=time.perf_counter() - t0,
+                       refactors=res.refactors, basis_restarts=res.restarts)
     return _lp_to_solution(model, res, stats)
 
 

@@ -160,6 +160,9 @@ class SolveStats:
     lp_iters: int = 0
     cuts: int = 0
     wall_time: float = 0.0
+    refactors: int = 0  # periodic basis refactorizations
+    basis_restarts: int = 0  # slack-basis restarts after a singular factor
+    cut_rounds: int = 0  # standard-form extensions by a round of cone cuts
 
 
 @dataclass

@@ -11,10 +11,18 @@ The basis inverse is kept as an LU factorization plus a list of eta vectors,
 refactored every REFACTOR_EVERY pivots.  Pricing is Dantzig (most attractive
 reduced cost, ties by lowest column index); Bland's rule takes over after
 10*(rows+cols) degenerate pivots to guarantee termination.
+
+The ratio test gives each basic variable one target bound and divides
+only where that can block; pricing ranks one eligibility array.  Both
+evaluate the same expressions on the same values as the per-case masks
+they replace, so every pivot, and hence every basis and solution, is
+bit-for-bit unchanged.  A singular factor restarts from the slack basis;
+LpResult counts those restarts and the periodic refactors.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -29,6 +37,8 @@ OPT_TOL = 1e-7
 PIV_TOL = 1e-9  # working ratio-test threshold; < 1e-10 counts as no pivot
 DEGEN_TOL = 1e-9
 REFACTOR_EVERY = 50
+
+log = logging.getLogger("grs.mip")
 
 BASIC = 0
 AT_LB = 1
@@ -71,47 +81,70 @@ class LpData:
         return a
 
 
-def build_lp_data(model: MipModel, extra_rows=None) -> LpData:
-    """Assemble [A | I] standard form; binaries are relaxed to their bounds."""
-    rows = list(model.lin_rows)
-    if extra_rows:
-        rows.extend(extra_rows)
+def build_lp_data(model: MipModel, extra_rows=None,
+                  prev: LpData | None = None) -> LpData:
+    """Assemble [A | I] standard form; binaries are relaxed to their bounds.
+
+    The rows are ``model.lin_rows`` followed by ``extra_rows``.  ``prev``, if
+    given, was built from the same model and a prefix of ``extra_rows``; only
+    the rows past that prefix are then appended to it.  A new row adds
+    entries at the bottom of the structural columns and one slack column at
+    the right, so it is appended to ``prev.AT`` (A's row-wise storage) and A
+    comes from one conversion: the arrays equal those of a full build.
+    """
     n = len(model.vars)
-    m = len(rows)
+    if prev is None:
+        rows = [*model.lin_rows, *(extra_rows or ())]
+        m0 = 0
+        at_data, at_indices, at_indptr = np.zeros(0), np.zeros(0, int), np.zeros(1, int)
+        b0 = np.zeros(0)
+        lb0 = np.array([v.lb for v in model.vars], dtype=float)
+        ub0 = np.array([v.ub for v in model.vars], dtype=float)
+        c0 = np.zeros(n)
+        sgn = 1.0 if model.sense == "min" else -1.0
+        for j, coef in model.obj.items():
+            c0[j] = sgn * coef
+    else:
+        m0 = prev.m
+        rows = extra_rows[m0 - len(model.lin_rows):]
+        at_data, at_indices, at_indptr = prev.AT.data, prev.AT.indices, prev.AT.indptr
+        b0, lb0, ub0, c0 = prev.b, prev.lb, prev.ub, prev.c
 
-    data, ri, ci = [], [], []
-    b = np.zeros(m)
-    slack_lb = np.zeros(m)
-    slack_ub = np.zeros(m)
-    for k, row in enumerate(rows):
-        for j, coef in row.coeffs.items():
-            if coef != 0.0:
-                data.append(float(coef))
-                ri.append(k)
-                ci.append(j)
-        b[k] = row.rhs
+    k = len(rows)
+    m = m0 + k
+    cols, vals = [], []
+    lens = np.empty(k, dtype=int)
+    b = np.empty(k)
+    slack_lb = np.zeros(k)
+    slack_ub = np.zeros(k)
+    for i, row in enumerate(rows):
+        cols.extend(row.coeffs)
+        vals.extend(row.coeffs.values())
+        lens[i] = len(row.coeffs)
+        b[i] = row.rhs
         if row.sense == LE:
-            slack_lb[k], slack_ub[k] = 0.0, INF
+            slack_ub[i] = INF
         elif row.sense == GE:
-            slack_lb[k], slack_ub[k] = -INF, 0.0
-        else:
-            slack_lb[k], slack_ub[k] = 0.0, 0.0
-    for k in range(m):  # slack identity block
-        data.append(1.0)
-        ri.append(k)
-        ci.append(n + k)
-    A = sp.csc_matrix(
-        (np.asarray(data, dtype=float), (np.asarray(ri), np.asarray(ci))),
-        shape=(m, n + m),
+            slack_lb[i] = -INF
+    # each new row in A.T.tocsc()'s layout: its nonzeros by column, then
+    # its slack, which has the largest column index of the row
+    row_of = np.concatenate([np.repeat(np.arange(k), lens), np.arange(k)])
+    col = np.concatenate([np.asarray(cols, dtype=int), n + m0 + np.arange(k)])
+    val = np.concatenate([np.asarray(vals, dtype=float), np.ones(k)])
+    keep = val != 0.0
+    row_of, col, val = row_of[keep], col[keep], val[keep]
+    order = np.lexsort((col, row_of))
+    AT = sp.csc_matrix(
+        (np.concatenate([at_data, val[order]]),
+         np.concatenate([at_indices, col[order]]),
+         np.concatenate([at_indptr,
+                         at_indptr[-1] + np.cumsum(np.bincount(row_of, minlength=k))])),
+        shape=(n + m, m),
     )
-
-    lb = np.concatenate([np.array([v.lb for v in model.vars], dtype=float), slack_lb])
-    ub = np.concatenate([np.array([v.ub for v in model.vars], dtype=float), slack_ub])
-    sgn = 1.0 if model.sense == "min" else -1.0
-    c = np.zeros(n + m)
-    for j, coef in model.obj.items():
-        c[j] = sgn * coef
-    return LpData(A=A, AT=A.T.tocsc(), b=b, c=c, lb=lb, ub=ub, nstruct=n)
+    return LpData(A=AT.T.tocsc(), AT=AT, b=np.concatenate([b0, b]),
+                  c=np.concatenate([c0, np.zeros(k)]),
+                  lb=np.concatenate([lb0, slack_lb]),
+                  ub=np.concatenate([ub0, slack_ub]), nstruct=n)
 
 
 @dataclass
@@ -131,6 +164,8 @@ class LpResult:
     basis: Basis | None
     iters: int
     message: str = ""
+    refactors: int = 0  # periodic refactorizations
+    restarts: int = 0  # resets to the slack basis after a singular factor
 
 
 class _Factors:
@@ -158,7 +193,8 @@ class _Factors:
         return self.lu.solve(y, trans="T")
 
     def push_eta(self, r: int, d: np.ndarray):
-        self.etas.append((r, d.copy()))
+        # d is ftran's fresh result, which the caller does not write to again
+        self.etas.append((r, d))
 
 
 def _nonbasic_value(j, vstat, lb, ub):
@@ -209,12 +245,27 @@ def solve_lp_core(
         max_iters = 20000 + 40 * (m + ncols)
 
     bas = start.copy() if start is not None else default_basis(lp)
-    try:
-        fact = _Factors(lp.A, bas.basis)
-    except RuntimeError:
-        bas = default_basis(lp)
-        fact = _Factors(lp.A, bas.basis)
+    refactors = restarts = 0
 
+    def factor():
+        nonlocal bas, restarts
+        try:
+            return _Factors(lp.A, bas.basis)
+        except RuntimeError:
+            # numerically singular basis: restart from the slack basis
+            restarts += 1
+            log.debug("singular basis factor after %d iterations: "
+                      "restarting from the slack basis", iters)
+            bas = default_basis(lp)
+            return _Factors(lp.A, bas.basis)
+
+    def result(status, obj=None, message=""):
+        return LpResult(status, _full_x(lp, bas, x_b),
+                        _struct_obj(lp, bas, x_b) if obj is None else obj,
+                        bas, iters, message, refactors, restarts)
+
+    iters = 0
+    fact = factor()
     fixed = lp.lb == lp.ub
 
     def compute_xb():
@@ -227,22 +278,16 @@ def solve_lp_core(
 
     degen_count = 0
     bland_threshold = 10 * (m + ncols)
-    iters = 0
     pivots_since_refactor = 0
 
     while True:
         if iters >= max_iters:
-            return LpResult(LP_ITERATION_LIMIT, _full_x(lp, bas, x_b),
-                            _struct_obj(lp, bas, x_b), bas, iters,
-                            "simplex iteration limit")
+            return result(LP_ITERATION_LIMIT, message="simplex iteration limit")
         iters += 1
         if pivots_since_refactor >= REFACTOR_EVERY:
-            try:
-                fact = _Factors(lp.A, bas.basis)
-            except RuntimeError:
-                # drifted into a numerically singular basis: restart clean
-                bas = default_basis(lp)
-                fact = _Factors(lp.A, bas.basis)
+            refactors += 1
+            fact = None  # free the old LU and etas before SuperLU's workspace
+            fact = factor()
             x_b = compute_xb()
             lb_b = lp.lb[bas.basis]
             ub_b = lp.ub[bas.basis]
@@ -259,28 +304,12 @@ def solve_lp_core(
             y = fact.btran(lp.c[bas.basis])
             red = lp.c - lp.AT @ y
 
-        nonbasic = bas.vstat != BASIC
-        cand_up = nonbasic & ~fixed & (
-            ((bas.vstat == AT_LB) | (bas.vstat == FREE_NB)) & (red < -OPT_TOL)
-        )
-        cand_dn = nonbasic & ~fixed & (
-            ((bas.vstat == AT_UB) | (bas.vstat == FREE_NB)) & (red > OPT_TOL)
-        )
-        any_cand = cand_up | cand_dn
-        if not any_cand.any():
+        j = _price(red, bas.vstat, fixed, degen_count > bland_threshold)
+        if j < 0:
             if phase1:
-                return LpResult(LP_INFEASIBLE, _full_x(lp, bas, x_b),
-                                _struct_obj(lp, bas, x_b), bas, iters,
-                                "phase 1 optimum is infeasible")
-            return LpResult(LP_OPTIMAL, _full_x(lp, bas, x_b),
-                            _struct_obj(lp, bas, x_b), bas, iters)
-
-        if degen_count > bland_threshold:
-            j = int(np.flatnonzero(any_cand)[0])
-        else:
-            score = np.where(any_cand, np.abs(red), -1.0)
-            j = int(np.argmax(score))  # first max: lowest index on ties
-        direction = 1.0 if cand_up[j] else -1.0
+                return result(LP_INFEASIBLE, message="phase 1 optimum is infeasible")
+            return result(LP_OPTIMAL)
+        direction = 1.0 if red[j] < 0.0 else -1.0
 
         d_col = fact.ftran(lp.column(j))
         delta = -direction * d_col  # basic motion per unit entering step
@@ -294,8 +323,7 @@ def solve_lp_core(
         if t == INF and t_flip == INF:
             if phase1:
                 raise NumericalFailure("unblocked phase-1 direction")
-            return LpResult(LP_UNBOUNDED, _full_x(lp, bas, x_b),
-                            -INF, bas, iters, "unbounded direction")
+            return result(LP_UNBOUNDED, -INF, "unbounded direction")
 
         if t_flip <= t:
             x_b += t_flip * delta
@@ -320,6 +348,31 @@ def solve_lp_core(
         pivots_since_refactor += 1
 
 
+# pricing sign by column status: BASIC, AT_LB, AT_UB, FREE_NB
+_PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
+
+
+def _price(red, vstat, fixed, bland):
+    """Entering column, or -1 when no reduced cost is attractive.
+
+    One eligibility array: -red at AT_LB, red at AT_UB, |red| at FREE_NB and
+    -1 at BASIC and fixed columns.  A column is a candidate when its
+    eligibility exceeds OPT_TOL and enters upward iff red < 0.  Dantzig picks
+    the largest eligibility (lowest index on ties); Bland the lowest index.
+    """
+    elig = red * _PRICE_SIGN[vstat]
+    free = vstat == FREE_NB
+    if free.any():
+        elig[free] = np.abs(red[free])
+    elig[(vstat == BASIC) | fixed] = -1.0
+    cand = elig > OPT_TOL
+    if not cand.any():
+        return -1
+    if bland:
+        return int(np.argmax(cand))
+    return int(np.argmax(np.where(cand, elig, -1.0)))
+
+
 def _ratio_test(delta, x_b, lb_b, ub_b):
     """Two-pass (Harris) ratio test, phase aware.
 
@@ -328,32 +381,25 @@ def _ratio_test(delta, x_b, lb_b, ub_b):
     first pass finds the smallest step with bounds relaxed by FEAS_TOL, the
     second picks the largest pivot among blockers within that step, which
     keeps the eta updates well conditioned.
+
+    Each position gets one target bound: a decreasing variable above
+    ub + FEAS_TOL targets ub, any other decreasing one lb (mirrored for
+    increasing ones).  The step is divided out only where |delta| > PIV_TOL
+    and the variable is not moving away from a violated bound; elsewhere it
+    stays infinite, as it does toward an infinite bound.  The arrays stay
+    full length: compressing to the moving positions gives arrays of a new
+    size each call, and numpy keeps up to seven freed buffers of every size
+    under 1 KB, which raised peak memory by about 2 MB on case5 SOC.
     Returns (step, blocking position or -1, bound status the leaver takes).
     """
     adelta = np.abs(delta)
-    move = adelta > PIV_TOL
-    dec = move & (delta < 0.0)
-    inc = move & (delta > 0.0)
-
+    dec = delta < 0.0
+    above = x_b > ub_b + FEAS_TOL
+    below = x_b < lb_b - FEAS_TOL  # never with above, as lb <= ub
+    to_ub = np.where(dec, above, ~below)
     ti = np.full(delta.shape, INF)
-    tgt = np.zeros(delta.shape, dtype=np.int8)
-
-    infeas_above = dec & (x_b > ub_b + FEAS_TOL)
-    np.divide(ub_b - x_b, delta, out=ti, where=infeas_above)
-    tgt[infeas_above] = AT_UB
-
-    feas_dec = dec & ~infeas_above & (lb_b > -INF) & (x_b >= lb_b - FEAS_TOL)
-    np.divide(lb_b - x_b, delta, out=ti, where=feas_dec)
-    tgt[feas_dec] = AT_LB
-
-    infeas_below = inc & (x_b < lb_b - FEAS_TOL)
-    np.divide(lb_b - x_b, delta, out=ti, where=infeas_below)
-    tgt[infeas_below] = AT_LB
-
-    feas_inc = inc & ~infeas_below & (ub_b < INF) & (x_b <= ub_b + FEAS_TOL)
-    np.divide(ub_b - x_b, delta, out=ti, where=feas_inc)
-    tgt[feas_inc] = AT_UB
-
+    np.divide(np.where(to_ub, ub_b, lb_b) - x_b, delta, out=ti,
+              where=(adelta > PIV_TOL) & ~np.where(dec, below, above))
     np.maximum(ti, 0.0, out=ti)
     blockable = ti < INF
     if not blockable.any():
@@ -362,10 +408,8 @@ def _ratio_test(delta, x_b, lb_b, ub_b):
     t_rel = np.min(np.where(blockable, ti + FEAS_TOL / np.maximum(adelta, PIV_TOL),
                             INF))
     # pass 2: largest pivot among blockers within the relaxed step
-    cand = blockable & (ti <= t_rel)
-    piv = np.where(cand, adelta, -1.0)
-    blocking = int(np.argmax(piv))
-    return float(ti[blocking]), blocking, int(tgt[blocking])
+    k = int(np.argmax(np.where(blockable & (ti <= t_rel), adelta, -1.0)))
+    return float(ti[k]), k, AT_UB if to_ub[k] else AT_LB
 
 
 def _struct_obj(lp: LpData, bas: Basis, x_b: np.ndarray) -> float:

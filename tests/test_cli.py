@@ -1,12 +1,15 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grs.cli
 import grs.workflows
 from grs.cli import main
-from grs.mip import NumericalFailure
+from grs.mip import (INFEASIBLE, ITERATION_LIMIT, MipSolution,
+                     NumericalFailure)
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 CASE2 = str(CASES / "case2_parallel.m")
@@ -161,3 +164,24 @@ def test_numerical_failure_is_solver_limit(tmp_path, monkeypatch, caplog,
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1
     assert "simplex iteration limit" in errors[0].getMessage()
+
+
+@pytest.mark.parametrize("status,rc", [(INFEASIBLE, 1), (ITERATION_LIMIT, 3)])
+@pytest.mark.parametrize("command", [
+    ["mrsp", "--case", CASE2, "--damage", DMG2],
+    ["rop", "--case", CASE2, "--damage", DMG2, "--periods", "2"],
+])
+def test_solver_status_exit_codes(tmp_path, monkeypatch, caplog, command,
+                                  status, rc):
+    def stopped(model, limits=None):
+        return MipSolution(status, np.zeros(len(model.vars)), math.nan,
+                           math.nan, math.inf)
+
+    monkeypatch.setattr(grs.cli, "solve_mip", stopped)
+    out = tmp_path / "out.json"
+    assert main(command + ["--out", str(out)]) == rc
+    assert not out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    if command[0] == "mrsp" and status == INFEASIBLE:
+        assert "full load unreachable" in errors[0]
