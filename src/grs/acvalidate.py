@@ -497,33 +497,49 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
     return PeriodDispatch(period, results, total, fractions, warnings)
 
 
+def plan_dispatches(net: Network, status: dict[tuple[str, int], list[int]],
+                    periods: int) -> list[tuple[PeriodDispatch, dict[int, float]]]:
+    """Maximal AC load delivery in each period 0..periods of a status schedule.
+
+    Each period's served fractions are the next period's floors; returns every
+    period's dispatch with the per-load fractions in force after it.
+    """
+    out = []
+    fractions: dict[int, float] = {lid: 0.0 for lid in net.loads}
+    for n in range(periods + 1):
+        energized = {item: bool(zs[n]) for item, zs in status.items()}
+        dispatch = max_load_delivery(net, energized, fractions, period=n)
+        fractions = dict(fractions)
+        fractions.update(dispatch.fractions)
+        out.append((dispatch, fractions))
+    return out
+
+
+def ens_report(case: MultiPeriodCase, plan: RestorationPlan,
+               dispatches: list[tuple[PeriodDispatch, dict[int, float]]],
+               count_initial_period: bool = True,
+               estimated_ens: float | None = None) -> EnsReport:
+    """True ENS of a plan from its per-period dispatches, integrated."""
+    if estimated_ens is None:
+        from .formulations import estimated_ens_mwh
+        estimated_ens = estimated_ens_mwh(case, plan, count_initial_period)
+    served = [dispatch.served_mw for dispatch, _ in dispatches]
+    warnings = sum(dispatch.warnings for dispatch, _ in dispatches)
+    total_load_mw = case.base.total_load() * case.base.base_mva
+    return EnsReport.from_served(total_load_mw, served, case.period_hours,
+                                 count_initial_period, estimated_ens, warnings)
+
+
 def redispatch_plan(case: MultiPeriodCase, plan: RestorationPlan,
                     count_initial_period: bool = True,
                     estimated_ens: float | None = None) -> EnsReport:
     """True ENS of a plan: per-period maximal AC load delivery, integrated."""
-    net = case.base
     if plan.periods != case.periods:
         raise PlanCaseMismatch(
             f"plan has {plan.periods} periods, case {case.periods}")
     for item in case.damaged_items():
         if item not in plan.status:
             raise PlanCaseMismatch(f"plan misses damaged component {item}")
-
-    if estimated_ens is None:
-        from .formulations import estimated_ens_mwh
-        estimated_ens = estimated_ens_mwh(case, plan, count_initial_period)
-
-    served = []
-    warnings = 0
-    fractions: dict[int, float] = {lid: 0.0 for lid in net.loads}
-    for n in range(case.periods + 1):
-        energized = plan.energized(n)
-        dispatch = max_load_delivery(net, energized, fractions, period=n)
-        served.append(dispatch.served_mw)
-        warnings += dispatch.warnings
-        fractions = dict(fractions)
-        fractions.update(dispatch.fractions)
-
-    total_load_mw = net.total_load() * net.base_mva
-    return EnsReport.from_served(total_load_mw, served, case.period_hours,
-                                 count_initial_period, estimated_ens, warnings)
+    dispatches = plan_dispatches(case.base, plan.status, case.periods)
+    return ens_report(case, plan, dispatches, count_initial_period,
+                      estimated_ens)

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import acvalidate, formulations, netio, workflows
-from .grid import BRANCH, GEN, GridError, apply_damage, replicate
+from .grid import GridError, apply_damage, replicate
 from .mip import MipError, SolveLimits, solve_mip
 from .netio import NetioError
 
@@ -39,14 +39,16 @@ def _limits_from(args) -> SolveLimits:
     )
 
 
-def _load_inputs(args, need_damage=True):
-    net = netio.load_case(args.case)
-    if not need_damage:
-        return net, None
-    with open(args.damage, encoding="utf-8") as f:
+def _read_damage(path, net):
+    with open(path, encoding="utf-8") as f:
         dmg = netio.damage_from_dict(json.load(f))
     dmg.resolve(net)
-    return net, dmg
+    return dmg
+
+
+def _load_inputs(args, need_damage=True):
+    net = netio.load_case(args.case)
+    return net, _read_damage(args.damage, net) if need_damage else None
 
 
 def _write(path, data: bytes | str):
@@ -120,21 +122,12 @@ def cmd_mrsp(args):
     model = formulations.build_mrsp(damaged, args.formulation)
     if args.dump_lp:
         _write(args.dump_lp, model.to_lp_string())
-    try:
-        sol = workflows._checked(solve_mip(model, _limits_from(args)), "mrsp")
-    except workflows.PipelineInfeasible as exc:
-        raise workflows.MrspInfeasible() from exc
-    indicators = formulations.mrsp_set(damaged, model, sol)
-    kept = sorted(item for item, z in indicators.items() if round(z) == 1)
+    indicators, kept = workflows.solve_mrsp(damaged, model, _limits_from(args))
     out = {
         "formulation": args.formulation,
         "damaged": len(indicators),
         "repair_set_size": len(kept),
-        "repair_set": {
-            "branch": [i for k, i in kept if k == BRANCH],
-            "gen": [i for k, i in kept if k == GEN],
-            "bus": [i for k, i in kept if k == "bus"],
-        },
+        "repair_set": netio.damage_to_dict(kept),
     }
     _dump_json(args.out, out)
     return EXIT_OK
@@ -178,23 +171,17 @@ def _run_pipeline(args, net, dmg):
 
 
 def cmd_pipeline(args):
-    net, _ = _load_inputs(args, need_damage=not args.scenarios)
+    net, dmg = _load_inputs(args, need_damage=not args.scenarios)
     if args.scenarios:
         outdir = Path(args.out_dir or ".")
         outdir.mkdir(parents=True, exist_ok=True)
         for path in sorted(Path(args.scenarios).glob("*.json")):
-            with open(path, encoding="utf-8") as f:
-                dmg = netio.damage_from_dict(json.load(f))
-            dmg.resolve(net)
-            result = _run_pipeline(args, net, dmg)
+            result = _run_pipeline(args, net, _read_damage(path, net))
             _dump_json(outdir / f"{path.stem}.result.json",
                        workflows.pipeline_result_to_dict(result))
             log.info("%s: estimated %.3f / true %.3f MWh", path.stem,
                      result.estimated_ens_mwh, result.true_ens_mwh)
         return EXIT_OK
-    with open(args.damage, encoding="utf-8") as f:
-        dmg = netio.damage_from_dict(json.load(f))
-    dmg.resolve(net)
     result = _run_pipeline(args, net, dmg)
     _dump_json(args.out, workflows.pipeline_result_to_dict(result))
     if args.csv:
@@ -209,10 +196,9 @@ def cmd_pipeline(args):
 
 def cmd_heuristic(args):
     net, dmg = _load_inputs(args)
-    case = replicate(net, dmg, args.periods, args.period_hours)
-    plan = workflows.heuristic_order(net, dmg, args.periods, args.period_hours)
-    report = acvalidate.redispatch_plan(case, plan, args.count_initial_period,
-                                        estimated_ens=None)
+    plan, report = workflows.run_heuristic(net, dmg, args.periods,
+                                           args.period_hours,
+                                           args.count_initial_period)
     out = {
         "plan": netio.plan_to_dict(plan),
         "report": netio.report_to_dict(report),

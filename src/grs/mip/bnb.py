@@ -10,7 +10,7 @@ the gradient cut is added globally (cuts are valid for the whole tree).
 The pool only grows: each round's new cuts are appended to the standard
 form as rows with their own slacks, and the form is never rebuilt.
 
-A deterministic fix-and-round dive runs at the root and every dive_every
+A deterministic fix-and-round dive runs at the root and every DIVE_EVERY
 processed nodes to supply incumbents early; it changes neither the node
 order nor any bound, only the incumbent.
 """
@@ -32,6 +32,9 @@ from .simplex import BASIC, Basis, build_lp_data, solve_lp_core
 
 INT_TOL = 1e-6
 CONE_TOL = 1e-6
+MAX_CONE_ROUNDS = 60  # cut rounds per node LP
+CONE_CUT_BUDGET = 6000  # cuts in the global pool
+DIVE_EVERY = 25  # processed nodes between dives
 
 
 @dataclass
@@ -40,10 +43,6 @@ class SolveLimits:
     nodes: int | None = None
     time_s: float | None = None
     cone_tol: float = CONE_TOL
-    max_cone_rounds: int = 60
-    cone_cut_budget: int = 6000
-    dive: bool = True
-    dive_every: int = 25
 
 
 def cone_cut(cone: ConeRow, x: np.ndarray) -> LinRow:
@@ -117,7 +116,7 @@ def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
     bound even when cone_ok is False (outer approximation).
     """
     bas = start
-    for _ in range(limits.max_cone_rounds + 1):
+    for _ in range(MAX_CONE_ROUNDS + 1):
         lb, ub = ctx.bounds_with(fixes)
         lpd = ctx.lp.with_bounds(lb, ub)
         if bas is not None:
@@ -136,7 +135,7 @@ def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
         ]
         if not violated:
             return res, True
-        if len(ctx.cuts) >= limits.cone_cut_budget:
+        if len(ctx.cuts) >= CONE_CUT_BUDGET:
             return res, False
         added = 0
         for cone in violated:
@@ -325,7 +324,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
             # the region cannot be certified, give up honestly
             return finish(ITERATION_LIMIT)
 
-        if limits.dive and (processed == 1 or processed % limits.dive_every == 0):
+        if processed == 1 or processed % DIVE_EVERY == 0:
             dive(res.x, node.fixes, res.basis)
 
         j = _most_fractional(frac, res.x)

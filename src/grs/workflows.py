@@ -1,15 +1,14 @@
 """End-to-end restoration pipelines and the capability-order baseline.
 
-Two canonical flows:
-
-* plan with the chosen power-flow model, then validate with the AC
-  redispatch (``run_rop_then_redispatch``);
-* shrink the repair set first, then order only the kept components
-  (``run_mrsp_then_rop``), which trades served-while-repairing energy for a
-  much smaller ordering model.
+The pipeline plans with the chosen power-flow model, then validates with the
+AC redispatch (``run_rop_then_redispatch``).  MRSP-first
+(``run_mrsp_then_rop``) is the MRSP stage (``solve_mrsp``, then
+``update_status``) followed by that same pipeline on the kept components;
+it trades served-while-repairing energy for a much smaller ordering model.
 
 The baseline orders repairs by component capability (generator pmax, branch
-rating; unlimited ratings first) and scores service with the AC validator.
+rating; unlimited ratings first) and scores service with the AC validator,
+whose dispatches also give its ENS report (``run_heuristic``).
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from . import acvalidate, formulations, netio
 from .grid import (BRANCH, GEN, DamageScenario, EnsReport, GridError,
                    MultiPeriodCase, Network, RestorationPlan, apply_damage,
                    replicate, update_status)
-from .mip import (GAP_LIMIT, INFEASIBLE, OPTIMAL, MipSolution, SolveLimits,
-                  solve_lp, solve_mip)
+from .mip import (GAP_LIMIT, INFEASIBLE, OPTIMAL, MipModel, MipSolution,
+                  SolveLimits, solve_lp, solve_mip)
 
 
 class PipelineInfeasible(GridError):
@@ -108,54 +107,50 @@ def run_rop_then_redispatch(net: Network, dmg: DamageScenario, periods: int,
     return result.check(total_energy)
 
 
+def solve_mrsp(damaged: Network, model: MipModel,
+               limits: SolveLimits | None = None):
+    """Solve a built MRSP model; an infeasible one raises ``MrspInfeasible``.
+
+    Returns each damaged component's repair indicator and the components
+    kept for repair.
+    """
+    try:
+        sol = _checked(solve_mip(model, limits), "mrsp")
+    except PipelineInfeasible as exc:
+        raise MrspInfeasible() from exc
+    indicators = formulations.mrsp_set(damaged, model, sol)
+    kept = frozenset(item for item, z in indicators.items() if round(z) == 1)
+    return indicators, DamageScenario(kept)
+
+
 def run_mrsp_then_rop(net: Network, dmg: DamageScenario, periods: int,
                       formulation: str = formulations.DC,
                       period_hours: float = 1.0,
                       count_initial_period: bool = True,
                       limits: SolveLimits | None = None) -> PipelineResult:
-    """Shrink the repair set, then order only the kept components."""
-    timings: dict[str, float] = {}
+    """Shrink the repair set, then run the plain pipeline on the kept items."""
     t_all = time.perf_counter()
     damaged_net = apply_damage(net, dmg)
 
     t0 = time.perf_counter()
     mrsp_model = formulations.build_mrsp(damaged_net, formulation)
-    timings["build_mrsp"] = time.perf_counter() - t0
+    build_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    try:
-        mrsp_sol = _checked(solve_mip(mrsp_model, limits), "mrsp")
-    except PipelineInfeasible as exc:
-        raise MrspInfeasible() from exc
-    timings["solve_mrsp"] = time.perf_counter() - t0
+    indicators, kept = solve_mrsp(damaged_net, mrsp_model, limits)
+    solve_s = time.perf_counter() - t0
 
-    indicators = formulations.mrsp_set(damaged_net, mrsp_model, mrsp_sol)
-    reduced_net = update_status(damaged_net, indicators)
-    kept = sorted(item for item, z in indicators.items() if round(z) == 1)
-    reduced_dmg = DamageScenario(frozenset(kept))
-    case = replicate(reduced_net, reduced_dmg, periods, period_hours)
-
-    t0 = time.perf_counter()
-    model = formulations.build_rop(case, formulation)
-    timings["build_rop"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sol = _checked(solve_mip(model, limits), "rop")
-    timings["solve_rop"] = time.perf_counter() - t0
-
-    plan = formulations.decode_plan(case, model, sol, formulation)
-    est = formulations.estimated_ens_mwh(case, plan, count_initial_period)
-
-    t0 = time.perf_counter()
-    report = acvalidate.redispatch_plan(case, plan, count_initial_period, est)
-    timings["redispatch"] = time.perf_counter() - t0
+    # update_status keeps the loads, so the inner relaxation check holds
+    result = run_rop_then_redispatch(
+        update_status(damaged_net, indicators), kept, periods, formulation,
+        period_hours, count_initial_period, limits)
+    result.mrsp_set = kept.sorted_items()
+    timings = result.timings
+    timings["build_mrsp"] = build_s
+    timings["solve_mrsp"] = solve_s
     timings["optimize"] = (timings["build_mrsp"] + timings["solve_mrsp"]
                            + timings["build_rop"] + timings["solve_rop"])
     timings["total"] = time.perf_counter() - t_all
-
-    result = PipelineResult(formulation, plan, report, est,
-                            report.true_ens_mwh, timings, kept, sol.gap)
-    total_energy = net.total_load() * net.base_mva * period_hours * (
-        periods + 1 if count_initial_period else periods)
-    return result.check(total_energy)
+    return result
 
 
 def capability(net: Network, kind: str, cid: int) -> float:
@@ -174,6 +169,16 @@ def heuristic_order(net: Network, dmg: DamageScenario,
     Capability ties break by (id, kind name); the order is chunked into the
     same per-period budget the optimizing model would get.
     """
+    return run_heuristic(net, dmg, periods, period_hours)[0]
+
+
+def run_heuristic(net: Network, dmg: DamageScenario, periods: int,
+                  period_hours: float = 1.0, count_initial_period: bool = True):
+    """``heuristic_order``'s plan and its AC report, from one validation pass.
+
+    The report equals ``redispatch_plan`` on the plan: it integrates the
+    dispatches that scored the order.
+    """
     case = replicate(net, dmg, periods, period_hours)
     periods = case.periods  # collapses to the single base state if undamaged
     items = sorted(dmg.sorted_items(),
@@ -185,24 +190,19 @@ def heuristic_order(net: Network, dmg: DamageScenario,
         for it in items:
             status[it].append(1 if it in batch else status[it][n - 1])
 
-    fractions = {lid: 0.0 for lid in net.loads}
-    per_load: dict[int, list[float]] = {lid: [] for lid in net.loads}
+    dispatches = acvalidate.plan_dispatches(case.base, status, periods)
+    per_load = {lid: [fractions.get(lid, 0.0) for _, fractions in dispatches]
+                for lid in net.loads}
     served_mwh = 0.0
-    for n in range(periods + 1):
-        energized = {it: bool(zs[n]) for it, zs in status.items()}
-        dispatch = acvalidate.max_load_delivery(case.base, energized, fractions,
-                                                period=n)
-        fractions = dict(fractions)
-        fractions.update(dispatch.fractions)
-        for lid in net.loads:
-            per_load[lid].append(fractions.get(lid, 0.0))
+    for dispatch, _ in dispatches:
         served_mwh += dispatch.served_mw * period_hours
 
     plan = RestorationPlan(periods=periods, period_hours=period_hours,
                            status=status, load_fraction=per_load,
                            objective_value=round(served_mwh, 3),
-                           formulation="heuristic")
-    return plan.validate(case)
+                           formulation="heuristic").validate(case)
+    return plan, acvalidate.ens_report(case, plan, dispatches,
+                                       count_initial_period)
 
 
 def score_plan_dc(case: MultiPeriodCase, plan: RestorationPlan) -> float:
@@ -228,11 +228,8 @@ def pipeline_result_to_dict(result: PipelineResult,
         "report": netio.report_to_dict(result.report),
     }
     if result.mrsp_set is not None:
-        out["mrsp_set"] = {
-            "branch": sorted(i for k, i in result.mrsp_set if k == BRANCH),
-            "gen": sorted(i for k, i in result.mrsp_set if k == GEN),
-            "bus": sorted(i for k, i in result.mrsp_set if k == "bus"),
-        }
+        out["mrsp_set"] = netio.damage_to_dict(
+            DamageScenario(frozenset(result.mrsp_set)))
     if include_timings:
         out["timings_s"] = {k: round(v, 3) for k, v in sorted(result.timings.items())}
     return out

@@ -5,16 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import grs.acvalidate
 import grs.cli
 import grs.workflows
+from grs import netio
+from grs.acvalidate import redispatch_plan
 from grs.cli import main
+from grs.grid import replicate
 from grs.mip import (INFEASIBLE, ITERATION_LIMIT, MipSolution,
                      NumericalFailure)
+from grs.workflows import heuristic_order
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 CASE2 = str(CASES / "case2_parallel.m")
 CASE5 = str(CASES / "case5_restoration.m")
 DMG2 = str(CASES / "damage2_both.json")
+DMG5 = str(CASES / "damage5_all.json")
 
 
 def test_help_exits_zero(capsys):
@@ -127,6 +133,39 @@ def test_heuristic_command(tmp_path):
     assert result["report"]["true_ens_mwh"] > 0
 
 
+def test_heuristic_validates_once(tmp_path, monkeypatch):
+    calls = []
+    real = grs.acvalidate.max_load_delivery
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("period"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grs.acvalidate, "max_load_delivery", counted)
+    rc = main(["heuristic", "--case", CASE2, "--damage", DMG2, "--periods", "2",
+               "--out", str(tmp_path / "h.json")])
+    assert rc == 0
+    assert calls == [0, 1, 2]  # one call per period, periods + 1 in all
+
+
+def test_heuristic_matches_order_then_redispatch(tmp_path):
+    out = tmp_path / "h.json"
+    csv = tmp_path / "h.csv"
+    rc = main(["heuristic", "--case", CASE5, "--damage", DMG5, "--periods", "5",
+               "--period-hours", "2", "--no-count-initial-period",
+               "--out", str(out), "--csv", str(csv)])
+    assert rc == 0
+    net = netio.load_case(CASE5)
+    dmg = netio.damage_from_dict(json.loads(Path(DMG5).read_text()))
+    plan = heuristic_order(net, dmg, 5, 2.0)
+    report = redispatch_plan(replicate(net, dmg, 5, 2.0), plan,
+                             count_initial_period=False)
+    expected = {"plan": netio.plan_to_dict(plan),
+                "report": netio.report_to_dict(report)}
+    assert out.read_text() == json.dumps(expected, indent=1) + "\n"
+    assert csv.read_bytes() == netio.write_report(report, "csv")
+
+
 def test_dump_lp(tmp_path):
     lp = tmp_path / "model.lp"
     rc = main(["mrsp", "--case", CASE2, "--damage", DMG2,
@@ -178,6 +217,7 @@ def test_solver_status_exit_codes(tmp_path, monkeypatch, caplog, command,
                            math.nan, math.inf)
 
     monkeypatch.setattr(grs.cli, "solve_mip", stopped)
+    monkeypatch.setattr(grs.workflows, "solve_mip", stopped)
     out = tmp_path / "out.json"
     assert main(command + ["--out", str(out)]) == rc
     assert not out.exists()

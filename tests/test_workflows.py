@@ -106,7 +106,12 @@ def test_soc_pipeline_relaxation_invariant(two_bus_parallel):
 
 
 def test_timings_present_and_positive(two_bus_parallel):
-    result = run_rop_then_redispatch(two_bus_parallel,
-                                     DamageScenario.of(branches=[1, 2]), 2, DC)
-    for key in ("build_rop", "solve_rop", "redispatch", "total"):
-        assert result.timings[key] >= 0.0
+    plain_keys = {"build_rop", "solve_rop", "redispatch", "total"}
+    mrsp_keys = plain_keys | {"build_mrsp", "solve_mrsp", "optimize"}
+    dmg = DamageScenario.of(branches=[1, 2])
+    for pipeline, keys in ((run_rop_then_redispatch, plain_keys),
+                           (run_mrsp_then_rop, mrsp_keys)):
+        result = pipeline(two_bus_parallel, dmg, 2, DC)
+        assert set(result.timings) == keys
+        assert all(v >= 0.0 for v in result.timings.values())
+        assert result.timings["total"] >= max(result.timings.values())
