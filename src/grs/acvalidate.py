@@ -207,15 +207,15 @@ def newton_pf(net: Network, buses: list[int], branches: list[int],
               pg_set: dict[int, float], slack_gen: int,
               load_frac: dict[int, float], pv_gens: dict[int, list[int]],
               q_fixed: dict[int, float] | None = None,
-              tol: float = PF_TOL, max_iter: int = PF_MAX_ITER,
               island: IslandData | None = None) -> PfState:
     """Full Newton-Raphson polar power flow on one island.
 
     pv_gens maps PV bus id -> energized generator ids there (voltage held at
     the setpoint); q_fixed marks former PV buses pinned at a reactive limit
     (treated as PQ with that generation).  Flat start: V = 1 / PV setpoints,
-    angles zero.  island is the prebuilt data of (buses, branches); without
-    it the solve builds its own.
+    angles zero.  Stops once the largest mismatch is at most PF_TOL, or
+    after PF_MAX_ITER iterations.  island is the prebuilt data of (buses,
+    branches); without it the solve builds its own.
     """
     q_fixed = q_fixed or {}
     isl = island if island is not None else IslandData.build(net, buses,
@@ -255,7 +255,7 @@ def newton_pf(net: Network, buses: list[int], branches: list[int],
 
     mismatch = math.inf
     it = 0
-    for it in range(max_iter + 1):
+    for it in range(PF_MAX_ITER + 1):
         v = vm * np.exp(1j * va)
         ibus = Y @ v
         s_calc = v * ibus.conjugate()
@@ -263,9 +263,9 @@ def newton_pf(net: Network, buses: list[int], branches: list[int],
         dq = q_spec - s_calc.imag
         f = np.concatenate([dp[pvpq], dq[pq_i]])
         mismatch = float(np.max(np.abs(f))) if f.size else 0.0
-        if mismatch <= tol:
+        if mismatch <= PF_TOL:
             break
-        if it == max_iter:
+        if it == PF_MAX_ITER:
             break
         ds_dva, ds_dvm = _ds_blocks(y_pvpq, v[pvpq], ibus[pvpq], pq_at)
         jac = np.block([[ds_dva.real, ds_dvm.real],
@@ -278,7 +278,7 @@ def newton_pf(net: Network, buses: list[int], branches: list[int],
         va[pvpq] += dx[:nva]
         vm[pq_i] += dx[nva:]
 
-    converged = mismatch <= tol
+    converged = mismatch <= PF_TOL
     return _pf_state(net, isl, vm, va, pg_set, slack_gen, load_frac,
                      converged, it, mismatch)
 

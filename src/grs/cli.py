@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import acvalidate, formulations, netio, workflows
 from .grid import GridError, apply_damage, replicate
-from .mip import MipError, SolveLimits, solve_mip
+from .mip import MipError, SolveLimits
 from .netio import NetioError
 
 log = logging.getLogger("grs")
@@ -139,8 +139,8 @@ def cmd_rop(args):
     model = formulations.build_rop(case, args.formulation)
     if args.dump_lp:
         _write(args.dump_lp, model.to_lp_string())
-    sol = workflows._checked(solve_mip(model, _limits_from(args)), "rop")
-    plan = formulations.decode_plan(case, model, sol, args.formulation)
+    plan, _ = workflows.solve_rop(case, model, args.formulation,
+                                  _limits_from(args))
     _dump_json(args.out, netio.plan_to_dict(plan))
     est = formulations.estimated_ens_mwh(case, plan, args.count_initial_period)
     log.info("rop: objective %.3f MWh served, estimated ENS %.3f MWh",

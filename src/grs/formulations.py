@@ -18,6 +18,12 @@ size is an exact function of component and damage counts (see
 K+1 times and links periods with energization monotonicity, a repair
 cardinality budget, and non-decreasing served-load fractions; period 0 is
 pinned fully damaged and period K fully restored through variable bounds.
+
+Columns and rows are labelled ``name[cid]@n`` (``var_name``).  The labels
+exist for the LP dump (``--dump-lp``) and for callers that look a column up
+with ``MipModel.var_index``; the builder itself finds its columns in a table
+keyed by (name, cid, n), and builds each bus's balance row from per-bus
+incidence lists, so a build is linear in the network size per period.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grid import (BRANCH, BUS, GEN, Branch, GridError, MultiPeriodCase,
-                   Network, NoRefBus, NonIntegralIndicator, RestorationPlan)
-from .mip import BINARY, EQ, GE, LE, MipModel, MipSolution
+from .grid import (BRANCH, BUS, GEN, INDICATOR_TOL, Branch, GridError,
+                   MultiPeriodCase, Network, NoRefBus, NonIntegralIndicator,
+                   RestorationPlan)
+from .mip import BINARY, CONTINUOUS, EQ, GE, LE, MipModel, MipSolution
 
 VA_BOUND = 0.5236  # rad; default bus-angle box, span = 2 * VA_BOUND
 VA_SPAN = 2 * VA_BOUND
@@ -40,18 +47,23 @@ class FormulationError(GridError):
     pass
 
 
+def var_name(name: str, cid: int | str, n: int) -> str:
+    """The label ``name[cid]@n`` of a period-n column or row."""
+    return f"{name}[{cid}]@{n}"
+
+
 def dc_susceptance(br: Branch) -> float:
     return 1.0 / (br.x * br.tap)
 
 
-def bigM_for_branch(br: Branch, va_span: float = VA_SPAN) -> float:
+def bigM_for_branch(br: Branch) -> float:
     """Activation constant for the on/off DC flow law.
 
     The largest the flow-law expression can get while the branch is off is
     |b'| times the reachable angle spread (plus the fixed shift), which is
     the minimal valid constant given the angle boxes.
     """
-    return abs(dc_susceptance(br)) * (va_span + abs(br.shift))
+    return abs(dc_susceptance(br)) * (VA_SPAN + abs(br.shift))
 
 
 def dc_flow_cap(br: Branch) -> float:
@@ -118,235 +130,134 @@ class _Builder:
         if not any(net.buses[b].bus_type == 3 for b in net.buses):
             raise NoRefBus("network has no reference bus")
         self.net = net
-        self.form = formulation
+        self.soc = formulation == SOC
         self.rop = rop
         self.K = periods
-        self.parts = _Parts.of(net, damaged)
-        self.dmg_set = set(self.parts.damaged)
+        self.parts = parts = _Parts.of(net, damaged)
+        self.dmg_set = set(parts.damaged)
         self.m = MipModel()
+        self.ix: dict[tuple[str, int, int], int] = {}
+        # per bus, in _Parts' order: gens, branch ends (id, "fr"/"to"),
+        # loads, shunts
+        self.inc = {b: ([], [], [], []) for b in parts.buses}
+        for gid in parts.gens:
+            self.inc[net.gens[gid].bus][0].append(gid)
+        for bid in parts.branches:
+            br = net.branches[bid]
+            self.inc[br.f_bus][1].append((bid, "fr"))
+            self.inc[br.t_bus][1].append((bid, "to"))
+        for lid in parts.loads:
+            self.inc[net.loads[lid].bus][2].append(lid)
+        for sid in parts.shunts:
+            self.inc[net.shunts[sid].bus][3].append(sid)
 
-    # -- variable helpers -------------------------------------------------
+    def var(self, name: str, cid: int, n: int, lb: float, ub: float,
+            integrality: str = CONTINUOUS):
+        self.ix[name, cid, n] = self.m.add_var(var_name(name, cid, n), lb, ub,
+                                               integrality)
+
+    def row(self, coeffs: dict[int, float], sense: str, rhs: float,
+            name: str, cid: int | str, n: int):
+        self.m.add_row(coeffs, sense, rhs, var_name(name, cid, n))
 
     def z(self, kind: str, cid: int, n: int) -> int | None:
-        """Indicator var index for a damaged component, None if fixed to 1."""
-        if (kind, cid) not in self.dmg_set:
-            return None
-        return self.m.var_index(f"z_{kind}[{cid}]@{n}")
+        """Indicator column of a damaged component, None if fixed to 1."""
+        return self.ix.get(("z_" + kind, cid, n))
 
-    def _add_z_vars(self, n: int):
+    # -- columns ------------------------------------------------------------
+
+    def _period_vars(self, n: int):
+        net = self.net
         for kind, cid in self.parts.damaged:
             lb, ub = 0.0, 1.0
-            if self.rop:
-                if n == 0:
-                    lb = ub = 0.0  # initial state: damaged means off
-                elif n == self.K:
-                    lb = ub = 1.0  # everything restored by the final period
-            self.m.add_var(f"z_{kind}[{cid}]@{n}", lb, ub, BINARY)
-
-    # -- shared period pieces ---------------------------------------------
-
-    def _add_load_shed_vars(self, n: int):
-        for lid in self.parts.loads:
-            self.m.add_var(f"zd[{lid}]@{n}", 0.0, 1.0)
-        for sid in self.parts.shunts:
-            self.m.add_var(f"zs[{sid}]@{n}", 0.0, 1.0)
-
-    def _gen_rows(self, n: int):
-        for gid in self.parts.gens:
-            g = self.net.gens[gid]
-            zg = self.z(GEN, gid, n)
-            pg = self.m.var_index(f"pg[{gid}]@{n}")
-            if zg is not None:
-                self.m.add_row({pg: 1.0, zg: -g.pmax}, LE, 0.0,
-                               f"gen_on_p_ub[{gid}]@{n}")
-                self.m.add_row({pg: 1.0, zg: -g.pmin}, GE, 0.0,
-                               f"gen_on_p_lb[{gid}]@{n}")
-                zb = self.z(BUS, g.bus, n)
-                if zb is not None:
-                    self.m.add_row({zg: 1.0, zb: -1.0}, LE, 0.0,
-                                   f"gen_needs_bus[{gid}]@{n}")
-            if self.form == SOC:
-                qg = self.m.var_index(f"qg[{gid}]@{n}")
-                if zg is not None:
-                    self.m.add_row({qg: 1.0, zg: -g.qmax}, LE, 0.0,
-                                   f"gen_on_q_ub[{gid}]@{n}")
-                    self.m.add_row({qg: 1.0, zg: -g.qmin}, GE, 0.0,
-                                   f"gen_on_q_lb[{gid}]@{n}")
-
-    def _branch_dependency_rows(self, n: int):
-        for bid in self.parts.branches:
-            br = self.net.branches[bid]
-            zbr = self.z(BRANCH, bid, n)
-            if zbr is None:
-                continue
-            for end in (br.f_bus, br.t_bus):
-                zb = self.z(BUS, end, n)
-                if zb is not None:
-                    self.m.add_row({zbr: 1.0, zb: -1.0}, LE, 0.0,
-                                   f"branch_needs_bus[{bid},{end}]@{n}")
-
-    def _cardinality_row(self, n: int, budget: int):
-        coeffs: dict[int, float] = {}
-        for kind, cid in self.parts.damaged:
-            coeffs[self.z(kind, cid, n)] = 1.0
-            coeffs[self.z(kind, cid, n - 1)] = \
-                coeffs.get(self.z(kind, cid, n - 1), 0.0) - 1.0
-        if coeffs:
-            self.m.add_row(coeffs, LE, float(budget), f"repair_budget@{n}")
-
-    def _intertemporal_rows(self):
-        for n in range(1, self.K + 1):
-            for kind, cid in self.parts.damaged:
-                self.m.add_row(
-                    {self.z(kind, cid, n): 1.0, self.z(kind, cid, n - 1): -1.0},
-                    GE, 0.0, f"energized_{kind}[{cid}]@{n}")
-            for lid in self.parts.loads:
-                self.m.add_row(
-                    {self.m.var_index(f"zd[{lid}]@{n}"): 1.0,
-                     self.m.var_index(f"zd[{lid}]@{n-1}"): -1.0},
-                    GE, 0.0, f"load_increasing[{lid}]@{n}")
-
-    # -- DC ---------------------------------------------------------------
-
-    def _dc_period_vars(self, n: int):
-        self._add_z_vars(n)
-        for b in self.parts.buses:
-            self.m.add_var(f"va[{b}]@{n}", -VA_BOUND, VA_BOUND)
-        for gid in self.parts.gens:
-            g = self.net.gens[gid]
-            if (GEN, gid) in self.dmg_set:
-                self.m.add_var(f"pg[{gid}]@{n}", min(g.pmin, 0.0), max(g.pmax, 0.0))
-            else:
-                self.m.add_var(f"pg[{gid}]@{n}", g.pmin, g.pmax)
-        for bid in self.parts.branches:
-            cap = dc_flow_cap(self.net.branches[bid])
-            self.m.add_var(f"p_fr[{bid}]@{n}", -cap, cap)
-            self.m.add_var(f"p_to[{bid}]@{n}", -cap, cap)
-        if self.rop:
-            self._add_load_shed_vars(n)
-
-    def _dc_period_rows(self, n: int):
-        net = self.net
-        for b in self.parts.buses:
-            if net.buses[b].bus_type == 3:
-                self.m.add_row({self.m.var_index(f"va[{b}]@{n}"): 1.0}, EQ, 0.0,
-                               f"ref_angle[{b}]@{n}")
-
-        for bid in self.parts.branches:
-            br = net.branches[bid]
-            bp = dc_susceptance(br)
-            p_fr = self.m.var_index(f"p_fr[{bid}]@{n}")
-            p_to = self.m.var_index(f"p_to[{bid}]@{n}")
-            va_f = self.m.var_index(f"va[{br.f_bus}]@{n}")
-            va_t = self.m.var_index(f"va[{br.t_bus}]@{n}")
-            self.m.add_row({p_fr: 1.0, p_to: 1.0}, EQ, 0.0, f"lossless[{bid}]@{n}")
-            zbr = self.z(BRANCH, bid, n)
-            law = {p_fr: 1.0, va_f: -bp, va_t: bp}
-            rhs = -bp * br.shift
-            if zbr is None:
-                self.m.add_row(law, EQ, rhs, f"flow_law[{bid}]@{n}")
-            else:
-                mp = bigM_for_branch(br)
-                up = dict(law)
-                up[zbr] = mp
-                self.m.add_row(up, LE, rhs + mp, f"flow_law_ub[{bid}]@{n}")
-                dn = dict(law)
-                dn[zbr] = -mp
-                self.m.add_row(dn, GE, rhs - mp, f"flow_law_lb[{bid}]@{n}")
-                cap = dc_flow_cap(br)
-                self.m.add_row({p_fr: 1.0, zbr: -cap}, LE, 0.0,
-                               f"thermal_ub[{bid}]@{n}")
-                self.m.add_row({p_fr: 1.0, zbr: cap}, GE, 0.0,
-                               f"thermal_lb[{bid}]@{n}")
-            if zbr is None:
-                self.m.add_row({va_f: 1.0, va_t: -1.0}, LE, br.angmax,
-                               f"angle_ub[{bid}]@{n}")
-                self.m.add_row({va_f: 1.0, va_t: -1.0}, GE, br.angmin,
-                               f"angle_lb[{bid}]@{n}")
-            else:
-                self.m.add_row({va_f: 1.0, va_t: -1.0, zbr: VA_SPAN - br.angmax},
-                               LE, VA_SPAN, f"angle_ub[{bid}]@{n}")
-                self.m.add_row({va_f: 1.0, va_t: -1.0, zbr: -(br.angmin + VA_SPAN)},
-                               GE, -VA_SPAN, f"angle_lb[{bid}]@{n}")
-
-        self._gen_rows(n)
-        self._branch_dependency_rows(n)
-
-        for b in self.parts.buses:
-            coeffs: dict[int, float] = {}
-            rhs = 0.0
-            for gid in self.parts.gens:
-                if net.gens[gid].bus == b:
-                    coeffs[self.m.var_index(f"pg[{gid}]@{n}")] = 1.0
-            for bid in self.parts.branches:
-                br = net.branches[bid]
-                if br.f_bus == b:
-                    coeffs[self.m.var_index(f"p_fr[{bid}]@{n}")] = -1.0
-                if br.t_bus == b:
-                    coeffs[self.m.var_index(f"p_to[{bid}]@{n}")] = -1.0
-            for lid in self.parts.loads:
-                if net.loads[lid].bus == b:
-                    if self.rop:
-                        coeffs[self.m.var_index(f"zd[{lid}]@{n}")] = -net.loads[lid].pd
-                    else:
-                        rhs += net.loads[lid].pd
-            for sid in self.parts.shunts:
-                if net.shunts[sid].bus == b:
-                    if self.rop:
-                        coeffs[self.m.var_index(f"zs[{sid}]@{n}")] = -net.shunts[sid].gs
-                    else:
-                        rhs += net.shunts[sid].gs
-            self.m.add_row(coeffs, EQ, rhs, f"balance_p[{b}]@{n}")
-
-    # -- SOC ---------------------------------------------------------------
-
-    def _soc_period_vars(self, n: int):
-        self._add_z_vars(n)
-        net = self.net
+            if self.rop and n == 0:
+                lb = ub = 0.0  # initial state: damaged means off
+            elif self.rop and n == self.K:
+                lb = ub = 1.0  # everything restored by the final period
+            self.var("z_" + kind, cid, n, lb, ub, BINARY)
         for b in self.parts.buses:
             bus = net.buses[b]
-            if (BUS, b) in self.dmg_set:
-                self.m.add_var(f"w[{b}]@{n}", 0.0, bus.vmax ** 2)
+            if self.soc:
+                lo = 0.0 if (BUS, b) in self.dmg_set else bus.vmin ** 2
+                self.var("w", b, n, lo, bus.vmax ** 2)
             else:
-                self.m.add_var(f"w[{b}]@{n}", bus.vmin ** 2, bus.vmax ** 2)
+                self.var("va", b, n, -VA_BOUND, VA_BOUND)
         for gid in self.parts.gens:
             g = net.gens[gid]
-            if (GEN, gid) in self.dmg_set:
-                self.m.add_var(f"pg[{gid}]@{n}", min(g.pmin, 0.0), max(g.pmax, 0.0))
-                self.m.add_var(f"qg[{gid}]@{n}", min(g.qmin, 0.0), max(g.qmax, 0.0))
-            else:
-                self.m.add_var(f"pg[{gid}]@{n}", g.pmin, g.pmax)
-                self.m.add_var(f"qg[{gid}]@{n}", g.qmin, g.qmax)
+            outputs = [("pg", g.pmin, g.pmax)]
+            if self.soc:
+                outputs.append(("qg", g.qmin, g.qmax))
+            for name, lo, hi in outputs:
+                if (GEN, gid) in self.dmg_set:  # off means zero output
+                    lo, hi = min(lo, 0.0), max(hi, 0.0)
+                self.var(name, gid, n, lo, hi)
         for bid in self.parts.branches:
             br = net.branches[bid]
+            if not self.soc:
+                cap = dc_flow_cap(br)
+                self.var("p_fr", bid, n, -cap, cap)
+                self.var("p_to", bid, n, -cap, cap)
+                continue
             f, t = net.buses[br.f_bus], net.buses[br.t_bus]
             wcap = f.vmax * t.vmax
             scap = soc_flow_cap(br, f.vmax, t.vmax)
-            self.m.add_var(f"wr[{bid}]@{n}", -wcap, wcap)
-            self.m.add_var(f"wi[{bid}]@{n}", -wcap, wcap)
+            self.var("wr", bid, n, -wcap, wcap)
+            self.var("wi", bid, n, -wcap, wcap)
             if (BRANCH, bid) in self.dmg_set:
-                self.m.add_var(f"wfr[{bid}]@{n}", 0.0, f.vmax ** 2)
-                self.m.add_var(f"wto[{bid}]@{n}", 0.0, t.vmax ** 2)
+                self.var("wfr", bid, n, 0.0, f.vmax ** 2)
+                self.var("wto", bid, n, 0.0, t.vmax ** 2)
             for side in ("fr", "to"):
-                self.m.add_var(f"p_{side}[{bid}]@{n}", -scap, scap)
-                self.m.add_var(f"q_{side}[{bid}]@{n}", -scap, scap)
+                self.var("p_" + side, bid, n, -scap, scap)
+                self.var("q_" + side, bid, n, -scap, scap)
             if br.rate_a > 0.0:
-                self.m.add_var(f"s_fr[{bid}]@{n}", 0.0, br.rate_a)
-                self.m.add_var(f"s_to[{bid}]@{n}", 0.0, br.rate_a)
+                self.var("s_fr", bid, n, 0.0, br.rate_a)
+                self.var("s_to", bid, n, 0.0, br.rate_a)
         if self.rop:
-            self._add_load_shed_vars(n)
+            for lid in self.parts.loads:
+                self.var("zd", lid, n, 0.0, 1.0)
             for sid in self.parts.shunts:
-                bus = net.buses[net.shunts[sid].bus]
-                self.m.add_var(f"ws[{sid}]@{n}", 0.0, bus.vmax ** 2)
+                self.var("zs", sid, n, 0.0, 1.0)
+            if self.soc:
+                for sid in self.parts.shunts:
+                    bus = net.buses[net.shunts[sid].bus]
+                    self.var("ws", sid, n, 0.0, bus.vmax ** 2)
 
-    def _soc_w_side(self, bid: int, bus_id: int, side: str, n: int) -> int:
-        """Branch-side squared-voltage column: alias of W unless damaged."""
-        if (BRANCH, bid) in self.dmg_set:
-            return self.m.var_index(f"w{side}[{bid}]@{n}")
-        return self.m.var_index(f"w[{bus_id}]@{n}")
+    # -- DC rows ------------------------------------------------------------
 
-    def _soc_period_rows(self, n: int):
-        net = self.net
+    def _dc_rows(self, n: int):
+        net, ix = self.net, self.ix
+        for b in self.parts.buses:
+            if net.buses[b].bus_type == 3:
+                self.row({ix["va", b, n]: 1.0}, EQ, 0.0, "ref_angle", b, n)
+        for bid in self.parts.branches:
+            br = net.branches[bid]
+            bp = dc_susceptance(br)
+            p_fr, p_to = ix["p_fr", bid, n], ix["p_to", bid, n]
+            va_f, va_t = ix["va", br.f_bus, n], ix["va", br.t_bus, n]
+            self.row({p_fr: 1.0, p_to: 1.0}, EQ, 0.0, "lossless", bid, n)
+            law = {p_fr: 1.0, va_f: -bp, va_t: bp}
+            rhs = -bp * br.shift
+            spread = {va_f: 1.0, va_t: -1.0}
+            zbr = self.z(BRANCH, bid, n)
+            if zbr is None:
+                self.row(law, EQ, rhs, "flow_law", bid, n)
+                self.row(spread, LE, br.angmax, "angle_ub", bid, n)
+                self.row(spread, GE, br.angmin, "angle_lb", bid, n)
+                continue
+            mp, cap = bigM_for_branch(br), dc_flow_cap(br)
+            self.row({**law, zbr: mp}, LE, rhs + mp, "flow_law_ub", bid, n)
+            self.row({**law, zbr: -mp}, GE, rhs - mp, "flow_law_lb", bid, n)
+            self.row({p_fr: 1.0, zbr: -cap}, LE, 0.0, "thermal_ub", bid, n)
+            self.row({p_fr: 1.0, zbr: cap}, GE, 0.0, "thermal_lb", bid, n)
+            self.row({**spread, zbr: VA_SPAN - br.angmax}, LE, VA_SPAN,
+                     "angle_ub", bid, n)
+            self.row({**spread, zbr: -(br.angmin + VA_SPAN)}, GE, -VA_SPAN,
+                     "angle_lb", bid, n)
+
+    # -- SOC rows -----------------------------------------------------------
+
+    def _soc_rows(self, n: int):
+        net, ix = self.net, self.ix
         for bid in self.parts.branches:
             br = net.branches[bid]
             g, b = _complex_admittance(br)
@@ -354,151 +265,196 @@ class _Builder:
             c, s = math.cos(br.shift), math.sin(br.shift)
             bc2 = br.b_charge / 2.0
             fb, tb = net.buses[br.f_bus], net.buses[br.t_bus]
-            wr = self.m.var_index(f"wr[{bid}]@{n}")
-            wi = self.m.var_index(f"wi[{bid}]@{n}")
-            wfr = self._soc_w_side(bid, br.f_bus, "fr", n)
-            wto = self._soc_w_side(bid, br.t_bus, "to", n)
-            p_fr = self.m.var_index(f"p_fr[{bid}]@{n}")
-            q_fr = self.m.var_index(f"q_fr[{bid}]@{n}")
-            p_to = self.m.var_index(f"p_to[{bid}]@{n}")
-            q_to = self.m.var_index(f"q_to[{bid}]@{n}")
+            wr, wi = ix["wr", bid, n], ix["wi", bid, n]
+            # branch-side squared voltages: W itself unless damaged
+            wfr = ix.get(("wfr", bid, n), ix["w", br.f_bus, n])
+            wto = ix.get(("wto", bid, n), ix["w", br.t_bus, n])
+            p_fr, q_fr = ix["p_fr", bid, n], ix["q_fr", bid, n]
+            p_to, q_to = ix["p_to", bid, n], ix["q_to", bid, n]
 
             # flow laws in W space (exact once the side copies collapse)
-            self.m.add_row({p_fr: 1.0, wfr: -g / tau ** 2,
-                            wr: (g * c - b * s) / tau,
-                            wi: (g * s + b * c) / tau}, EQ, 0.0,
-                           f"flow_law_p_fr[{bid}]@{n}")
-            self.m.add_row({q_fr: 1.0, wfr: (b + bc2) / tau ** 2,
-                            wr: -(g * s + b * c) / tau,
-                            wi: (g * c - b * s) / tau}, EQ, 0.0,
-                           f"flow_law_q_fr[{bid}]@{n}")
-            self.m.add_row({p_to: 1.0, wto: -g,
-                            wr: (g * c + b * s) / tau,
-                            wi: (g * s - b * c) / tau}, EQ, 0.0,
-                           f"flow_law_p_to[{bid}]@{n}")
-            self.m.add_row({q_to: 1.0, wto: (b + bc2),
-                            wr: (g * s - b * c) / tau,
-                            wi: -(g * c + b * s) / tau}, EQ, 0.0,
-                           f"flow_law_q_to[{bid}]@{n}")
+            self.row({p_fr: 1.0, wfr: -g / tau ** 2,
+                      wr: (g * c - b * s) / tau,
+                      wi: (g * s + b * c) / tau}, EQ, 0.0,
+                     "flow_law_p_fr", bid, n)
+            self.row({q_fr: 1.0, wfr: (b + bc2) / tau ** 2,
+                      wr: -(g * s + b * c) / tau,
+                      wi: (g * c - b * s) / tau}, EQ, 0.0,
+                     "flow_law_q_fr", bid, n)
+            self.row({p_to: 1.0, wto: -g,
+                      wr: (g * c + b * s) / tau,
+                      wi: (g * s - b * c) / tau}, EQ, 0.0,
+                     "flow_law_p_to", bid, n)
+            self.row({q_to: 1.0, wto: (b + bc2),
+                      wr: (g * s - b * c) / tau,
+                      wi: -(g * c + b * s) / tau}, EQ, 0.0,
+                     "flow_law_q_to", bid, n)
 
-            self.m.add_row({wi: 1.0, wr: -math.tan(br.angmax)}, LE, 0.0,
-                           f"angle_ub[{bid}]@{n}")
-            self.m.add_row({wi: 1.0, wr: -math.tan(br.angmin)}, GE, 0.0,
-                           f"angle_lb[{bid}]@{n}")
-            self.m.add_cone(wr, wi, wfr, wto, f"jabr[{bid}]@{n}")
+            self.row({wi: 1.0, wr: -math.tan(br.angmax)}, LE, 0.0,
+                     "angle_ub", bid, n)
+            self.row({wi: 1.0, wr: -math.tan(br.angmin)}, GE, 0.0,
+                     "angle_lb", bid, n)
+            self.m.add_cone(wr, wi, wfr, wto, var_name("jabr", bid, n))
 
             zbr = self.z(BRANCH, bid, n)
             if zbr is not None:
                 wcap = fb.vmax * tb.vmax
                 for col in (wr, wi):
-                    self.m.add_row({col: 1.0, zbr: -wcap}, LE, 0.0,
-                                   f"w_box_ub[{col}]@{n}")
-                    self.m.add_row({col: 1.0, zbr: wcap}, GE, 0.0,
-                                   f"w_box_lb[{col}]@{n}")
-                for side, bus in (("fr", fb), ("to", tb)):
-                    wsd = self.m.var_index(f"w{side}[{bid}]@{n}")
-                    wb = self.m.var_index(f"w[{bus.id}]@{n}")
-                    self.m.add_row({wsd: 1.0, zbr: -bus.vmax ** 2}, LE, 0.0,
-                                   f"w_{side}_on[{bid}]@{n}")
-                    self.m.add_row({wsd: 1.0, wb: -1.0, zbr: -bus.vmin ** 2},
-                                   LE, -bus.vmin ** 2, f"w_{side}_link_ub[{bid}]@{n}")
-                    self.m.add_row({wsd: 1.0, wb: -1.0, zbr: -bus.vmax ** 2},
-                                   GE, -bus.vmax ** 2, f"w_{side}_link_lb[{bid}]@{n}")
+                    self.row({col: 1.0, zbr: -wcap}, LE, 0.0, "w_box_ub", col, n)
+                    self.row({col: 1.0, zbr: wcap}, GE, 0.0, "w_box_lb", col, n)
+                for side, wsd, bus in (("fr", wfr, fb), ("to", wto, tb)):
+                    wb = ix["w", bus.id, n]
+                    self.row({wsd: 1.0, zbr: -bus.vmax ** 2}, LE, 0.0,
+                             f"w_{side}_on", bid, n)
+                    self.row({wsd: 1.0, wb: -1.0, zbr: -bus.vmin ** 2},
+                             LE, -bus.vmin ** 2, f"w_{side}_link_ub", bid, n)
+                    self.row({wsd: 1.0, wb: -1.0, zbr: -bus.vmax ** 2},
+                             GE, -bus.vmax ** 2, f"w_{side}_link_lb", bid, n)
 
             if br.rate_a > 0.0:
-                s_fr = self.m.var_index(f"s_fr[{bid}]@{n}")
-                s_to = self.m.var_index(f"s_to[{bid}]@{n}")
-                self.m.add_cone(p_fr, q_fr, s_fr, s_fr, f"thermal_fr[{bid}]@{n}")
-                self.m.add_cone(p_to, q_to, s_to, s_to, f"thermal_to[{bid}]@{n}")
+                s_fr, s_to = ix["s_fr", bid, n], ix["s_to", bid, n]
+                self.m.add_cone(p_fr, q_fr, s_fr, s_fr,
+                                var_name("thermal_fr", bid, n))
+                self.m.add_cone(p_to, q_to, s_to, s_to,
+                                var_name("thermal_to", bid, n))
                 if zbr is not None:
-                    self.m.add_row({s_fr: 1.0, zbr: -br.rate_a}, LE, 0.0,
-                                   f"thermal_on_fr[{bid}]@{n}")
-                    self.m.add_row({s_to: 1.0, zbr: -br.rate_a}, LE, 0.0,
-                                   f"thermal_on_to[{bid}]@{n}")
+                    self.row({s_fr: 1.0, zbr: -br.rate_a}, LE, 0.0,
+                             "thermal_on_fr", bid, n)
+                    self.row({s_to: 1.0, zbr: -br.rate_a}, LE, 0.0,
+                             "thermal_on_to", bid, n)
 
         for b in self.parts.buses:
             zb = self.z(BUS, b, n)
             if zb is not None:
                 bus = net.buses[b]
-                w = self.m.var_index(f"w[{b}]@{n}")
-                self.m.add_row({w: 1.0, zb: -bus.vmax ** 2}, LE, 0.0,
-                               f"w_on_ub[{b}]@{n}")
-                self.m.add_row({w: 1.0, zb: -bus.vmin ** 2}, GE, 0.0,
-                               f"w_on_lb[{b}]@{n}")
+                w = ix["w", b, n]
+                self.row({w: 1.0, zb: -bus.vmax ** 2}, LE, 0.0, "w_on_ub", b, n)
+                self.row({w: 1.0, zb: -bus.vmin ** 2}, GE, 0.0, "w_on_lb", b, n)
 
-        self._gen_rows(n)
-        self._branch_dependency_rows(n)
+    # -- rows of both formulations ------------------------------------------
 
-        if self.rop:
-            for sid in self.parts.shunts:
-                # McCormick envelope of ws = zs * w
-                bus = net.buses[net.shunts[sid].bus]
-                lo, hi = bus.vmin ** 2, bus.vmax ** 2
-                ws = self.m.var_index(f"ws[{sid}]@{n}")
-                zs = self.m.var_index(f"zs[{sid}]@{n}")
-                w = self.m.var_index(f"w[{bus.id}]@{n}")
-                self.m.add_row({ws: 1.0, zs: -lo}, GE, 0.0, f"ws_a[{sid}]@{n}")
-                self.m.add_row({ws: 1.0, zs: -hi, w: -1.0}, GE, -hi, f"ws_b[{sid}]@{n}")
-                self.m.add_row({ws: 1.0, zs: -hi}, LE, 0.0, f"ws_c[{sid}]@{n}")
-                self.m.add_row({ws: 1.0, w: -1.0, zs: -lo}, LE, -lo, f"ws_d[{sid}]@{n}")
+    def _gen_rows(self, n: int):
+        for gid in self.parts.gens:
+            zg = self.z(GEN, gid, n)
+            if zg is None:
+                continue
+            g = self.net.gens[gid]
+            pg = self.ix["pg", gid, n]
+            self.row({pg: 1.0, zg: -g.pmax}, LE, 0.0, "gen_on_p_ub", gid, n)
+            self.row({pg: 1.0, zg: -g.pmin}, GE, 0.0, "gen_on_p_lb", gid, n)
+            zb = self.z(BUS, g.bus, n)
+            if zb is not None:
+                self.row({zg: 1.0, zb: -1.0}, LE, 0.0, "gen_needs_bus", gid, n)
+            if self.soc:
+                qg = self.ix["qg", gid, n]
+                self.row({qg: 1.0, zg: -g.qmax}, LE, 0.0, "gen_on_q_ub", gid, n)
+                self.row({qg: 1.0, zg: -g.qmin}, GE, 0.0, "gen_on_q_lb", gid, n)
 
+    def _branch_dependency_rows(self, n: int):
+        for bid in self.parts.branches:
+            zbr = self.z(BRANCH, bid, n)
+            if zbr is None:
+                continue
+            br = self.net.branches[bid]
+            for end in (br.f_bus, br.t_bus):
+                zb = self.z(BUS, end, n)
+                if zb is not None:
+                    self.row({zbr: 1.0, zb: -1.0}, LE, 0.0,
+                             "branch_needs_bus", f"{bid},{end}", n)
+
+    def _shunt_envelope_rows(self, n: int):
+        """SOC ordering model: McCormick envelope of ws = zs * w."""
+        ix = self.ix
+        for sid in self.parts.shunts:
+            bus = self.net.buses[self.net.shunts[sid].bus]
+            lo, hi = bus.vmin ** 2, bus.vmax ** 2
+            ws, zs, w = ix["ws", sid, n], ix["zs", sid, n], ix["w", bus.id, n]
+            self.row({ws: 1.0, zs: -lo}, GE, 0.0, "ws_a", sid, n)
+            self.row({ws: 1.0, zs: -hi, w: -1.0}, GE, -hi, "ws_b", sid, n)
+            self.row({ws: 1.0, zs: -hi}, LE, 0.0, "ws_c", sid, n)
+            self.row({ws: 1.0, w: -1.0, zs: -lo}, LE, -lo, "ws_d", sid, n)
+
+    def _balance_rows(self, n: int):
+        """Power balance at each bus (P; Q too under SOC) from its incidence."""
+        net, ix, soc = self.net, self.ix, self.soc
         for b in self.parts.buses:
-            p_coeffs: dict[int, float] = {}
-            q_coeffs: dict[int, float] = {}
+            gens, ends, loads, shunts = self.inc[b]
+            p: dict[int, float] = {}
+            q: dict[int, float] = {}
             p_rhs = q_rhs = 0.0
-            for gid in self.parts.gens:
-                if net.gens[gid].bus == b:
-                    p_coeffs[self.m.var_index(f"pg[{gid}]@{n}")] = 1.0
-                    q_coeffs[self.m.var_index(f"qg[{gid}]@{n}")] = 1.0
-            for bid in self.parts.branches:
-                br = net.branches[bid]
-                if br.f_bus == b:
-                    p_coeffs[self.m.var_index(f"p_fr[{bid}]@{n}")] = -1.0
-                    q_coeffs[self.m.var_index(f"q_fr[{bid}]@{n}")] = -1.0
-                if br.t_bus == b:
-                    p_coeffs[self.m.var_index(f"p_to[{bid}]@{n}")] = -1.0
-                    q_coeffs[self.m.var_index(f"q_to[{bid}]@{n}")] = -1.0
-            for lid in self.parts.loads:
+            for gid in gens:
+                p[ix["pg", gid, n]] = 1.0
+                if soc:
+                    q[ix["qg", gid, n]] = 1.0
+            for bid, side in ends:
+                p[ix["p_" + side, bid, n]] = -1.0
+                if soc:
+                    q[ix["q_" + side, bid, n]] = -1.0
+            for lid in loads:
                 ld = net.loads[lid]
-                if ld.bus == b:
-                    if self.rop:
-                        zd = self.m.var_index(f"zd[{lid}]@{n}")
-                        p_coeffs[zd] = p_coeffs.get(zd, 0.0) - ld.pd
-                        q_coeffs[zd] = q_coeffs.get(zd, 0.0) - ld.qd
-                    else:
-                        p_rhs += ld.pd
-                        q_rhs += ld.qd
-            for sid in self.parts.shunts:
+                if not self.rop:
+                    p_rhs += ld.pd
+                    q_rhs += ld.qd
+                elif soc:  # +0.0 for a zero load, -0.0 under DC; both pinned
+                    zd = ix["zd", lid, n]
+                    p[zd], q[zd] = 0.0 - ld.pd, 0.0 - ld.qd
+                else:
+                    p[ix["zd", lid, n]] = -ld.pd
+            for sid in shunts:
                 sh = net.shunts[sid]
-                if sh.bus == b:
-                    col = (self.m.var_index(f"ws[{sid}]@{n}") if self.rop
-                           else self.m.var_index(f"w[{b}]@{n}"))
-                    p_coeffs[col] = p_coeffs.get(col, 0.0) - sh.gs
-                    q_coeffs[col] = q_coeffs.get(col, 0.0) + sh.bs
-            self.m.add_row(p_coeffs, EQ, p_rhs, f"balance_p[{b}]@{n}")
-            self.m.add_row(q_coeffs, EQ, q_rhs, f"balance_q[{b}]@{n}")
+                if soc:  # shunt power scales with W: ws, or w itself
+                    col = ix["ws", sid, n] if self.rop else ix["w", b, n]
+                    p[col] = p.get(col, 0.0) - sh.gs
+                    q[col] = q.get(col, 0.0) + sh.bs
+                elif self.rop:
+                    p[ix["zs", sid, n]] = -sh.gs
+                else:
+                    p_rhs += sh.gs
+            self.row(p, EQ, p_rhs, "balance_p", b, n)
+            if soc:
+                self.row(q, EQ, q_rhs, "balance_q", b, n)
+
+    def _cardinality_row(self, n: int, budget: int):
+        coeffs: dict[int, float] = {}
+        for kind, cid in self.parts.damaged:
+            coeffs[self.z(kind, cid, n)] = 1.0
+            coeffs[self.z(kind, cid, n - 1)] = -1.0
+        if coeffs:
+            self.m.add_row(coeffs, LE, budget, f"repair_budget@{n}")
+
+    def _intertemporal_rows(self):
+        for n in range(1, self.K + 1):
+            for kind, cid in self.parts.damaged:
+                self.row({self.z(kind, cid, n): 1.0,
+                          self.z(kind, cid, n - 1): -1.0},
+                         GE, 0.0, "energized_" + kind, cid, n)
+            for lid in self.parts.loads:
+                self.row({self.ix["zd", lid, n]: 1.0,
+                          self.ix["zd", lid, n - 1]: -1.0},
+                         GE, 0.0, "load_increasing", lid, n)
 
     # -- assembly -----------------------------------------------------------
 
     def build(self, budget: int | None = None) -> MipModel:
-        add_vars = self._dc_period_vars if self.form == DC else self._soc_period_vars
-        add_rows = self._dc_period_rows if self.form == DC else self._soc_period_rows
         for n in range(self.K + 1):
-            add_vars(n)
+            self._period_vars(n)
         for n in range(self.K + 1):
-            add_rows(n)
+            (self._soc_rows if self.soc else self._dc_rows)(n)
+            self._gen_rows(n)
+            self._branch_dependency_rows(n)
+            if self.soc and self.rop:
+                self._shunt_envelope_rows(n)
+            self._balance_rows(n)
             if self.rop and n >= 1:
                 self._cardinality_row(n, budget)
         if self.rop:
             self._intertemporal_rows()
-            obj = {}
-            for n in range(self.K + 1):
-                for lid in self.parts.loads:
-                    obj[self.m.var_index(f"zd[{lid}]@{n}")] = self.net.loads[lid].pd
-            self.m.set_objective("max", obj)
+            self.m.set_objective("max", {
+                self.ix["zd", lid, n]: self.net.loads[lid].pd
+                for n in range(self.K + 1) for lid in self.parts.loads})
         else:
-            obj = {self.z(kind, cid, 0): 1.0 for kind, cid in self.parts.damaged}
-            self.m.set_objective("min", obj)
+            self.m.set_objective("min", {
+                self.z(kind, cid, 0): 1.0 for kind, cid in self.parts.damaged})
         return self.m
 
 
@@ -515,12 +471,13 @@ def build_rop(case: MultiPeriodCase, formulation: str = DC) -> MipModel:
                     damaged=case.damaged_items()).build(case.repairs_per_period)
 
 
-def mrsp_set(net: Network, model: MipModel, sol: MipSolution,
-             int_tol: float = 1e-6) -> dict[tuple[str, int], float]:
+def mrsp_set(net: Network, model: MipModel,
+             sol: MipSolution) -> dict[tuple[str, int], float]:
     """Indicator values of the damaged components in an MRSP solution."""
     out = {}
     for kind, cid in net.damaged_items():
-        out[(kind, cid)] = float(sol.values[model.var_index(f"z_{kind}[{cid}]@0")])
+        col = model.var_index(var_name("z_" + kind, cid, 0))
+        out[(kind, cid)] = float(sol.values[col])
     return out
 
 
@@ -528,22 +485,20 @@ def decode_plan(case: MultiPeriodCase, model: MipModel, sol: MipSolution,
                 formulation: str) -> RestorationPlan:
     """Turn an ROP solution into a validated restoration plan."""
     parts = _Parts.of(case.base, case.damaged_items())
+
+    def values(name, cid):
+        return [float(sol.values[model.var_index(var_name(name, cid, n))])
+                for n in range(case.periods + 1)]
+
     status: dict[tuple[str, int], list[int]] = {}
     for kind, cid in parts.damaged:
-        zs = []
-        for n in range(case.periods + 1):
-            v = float(sol.values[model.var_index(f"z_{kind}[{cid}]@{n}")])
-            if abs(v - round(v)) > 1e-6:
+        zs = values("z_" + kind, cid)
+        for n, v in enumerate(zs):
+            if abs(v - round(v)) > INDICATOR_TOL:
                 raise NonIntegralIndicator(f"{kind} {cid}@{n}: indicator {v}")
-            zs.append(int(round(v)))
-        status[(kind, cid)] = zs
-    fractions: dict[int, list[float]] = {}
-    for lid in parts.loads:
-        fr = []
-        for n in range(case.periods + 1):
-            v = float(sol.values[model.var_index(f"zd[{lid}]@{n}")])
-            fr.append(min(1.0, max(0.0, v)))
-        fractions[lid] = fr
+        status[(kind, cid)] = [int(round(v)) for v in zs]
+    fractions = {lid: [min(1.0, max(0.0, v)) for v in values("zd", lid)]
+                 for lid in parts.loads}
     objective_mwh = sol.objective * case.base.base_mva * case.period_hours
     plan = RestorationPlan(
         periods=case.periods, period_hours=case.period_hours, status=status,

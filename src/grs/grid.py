@@ -16,6 +16,7 @@ BRANCH = "branch"
 GEN = "gen"
 
 DEFAULT_ANGLE_BOUND = math.radians(30.0)
+INDICATOR_TOL = 1e-6  # farthest a solved repair indicator may sit from 0 or 1
 
 
 class GridError(Exception):
@@ -349,20 +350,21 @@ def replicate(net: Network, dmg: DamageScenario, periods: int,
                            period_hours, dmg)
 
 
-def update_status(net: Network, indicators: dict[tuple[str, int], float],
-                  int_tol: float = 1e-6) -> Network:
+def update_status(net: Network,
+                  indicators: dict[tuple[str, int], float]) -> Network:
     """Fold repair-choice indicators back into the network.
 
     Components with indicator ~1 become undamaged (selected for repair);
     components with indicator ~0 are taken out of service so later models
-    ignore them.  Indicators farther than int_tol from {0, 1} are rejected.
+    ignore them.  Indicators farther than INDICATOR_TOL from {0, 1} are
+    rejected.
     """
     buses = dict(net.buses)
     branches = dict(net.branches)
     gens = dict(net.gens)
     for (kind, cid), val in sorted(indicators.items()):
         z = round(val)
-        if abs(val - z) > int_tol:
+        if abs(val - z) > INDICATOR_TOL:
             raise NonIntegralIndicator(f"{kind} {cid}: indicator {val}")
         net.component(kind, cid)
         if kind == BUS:

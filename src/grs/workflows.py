@@ -1,7 +1,8 @@
 """End-to-end restoration pipelines and the capability-order baseline.
 
-The pipeline plans with the chosen power-flow model, then validates with the
-AC redispatch (``run_rop_then_redispatch``).  MRSP-first
+The pipeline plans with the chosen power-flow model (``solve_rop``, the
+checked solve and plan decoding that ``grs rop`` shares), then validates
+with the AC redispatch (``run_rop_then_redispatch``).  MRSP-first
 (``run_mrsp_then_rop``) is the MRSP stage (``solve_mrsp``, then
 ``update_status``) followed by that same pipeline on the kept components;
 it trades served-while-repairing energy for a much smaller ordering model.
@@ -89,10 +90,9 @@ def run_rop_then_redispatch(net: Network, dmg: DamageScenario, periods: int,
     timings["build_rop"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sol = _checked(solve_mip(model, limits), "rop")
+    plan, sol = solve_rop(case, model, formulation, limits)
     timings["solve_rop"] = time.perf_counter() - t0
 
-    plan = formulations.decode_plan(case, model, sol, formulation)
     est = formulations.estimated_ens_mwh(case, plan, count_initial_period)
 
     t0 = time.perf_counter()
@@ -105,6 +105,16 @@ def run_rop_then_redispatch(net: Network, dmg: DamageScenario, periods: int,
     total_energy = net.total_load() * net.base_mva * period_hours * (
         periods + 1 if count_initial_period else periods)
     return result.check(total_energy)
+
+
+def solve_rop(case: MultiPeriodCase, model: MipModel, formulation: str,
+              limits: SolveLimits | None = None):
+    """Solve a built ROP model; returns its decoded plan and the solution.
+
+    Infeasible raises ``PipelineInfeasible``, a solver limit ``SolverLimit``.
+    """
+    sol = _checked(solve_mip(model, limits), "rop")
+    return formulations.decode_plan(case, model, sol, formulation), sol
 
 
 def solve_mrsp(damaged: Network, model: MipModel,
@@ -211,7 +221,7 @@ def score_plan_dc(case: MultiPeriodCase, plan: RestorationPlan) -> float:
     for item, zs in plan.status.items():
         kind, cid = item
         for n, z in enumerate(zs):
-            idx = model.var_index(f"z_{kind}[{cid}]@{n}")
+            idx = model.var_index(formulations.var_name("z_" + kind, cid, n))
             model.vars[idx].lb = model.vars[idx].ub = float(z)
     sol = _checked(solve_lp(model), "dc-score")
     return sol.objective * case.base.base_mva * case.period_hours

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import grs.acvalidate
-import grs.cli
 import grs.workflows
 from grs import netio
 from grs.acvalidate import redispatch_plan
 from grs.cli import main
-from grs.grid import replicate
+from grs.formulations import build_mrsp, build_rop
+from grs.grid import apply_damage, replicate
 from grs.mip import (INFEASIBLE, ITERATION_LIMIT, MipSolution,
                      NumericalFailure)
 from grs.workflows import heuristic_order
@@ -166,12 +166,32 @@ def test_heuristic_matches_order_then_redispatch(tmp_path):
     assert csv.read_bytes() == netio.write_report(report, "csv")
 
 
-def test_dump_lp(tmp_path):
+ROP_SOC5 = ["rop", "--case", CASE5, "--damage", DMG5, "--formulation", "soc",
+            "--periods", "3"]
+
+
+@pytest.mark.parametrize("command,status,rc", [
+    pytest.param(["mrsp", "--case", CASE2, "--damage", DMG2], None, 0,
+                 id="mrsp"),
+    pytest.param(ROP_SOC5, None, 0, id="rop-soc"),
+    # the dump is written before the solve, so a stopped solve keeps it
+    pytest.param(ROP_SOC5, ITERATION_LIMIT, 3, id="rop-soc-stopped"),
+])
+def test_dump_lp(tmp_path, monkeypatch, command, status, rc):
+    if status is not None:
+        monkeypatch.setattr(grs.workflows, "solve_mip", lambda model, limits=None:
+                            MipSolution(status, np.zeros(len(model.vars)),
+                                        math.nan, math.nan, math.inf))
     lp = tmp_path / "model.lp"
-    rc = main(["mrsp", "--case", CASE2, "--damage", DMG2,
-               "--out", str(tmp_path / "m.json"), "--dump-lp", str(lp)])
-    assert rc == 0
-    assert "Subject To" in lp.read_text()
+    assert main(command + ["--out", str(tmp_path / "out.json"),
+                           "--dump-lp", str(lp)]) == rc
+    net = netio.load_case(command[2])
+    dmg = netio.damage_from_dict(json.loads(Path(command[4]).read_text()))
+    if command[0] == "mrsp":
+        model = build_mrsp(apply_damage(net, dmg), "dc")
+    else:
+        model = build_rop(replicate(net, dmg, 3), "soc")
+    assert lp.read_text() == model.to_lp_string()
 
 
 def test_batch_scenarios(tmp_path):
@@ -196,7 +216,6 @@ def test_numerical_failure_is_solver_limit(tmp_path, monkeypatch, caplog,
     def fail(*args, **kwargs):
         raise NumericalFailure("simplex iteration limit")
 
-    monkeypatch.setattr(grs.cli, "solve_mip", fail)
     monkeypatch.setattr(grs.workflows, "solve_mip", fail)
     rc = main(command + ["--out", str(tmp_path / "out.json")])
     assert rc == 3
@@ -216,7 +235,6 @@ def test_solver_status_exit_codes(tmp_path, monkeypatch, caplog, command,
         return MipSolution(status, np.zeros(len(model.vars)), math.nan,
                            math.nan, math.inf)
 
-    monkeypatch.setattr(grs.cli, "solve_mip", stopped)
     monkeypatch.setattr(grs.workflows, "solve_mip", stopped)
     out = tmp_path / "out.json"
     assert main(command + ["--out", str(out)]) == rc

@@ -1,11 +1,16 @@
+import hashlib
+import json
+
 import pytest
 
+from grs import netio
+from grs.cli import main
 from grs.formulations import (DC, SOC, VA_SPAN, bigM_for_branch, build_mrsp,
                               build_rop, dc_flow_cap, decode_plan,
                               estimated_ens_mwh, model_size, mrsp_set)
 from grs.grid import BRANCH, Branch, DamageScenario, apply_damage, replicate
 from grs.mip import INFEASIBLE, OPTIMAL, solve_mip
-from tests.conftest import ANG, make_two_bus
+from tests.conftest import ANG, CASES, make_two_bus
 from tests.oracles import dc_max_served, enumerate_rop_orders
 
 
@@ -94,9 +99,9 @@ def _branch(x, tap=1.0, shift=0.0, rate=0.0):
 
 
 def test_bigM_values():
-    assert bigM_for_branch(_branch(0.1), 1.0472) == pytest.approx(10.472)
-    assert bigM_for_branch(_branch(-0.1), 1.0472) == pytest.approx(10.472)
-    assert bigM_for_branch(_branch(0.1), VA_SPAN) == pytest.approx(10.472)
+    assert bigM_for_branch(_branch(0.1)) == pytest.approx(10.472)
+    assert bigM_for_branch(_branch(-0.1)) == pytest.approx(10.472)
+    assert bigM_for_branch(_branch(0.1)) == pytest.approx(10 * VA_SPAN)
 
 
 def test_rate_zero_keeps_M_and_caps_flow():
@@ -179,3 +184,74 @@ def test_dc_soc_agree_on_radial(case10):
         assert sol.status == OPTIMAL
         vals[formulation] = sol.objective
     assert abs(vals[DC] - vals[SOC]) <= 1e-3 * abs(vals[DC])
+
+
+# scenario: (periods K, fingerprints of dc mrsp, dc rop, soc mrsp, soc rop)
+FINGERPRINTS = {
+    "case2": (2, "658b7953e1bff841", "aead294ce5d44469",
+              "b3159ea1329630c4", "d522f29c8ac32342"),
+    "case5": (3, "7939b7d5a3049631", "ce8e9b1f9d49e6fc",
+              "6d8591c23fa11239", "c94d1919dcc3e187"),
+    "case10-branches-1-4": (3, "d633d2ca81632fb7", "a4684aed1b07b204",
+                            "c30a76dbbfee0625", "3e9cfb98b86126aa"),
+    "case5-mixed": (3, "7b4588ed798ee9e1", "9e2605bddd2bd4da",
+                    "137fd3b4c8eb9397", "69fab1f6864305be"),
+    "case118-area1": (2, "5709200fa1258c8b", "37f40db0f64cf0b3",
+                      "18def1709f2373f0", "4d9a7372845fc663"),
+    "case118-area1-buses": (2, "c7ea23816b2eb604", "e5b458254af5ac50",
+                            "642ab39725f9d9b6", "135007637d9f572e"),
+}
+
+
+def model_fingerprint(m) -> str:
+    """Hash of everything a solve reads; json tells -0.0 from 0.0."""
+    return hashlib.sha256(json.dumps([
+        m.sense, sorted(m.obj.items()), m.obj_const,
+        [(v.name, v.lb, v.ub, v.integrality) for v in m.vars],
+        [(r.name, r.sense, r.rhs, sorted(r.coeffs.items()))
+         for r in m.lin_rows],
+        [(c.x, c.y, c.u, c.v, c.name) for c in m.cone_rows],
+    ]).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def fingerprint_inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("damage") / "damage118.json"
+    assert main(["gen-damage", "--case", str(CASES / "case118_smoke.m"),
+                 "--fraction", "0.35", "--area", "1-23,25-32,113-115,117",
+                 "--seed", "42", "--out", str(path)]) == 0
+
+    def damage(path):
+        return netio.damage_from_dict(json.loads(path.read_text()))
+
+    case118 = netio.load_case(CASES / "case118_smoke.m")
+    d118 = damage(path)
+    case5 = netio.load_case(CASES / "case5_restoration.m")
+    return {
+        "case2": (netio.load_case(CASES / "case2_parallel.m"),
+                  damage(CASES / "damage2_both.json")),
+        "case5": (case5, damage(CASES / "damage5_all.json")),
+        "case10-branches-1-4": (netio.load_case(CASES / "case10_radial.m"),
+                                DamageScenario.of(branches=[1, 2, 3, 4])),
+        "case5-mixed": (case5, DamageScenario.of(branches=[1, 3], gens=[1, 2],
+                                                 buses=[1, 2])),
+        "case118-area1": (case118, d118),
+        "case118-area1-buses": (case118, DamageScenario(
+            d118.damaged | DamageScenario.of(buses=[1, 5]).damaged)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["mrsp", "rop"])
+@pytest.mark.parametrize("formulation", [DC, SOC])
+@pytest.mark.parametrize("scenario", list(FINGERPRINTS))
+def test_model_fingerprint(fingerprint_inputs, scenario, formulation, kind):
+    """Every variable, row, cone and objective term is pinned bit for bit:
+    a change in any of them changes the simplex path, hence plans."""
+    net, dmg = fingerprint_inputs[scenario]
+    periods, *prints = FINGERPRINTS[scenario]
+    if kind == "mrsp":
+        model = build_mrsp(apply_damage(net, dmg), formulation)
+    else:
+        model = build_rop(replicate(net, dmg, periods), formulation)
+    expected = prints[2 * (formulation == SOC) + (kind == "rop")]
+    assert model_fingerprint(model) == expected
