@@ -156,7 +156,7 @@ def cmd_redispatch(args):
     report = acvalidate.redispatch_plan(case, plan, args.count_initial_period)
     _dump_json(args.out, netio.report_to_dict(report))
     if args.csv:
-        _write(args.csv, netio.write_report(report, "csv"))
+        _write(args.csv, netio.write_report(report))
     return EXIT_OK
 
 
@@ -185,7 +185,7 @@ def cmd_pipeline(args):
     result = _run_pipeline(args, net, dmg)
     _dump_json(args.out, workflows.pipeline_result_to_dict(result))
     if args.csv:
-        _write(args.csv, netio.write_report(result.report, "csv"))
+        _write(args.csv, netio.write_report(result.report))
     if args.timings:
         _dump_json(args.timings,
                    {k: round(v, 3) for k, v in sorted(result.timings.items())})
@@ -205,7 +205,7 @@ def cmd_heuristic(args):
     }
     _dump_json(args.out, out)
     if args.csv:
-        _write(args.csv, netio.write_report(report, "csv"))
+        _write(args.csv, netio.write_report(report))
     return EXIT_OK
 
 
@@ -216,8 +216,11 @@ def _add_common_solver_args(p):
                    help="solver wall-clock limit in seconds")
     p.add_argument("--node-limit", type=int, default=None,
                    help="branch-and-bound node limit")
+
+
+def _add_dump_lp_arg(p):
     p.add_argument("--dump-lp", default=None,
-                   help="write the model in LP format for cross-checking")
+                   help="write the model in LP format, before the solve")
 
 
 def _add_case_args(p, damage=True):
@@ -267,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formulation", choices=("dc", "soc"), default="dc")
     p.add_argument("--out", default="-")
     _add_common_solver_args(p)
+    _add_dump_lp_arg(p)
     p.set_defaults(func=cmd_mrsp)
 
     p = sub.add_parser("rop", help="optimize the restoration order")
@@ -274,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_period_args(p)
     p.add_argument("--out", default="-")
     _add_common_solver_args(p)
+    _add_dump_lp_arg(p)
     p.set_defaults(func=cmd_rop)
 
     p = sub.add_parser("redispatch", help="AC-validate an existing plan")

@@ -4,7 +4,9 @@ Two power-flow formulations are supported:
 
 * ``dc`` -- active-power-only linear model: bus angles, branch flow law
   p_fr = b' (va_f - va_t - shift) with b' = 1/(x tap), switched on/off for
-  damaged branches through big-M rows.
+  damaged branches through big-M rows.  Each branch has one flow column,
+  p_fr; the lossless to-end flow -p_fr enters the balance rows directly, and
+  the reference bus angle is fixed at 0 by its column bounds.
 * ``soc`` -- the W-space second-order-cone relaxation: squared voltage
   magnitudes W_ii per bus, per-branch voltage products (wr, wi) tied by the
   rotated cone wr^2 + wi^2 <= wfr * wto, with on/off handled by big-M boxes
@@ -180,6 +182,8 @@ class _Builder:
             if self.soc:
                 lo = 0.0 if (BUS, b) in self.dmg_set else bus.vmin ** 2
                 self.var("w", b, n, lo, bus.vmax ** 2)
+            elif bus.bus_type == 3:  # reference angle pinned by its bounds
+                self.var("va", b, n, 0.0, 0.0)
             else:
                 self.var("va", b, n, -VA_BOUND, VA_BOUND)
         for gid in self.parts.gens:
@@ -195,8 +199,7 @@ class _Builder:
             br = net.branches[bid]
             if not self.soc:
                 cap = dc_flow_cap(br)
-                self.var("p_fr", bid, n, -cap, cap)
-                self.var("p_to", bid, n, -cap, cap)
+                self.var("p_fr", bid, n, -cap, cap)  # p_to is -p_fr
                 continue
             f, t = net.buses[br.f_bus], net.buses[br.t_bus]
             wcap = f.vmax * t.vmax
@@ -226,15 +229,11 @@ class _Builder:
 
     def _dc_rows(self, n: int):
         net, ix = self.net, self.ix
-        for b in self.parts.buses:
-            if net.buses[b].bus_type == 3:
-                self.row({ix["va", b, n]: 1.0}, EQ, 0.0, "ref_angle", b, n)
         for bid in self.parts.branches:
             br = net.branches[bid]
             bp = dc_susceptance(br)
-            p_fr, p_to = ix["p_fr", bid, n], ix["p_to", bid, n]
+            p_fr = ix["p_fr", bid, n]
             va_f, va_t = ix["va", br.f_bus, n], ix["va", br.t_bus, n]
-            self.row({p_fr: 1.0, p_to: 1.0}, EQ, 0.0, "lossless", bid, n)
             law = {p_fr: 1.0, va_f: -bp, va_t: bp}
             rhs = -bp * br.shift
             spread = {va_f: 1.0, va_t: -1.0}
@@ -387,9 +386,12 @@ class _Builder:
                 if soc:
                     q[ix["qg", gid, n]] = 1.0
             for bid, side in ends:
-                p[ix["p_" + side, bid, n]] = -1.0
                 if soc:
+                    p[ix["p_" + side, bid, n]] = -1.0
                     q[ix["q_" + side, bid, n]] = -1.0
+                else:  # lossless: the to-end withdraws p_to = -p_fr
+                    col = ix["p_fr", bid, n]
+                    p[col] = p.get(col, 0.0) + (-1.0 if side == "fr" else 1.0)
             for lid in loads:
                 ld = net.loads[lid]
                 if not self.rop:
@@ -525,12 +527,13 @@ def model_size(net: Network, formulation: str, rop: bool, periods: int,
                damaged: list[tuple[str, int]]) -> tuple[int, int]:
     """Exact (variables, linear rows) the builders will produce.
 
-    DC, per period: vars |bus| + |gen| + 2|branch| + |dmg| (+|load| + |shunt|
-    for the ordering model); rows #ref + |bus| + |branch| (lossless link)
+    DC, per period: vars |bus| + |gen| + |branch| (p_fr only) + |dmg|
+    (+|load| + |shunt| for the ordering model); rows |bus| (balance)
     + |branch| + |dmg branch| (flow law) + 2|branch| (angle) + 2|dmg branch|
     (activation) + 2|dmg gen| (on/off) + dependency rows + 1 cardinality
-    (periods >= 1).  Inter-period: (|dmg| + |load|) * K rows.  SOC counts
-    follow the same structure with the W-space variables and rows.
+    (periods >= 1); the reference angle is a bound, not a row.  Inter-period:
+    (|dmg| + |load|) * K rows.  SOC counts follow the same structure with the
+    W-space variables and rows.
     """
     parts = _Parts.of(net, damaged)
     nb, nbr, ng = len(parts.buses), len(parts.branches), len(parts.gens)
@@ -541,7 +544,6 @@ def model_size(net: Network, formulation: str, rop: bool, periods: int,
     rated = sum(1 for i in parts.branches if net.branches[i].rate_a > 0.0)
     rated_dmg = sum(1 for i in parts.branches
                     if net.branches[i].rate_a > 0.0 and (BRANCH, i) in set(parts.damaged))
-    nref = sum(1 for b in parts.buses if net.buses[b].bus_type == 3)
     dep = 0
     dmg_set = set(parts.damaged)
     for i in parts.branches:
@@ -553,9 +555,8 @@ def model_size(net: Network, formulation: str, rop: bool, periods: int,
             dep += 1
 
     if formulation == DC:
-        vars_pp = nb + ng + 2 * nbr + nd + (nl + ns if rop else 0)
-        rows_pp = (nref + nb + nbr + (nbr + dmg_br) + 2 * nbr + 2 * dmg_br
-                   + 2 * dmg_g + dep)
+        vars_pp = nb + ng + nbr + nd + (nl + ns if rop else 0)
+        rows_pp = nb + (nbr + dmg_br) + 2 * nbr + 2 * dmg_br + 2 * dmg_g + dep
     else:
         vars_pp = (nb + 2 * ng + 6 * nbr + 2 * dmg_br + 2 * rated + nd
                    + (nl + 2 * ns if rop else 0))

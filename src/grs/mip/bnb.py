@@ -175,11 +175,11 @@ class _Node:
     basis: Basis | None = field(compare=False, default=None)
 
 
-def solve_lp(model: MipModel, start: Basis | None = None) -> MipSolution:
+def solve_lp(model: MipModel) -> MipSolution:
     """Solve the LP relaxation: binaries relaxed, cone rows ignored."""
     t0 = time.perf_counter()
     lpd = build_lp_data(model)
-    res = solve_lp_core(lpd, start=start)
+    res = solve_lp_core(lpd)
     stats = SolveStats(nodes=0, lp_iters=res.iters,
                        wall_time=time.perf_counter() - t0,
                        refactors=res.refactors, basis_restarts=res.restarts)

@@ -175,9 +175,6 @@ class MipSolution:
     stats: SolveStats = field(default_factory=SolveStats)
     message: str = ""
 
-    def value(self, model: MipModel, name: str) -> float:
-        return float(self.values[model.var_index(name)])
-
 
 def row_activity(row: LinRow, x: np.ndarray) -> float:
     return float(sum(c * x[i] for i, c in row.coeffs.items()))

@@ -233,16 +233,11 @@ def default_basis(lp: LpData) -> Basis:
     return Basis(basis, vstat)
 
 
-def solve_lp_core(
-    lp: LpData,
-    start: Basis | None = None,
-    max_iters: int | None = None,
-) -> LpResult:
+def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
     m, ncols = lp.m, lp.ncols
     if m == 0:
         return _solve_unconstrained(lp)
-    if max_iters is None:
-        max_iters = 20000 + 40 * (m + ncols)
+    max_iters = 20000 + 40 * (m + ncols)
 
     bas = start.copy() if start is not None else default_basis(lp)
     refactors = restarts = 0

@@ -340,12 +340,8 @@ def report_from_dict(d: dict) -> EnsReport:
     )
 
 
-def write_report(report: EnsReport, format: str = "json") -> bytes:
-    """Render an EnsReport as JSON or CSV (one row per period plus totals)."""
-    if format == "json":
-        return (json.dumps(report_to_dict(report), indent=1) + "\n").encode()
-    if format != "csv":
-        raise NetioError(f"unknown report format {format!r}")
+def write_report(report: EnsReport) -> bytes:
+    """Render an EnsReport as CSV (one row per period plus totals)."""
     out = StringIO()
     out.write("period,served_mw,shed_mw,ens_mwh\n")
     tot_served = tot_shed = tot_ens = 0.0

@@ -163,7 +163,7 @@ def test_heuristic_matches_order_then_redispatch(tmp_path):
     expected = {"plan": netio.plan_to_dict(plan),
                 "report": netio.report_to_dict(report)}
     assert out.read_text() == json.dumps(expected, indent=1) + "\n"
-    assert csv.read_bytes() == netio.write_report(report, "csv")
+    assert csv.read_bytes() == netio.write_report(report)
 
 
 ROP_SOC5 = ["rop", "--case", CASE5, "--damage", DMG5, "--formulation", "soc",
@@ -192,6 +192,14 @@ def test_dump_lp(tmp_path, monkeypatch, command, status, rc):
     else:
         model = build_rop(replicate(net, dmg, 3), "soc")
     assert lp.read_text() == model.to_lp_string()
+
+
+def test_pipeline_rejects_dump_lp(tmp_path):
+    lp = tmp_path / "pl.lp"
+    rc = main(["pipeline", "--case", CASE2, "--damage", DMG2, "--periods", "2",
+               "--out", str(tmp_path / "out.json"), "--dump-lp", str(lp)])
+    assert rc == 2
+    assert not lp.exists()
 
 
 def test_batch_scenarios(tmp_path):

@@ -9,7 +9,7 @@ from grs.formulations import (DC, SOC, VA_SPAN, bigM_for_branch, build_mrsp,
                               build_rop, dc_flow_cap, decode_plan,
                               estimated_ens_mwh, model_size, mrsp_set)
 from grs.grid import BRANCH, Branch, DamageScenario, apply_damage, replicate
-from grs.mip import INFEASIBLE, OPTIMAL, solve_mip
+from grs.mip import INFEASIBLE, OPTIMAL, solve_lp, solve_mip
 from tests.conftest import ANG, CASES, make_two_bus
 from tests.oracles import dc_max_served, enumerate_rop_orders
 
@@ -188,17 +188,17 @@ def test_dc_soc_agree_on_radial(case10):
 
 # scenario: (periods K, fingerprints of dc mrsp, dc rop, soc mrsp, soc rop)
 FINGERPRINTS = {
-    "case2": (2, "658b7953e1bff841", "aead294ce5d44469",
+    "case2": (2, "ed24f66a610e0124", "4bccc3f2d8aa99e1",
               "b3159ea1329630c4", "d522f29c8ac32342"),
-    "case5": (3, "7939b7d5a3049631", "ce8e9b1f9d49e6fc",
+    "case5": (3, "3d9a18125df0c6e6", "0fddeda61c0d3102",
               "6d8591c23fa11239", "c94d1919dcc3e187"),
-    "case10-branches-1-4": (3, "d633d2ca81632fb7", "a4684aed1b07b204",
+    "case10-branches-1-4": (3, "29a4376c43c96c17", "6011afd8f3a49721",
                             "c30a76dbbfee0625", "3e9cfb98b86126aa"),
-    "case5-mixed": (3, "7b4588ed798ee9e1", "9e2605bddd2bd4da",
+    "case5-mixed": (3, "dceb3f0f146a472d", "26025dee695412b7",
                     "137fd3b4c8eb9397", "69fab1f6864305be"),
-    "case118-area1": (2, "5709200fa1258c8b", "37f40db0f64cf0b3",
+    "case118-area1": (2, "88e3dc4162970868", "d5480f20d7eaf7b0",
                       "18def1709f2373f0", "4d9a7372845fc663"),
-    "case118-area1-buses": (2, "c7ea23816b2eb604", "e5b458254af5ac50",
+    "case118-area1-buses": (2, "1881a12aff3dfc05", "ab25d0e61abc5b40",
                             "642ab39725f9d9b6", "135007637d9f572e"),
 }
 
@@ -255,3 +255,51 @@ def test_model_fingerprint(fingerprint_inputs, scenario, formulation, kind):
         model = build_rop(replicate(net, dmg, periods), formulation)
     expected = prints[2 * (formulation == SOC) + (kind == "rop")]
     assert model_fingerprint(model) == expected
+
+
+# scenario: (DC MRSP objective, DC ROP objective); case118's ROP figure is
+# its LP relaxation
+DC_OBJECTIVES = {
+    "case2": (2.0, 1.6),
+    "case5": (6.0, 29.2),
+    "case10-branches-1-4": (4.0, 2.0),
+    "case5-mixed": (0.0, 40.0),
+    "case118-area1": (1.0, 126.872),
+}
+
+
+@pytest.mark.parametrize("scenario", list(DC_OBJECTIVES))
+def test_dc_one_flow_column_per_branch(fingerprint_inputs, scenario):
+    """The to-end flow is -p_fr and the reference angle is a bound: no
+    p_to column, no lossless or ref_angle row, and the optima stay put."""
+    net, dmg = fingerprint_inputs[scenario]
+    periods = FINGERPRINTS[scenario][0]
+    mrsp = build_mrsp(apply_damage(net, dmg), DC)
+    rop = build_rop(replicate(net, dmg, periods), DC)
+    for model in (mrsp, rop):
+        labels = [v.name for v in model.vars] + [r.name for r in model.lin_rows]
+        assert not [s for s in labels
+                    if s.startswith(("p_to[", "lossless[", "ref_angle["))]
+    refs = [b for b in net.buses if net.buses[b].bus_type == 3]
+    assert refs
+    for model, last in ((mrsp, 0), (rop, periods)):
+        for b in refs:
+            for n in range(last + 1):
+                va = model.vars[model.var_index(f"va[{b}]@{n}")]
+                assert (va.lb, va.ub) == (0.0, 0.0)
+    mrsp_obj, rop_obj = DC_OBJECTIVES[scenario]
+    sol = solve_mip(mrsp)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(mrsp_obj, abs=1e-9)
+    sol = (solve_lp if scenario == "case118-area1" else solve_mip)(rop)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(rop_obj, abs=1e-9)
+
+
+def test_dc_self_loop_branch_cancels_in_balance():
+    # both ends of branch 3 at bus 1: its -p_fr and +p_fr terms add to zero
+    net = make_two_bus(load_pu=0.5)
+    net.branches[3] = Branch(3, 1, 1, 0.0, 0.1, 0.0, 0.0, 1.0, 0.0, -ANG, ANG)
+    model = build_mrsp(net.validate(), DC)
+    balance = next(r for r in model.lin_rows if r.name == "balance_p[1]@0")
+    assert balance.coeffs[model.var_index("p_fr[3]@0")] == 0.0

@@ -137,7 +137,7 @@ def test_fixture_corpus_parses():
 
 def test_write_report_csv_totals():
     rep = EnsReport.from_served(1000.0, [1000.0], 1.0, True, 0.0)
-    out = write_report(rep, "csv").decode()
+    out = write_report(rep).decode()
     lines = out.strip().splitlines()
     assert lines[0] == "period,served_mw,shed_mw,ens_mwh"
     assert lines[-1] == "total,1000.000,0.000,0.000"
@@ -146,7 +146,7 @@ def test_write_report_csv_totals():
 def test_write_report_csv_two_periods():
     # shed 400 MW then 0 over 1 h periods: total ENS 400 MWh
     rep = EnsReport.from_served(1000.0, [600.0, 1000.0], 1.0, True, 400.0)
-    out = write_report(rep, "csv").decode()
+    out = write_report(rep).decode()
     total = out.strip().splitlines()[-1].split(",")
     assert float(total[-1]) == pytest.approx(400.0)
 
