@@ -10,9 +10,11 @@ uniform load scale is found by binary search with Newton-Raphson feasibility
 checks (voltage bounds, branch MVA ratings, generator P/Q limits with
 PV-to-PQ switching).
 
-Each energized island's data (Ybus, branch admittance arrays, per-bus load
-lists) is built once per island per ``max_load_delivery`` call; the call's
-bisection and PV-to-PQ solves share it, and each solve still starts flat.
+Each energized island's data (``IslandData``: Ybus, branch admittance
+arrays, per-bus load lists) is built once per island per
+``max_load_delivery`` call; ``newton_pf`` solves a given ``IslandData``, so
+the call's bisection and PV-to-PQ solves share it, and each solve still
+starts flat.
 
 Because the dispatch is a deterministic procedure rather than a nonlinear
 optimum, the reported true ENS is an upper bound on what a full multi-period
@@ -56,7 +58,6 @@ class PfState:
     gen_q: dict[int, float]
     flow_fr: dict[int, complex]
     flow_to: dict[int, complex]
-    slack_gen: int
 
 
 @dataclass
@@ -89,16 +90,14 @@ def _branch_admittances(br):
     return yff, yft, ytf, ytt
 
 
-def _ybus(net: Network, buses: list[int], branches: list[int],
-          adm: np.ndarray | None = None) -> np.ndarray:
-    """Bus admittance matrix; adm, if given, holds each branch's
-    (yff, yft, ytf, ytt) row as ``_branch_admittances`` computes it."""
-    pos = {b: i for i, b in enumerate(buses)}
-    n = len(buses)
+def _ybus(net: Network, pos: dict[int, int], branches: list[int],
+          adm: np.ndarray) -> np.ndarray:
+    """Bus admittance matrix over the buses of pos (bus -> row); adm holds
+    each branch's (yff, yft, ytf, ytt) row as ``_branch_admittances``
+    computes it."""
+    n = len(pos)
     Y = np.zeros((n, n), dtype=complex)
-    rows = (adm.tolist() if adm is not None else
-            [_branch_admittances(net.branches[bid]) for bid in branches])
-    for bid, (yff, yft, ytf, ytt) in zip(branches, rows):
+    for bid, (yff, yft, ytf, ytt) in zip(branches, adm.tolist()):
         br = net.branches[bid]
         f, t = pos[br.f_bus], pos[br.t_bus]
         Y[f, f] += yff
@@ -143,7 +142,7 @@ class IslandData:
             if ld.bus in pos:
                 loads_at.setdefault(ld.bus, []).append(lid)
         return cls(buses, pos, list(branches),
-                   _ybus(net, buses, branches, adm),
+                   _ybus(net, pos, branches, adm),
                    np.array([pos[br.f_bus] for br in brs], dtype=int),
                    np.array([pos[br.t_bus] for br in brs], dtype=int),
                    *adm.T, loads_at)
@@ -203,23 +202,19 @@ def _ds_blocks(Y, v, ibus, vm_cols):
     return dva, dvm
 
 
-def newton_pf(net: Network, buses: list[int], branches: list[int],
-              pg_set: dict[int, float], slack_gen: int,
-              load_frac: dict[int, float], pv_gens: dict[int, list[int]],
-              q_fixed: dict[int, float] | None = None,
-              island: IslandData | None = None) -> PfState:
-    """Full Newton-Raphson polar power flow on one island.
+def newton_pf(net: Network, isl: IslandData, pg_set: dict[int, float],
+              slack_gen: int, load_frac: dict[int, float],
+              pv_gens: dict[int, list[int]],
+              q_fixed: dict[int, float] | None = None) -> PfState:
+    """Full Newton-Raphson polar power flow on the island isl.
 
     pv_gens maps PV bus id -> energized generator ids there (voltage held at
     the setpoint); q_fixed marks former PV buses pinned at a reactive limit
     (treated as PQ with that generation).  Flat start: V = 1 / PV setpoints,
     angles zero.  Stops once the largest mismatch is at most PF_TOL, or
-    after PF_MAX_ITER iterations.  island is the prebuilt data of (buses,
-    branches); without it the solve builds its own.
+    after PF_MAX_ITER iterations.
     """
     q_fixed = q_fixed or {}
-    isl = island if island is not None else IslandData.build(net, buses,
-                                                             branches)
     buses, pos, Y = isl.buses, isl.pos, isl.Y
     n = len(buses)
 
@@ -294,9 +289,8 @@ def _pf_state(net, isl: IslandData, vm, va, pg_set, slack_gen, load_frac,
     for g, p in pg_set.items():
         by_bus.setdefault(net.gens[g].bus, []).append(g)
     sb = net.gens[slack_gen].bus
-    by_bus.setdefault(sb, [])
-    if slack_gen not in by_bus[sb]:
-        by_bus[sb].append(slack_gen)
+    if slack_gen not in pg_set:
+        by_bus.setdefault(sb, []).append(slack_gen)
 
     for b, gids in by_bus.items():
         i = isl.pos[b]
@@ -322,21 +316,21 @@ def _pf_state(net, isl: IslandData, vm, va, pg_set, slack_gen, load_frac,
                    dict(zip(isl.buses, vm.tolist())),
                    dict(zip(isl.buses, va.tolist())),
                    gen_p, gen_q, dict(zip(isl.branches, s_fr.tolist())),
-                   dict(zip(isl.branches, s_to.tolist())), slack_gen)
+                   dict(zip(isl.branches, s_to.tolist())))
 
 
 def _island_components(net: Network, island: set[int],
                        energized: dict[tuple[str, int], bool]):
+    """The island's branches, generators and loads; energized is the full
+    status map ``max_load_delivery`` builds."""
     branches = [
         i for i in sorted(net.branches)
-        if net.branches[i].in_service
-        and energized.get((BRANCH, i), not net.branches[i].damaged)
+        if net.branches[i].in_service and energized[BRANCH, i]
         and net.branches[i].f_bus in island and net.branches[i].t_bus in island
     ]
     gens = [
         i for i in sorted(net.gens)
-        if net.gens[i].in_service
-        and energized.get((GEN, i), not net.gens[i].damaged)
+        if net.gens[i].in_service and energized[GEN, i]
         and net.gens[i].bus in island
     ]
     loads = [i for i in sorted(net.loads) if net.loads[i].bus in island]
@@ -363,20 +357,17 @@ def _attempt(net, isl: IslandData, gens, loads, fractions, binding):
     frac_map = {lid: fractions[lid] for lid in loads}
     pf = None
     for _ in range(QLIM_ROUNDS):
-        pf = newton_pf(net, isl.buses, isl.branches, pg_set, slack, frac_map,
-                       pv_gens, q_fixed, island=isl)
+        pf = newton_pf(net, isl, pg_set, slack, frac_map, pv_gens, q_fixed)
         if not pf.converged:
             binding.append("non-convergence")
             return pf, False
         switched = False
         for b, gids in sorted(pv_gens.items()):
-            if b in q_fixed:
-                continue
+            if b in q_fixed or b == slack_bus:
+                continue  # slack bus voltage stays pinned; checked below
             qmin = sum(net.gens[g].qmin for g in gids)
             qmax = sum(net.gens[g].qmax for g in gids)
             qbus = sum(pf.gen_q.get(g, 0.0) for g in gids)
-            if b == net.gens[slack].bus:
-                continue  # slack bus voltage stays pinned; checked below
             if qbus > qmax + LIMIT_TOL:
                 q_fixed[b] = qmax
                 switched = True
@@ -422,13 +413,11 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
     nothing (with a warning if that breaks a floor).
     """
     prev = prev_fractions or {}
-    status = dict(energized)
-    for b in sorted(net.buses):
-        status.setdefault((BUS, b), not net.buses[b].damaged)
-    for i in sorted(net.branches):
-        status.setdefault((BRANCH, i), not net.branches[i].damaged)
-    for g in sorted(net.gens):
-        status.setdefault((GEN, g), not net.gens[g].damaged)
+    status = {(kind, cid): not c.damaged
+              for kind, comps in ((BUS, net.buses), (BRANCH, net.branches),
+                                  (GEN, net.gens))
+              for cid, c in comps.items()}
+    status.update(energized)
     islands = connected_islands(net, status)
 
     results: list[IslandResult] = []
@@ -457,41 +446,26 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
             fr = {lid: max(lam, floors[lid]) for lid in loads}
             return _attempt(net, isl, gens, loads, fr, binding)
 
-        pf1, ok1 = feasible(1.0)
-        if ok1:
-            lam = 1.0
-            pf = pf1
-        else:
-            pf0, ok0 = feasible(lam_floor)
-            if not ok0:
-                warnings += 1
-                lam = lam_floor
-                pf = pf0
-                results.append(IslandResult(
-                    sorted(island), lam,
-                    round(sum(max(lam, floors[lid]) * net.loads[lid].pd
-                              for lid in loads) * net.base_mva, 3),
-                    sorted(set(binding)), True, pf))
-                for lid in loads:
-                    fractions[lid] = max(lam, floors[lid])
-                continue
-            lo, hi = lam_floor, 1.0
-            pf = pf0
-            while hi - lo > LAMBDA_TOL:
-                mid = 0.5 * (lo + hi)
+        lam = 1.0
+        pf, ok = feasible(lam)
+        if not ok:  # bisect up from the floor, if the floor is feasible
+            lam, hi = lam_floor, 1.0
+            pf, ok = feasible(lam)
+            while ok and hi - lam > LAMBDA_TOL:
+                mid = 0.5 * (lam + hi)
                 pfm, okm = feasible(mid)
                 if okm:
-                    lo = mid
+                    lam = mid
                     pf = pfm
                 else:
                     hi = mid
-            lam = lo
+        warnings += not ok  # an infeasible floor is kept, with a warning
         served = sum(max(lam, floors[lid]) * net.loads[lid].pd for lid in loads)
         for lid in loads:
             fractions[lid] = max(lam, floors[lid])
         results.append(IslandResult(sorted(island), lam,
                                     round(served * net.base_mva, 3),
-                                    sorted(set(binding)), False, pf))
+                                    sorted(set(binding)), not ok, pf))
 
     total = round(sum(r.served_mw for r in results), 3)
     return PeriodDispatch(period, results, total, fractions, warnings)

@@ -27,7 +27,6 @@ import numpy as np
 from .model import (GAP_LIMIT, INF, INFEASIBLE, ITERATION_LIMIT, LE,
                     OPTIMAL, UNBOUNDED, ConeRow, LinRow, MipModel,
                     MipSolution, NumericalFailure, SolveStats, cone_violation)
-from . import simplex
 from .simplex import BASIC, Basis, build_lp_data, solve_lp_core
 
 INT_TOL = 1e-6
@@ -125,7 +124,7 @@ def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
         stats.lp_iters += res.iters
         stats.refactors += res.refactors
         stats.basis_restarts += res.restarts
-        if res.status != simplex.LP_OPTIMAL:
+        if res.status != OPTIMAL:
             return res, True
         if not ctx.model.cone_rows:
             return res, True
@@ -189,13 +188,13 @@ def solve_lp(model: MipModel) -> MipSolution:
 def _lp_to_solution(model: MipModel, res, stats) -> MipSolution:
     sgn = 1.0 if model.sense == "min" else -1.0
     n = len(model.vars)
-    if res.status == simplex.LP_OPTIMAL:
+    if res.status == OPTIMAL:
         obj = sgn * res.obj + model.obj_const
         return MipSolution(OPTIMAL, res.x[:n].copy(), obj, obj, 0.0, stats)
-    if res.status == simplex.LP_INFEASIBLE:
+    if res.status == INFEASIBLE:
         return MipSolution(INFEASIBLE, res.x[:n].copy(), math.nan, math.nan,
                            math.inf, stats, res.message)
-    if res.status == simplex.LP_UNBOUNDED:
+    if res.status == UNBOUNDED:
         bad = -sgn * INF if model.sense == "max" else -INF
         return MipSolution(UNBOUNDED, res.x[:n].copy(), bad, bad, math.inf,
                            stats, res.message)
@@ -267,7 +266,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
             v = float(round(x[j]))
             fixes[j] = (v, v)
             res, cone_ok = _solve_with_cones(ctx, fixes, bas, limits, stats)
-            if res.status != simplex.LP_OPTIMAL or not cone_ok:
+            if res.status != OPTIMAL or not cone_ok:
                 return
             x, bas = res.x, res.basis
 
@@ -299,16 +298,16 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
         processed += 1
         stats.nodes = processed
 
-        if res.status == simplex.LP_INFEASIBLE:
+        if res.status == INFEASIBLE:
             continue
-        if res.status == simplex.LP_UNBOUNDED:
+        if res.status == UNBOUNDED:
             return finish(UNBOUNDED)
-        if res.status != simplex.LP_OPTIMAL:
+        if res.status != OPTIMAL:
             # retry cold once before giving up
             res, cone_ok = _solve_with_cones(ctx, node.fixes, None, limits, stats)
-            if res.status == simplex.LP_INFEASIBLE:
+            if res.status == INFEASIBLE:
                 continue
-            if res.status != simplex.LP_OPTIMAL:
+            if res.status != OPTIMAL:
                 raise NumericalFailure(res.message or "node LP failed")
 
         node_obj = res.obj

@@ -30,7 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .model import GE, INF, LE, MipModel, NumericalFailure
+from .model import (GE, INF, INFEASIBLE, ITERATION_LIMIT, LE, OPTIMAL,
+                    UNBOUNDED, MipModel, NumericalFailure)
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
@@ -44,11 +45,6 @@ BASIC = 0
 AT_LB = 1
 AT_UB = 2
 FREE_NB = 3
-
-LP_OPTIMAL = "optimal"
-LP_INFEASIBLE = "infeasible"
-LP_UNBOUNDED = "unbounded"
-LP_ITERATION_LIMIT = "iteration_limit"
 
 
 @dataclass
@@ -277,7 +273,7 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
 
     while True:
         if iters >= max_iters:
-            return result(LP_ITERATION_LIMIT, message="simplex iteration limit")
+            return result(ITERATION_LIMIT, message="simplex iteration limit")
         iters += 1
         if pivots_since_refactor >= REFACTOR_EVERY:
             refactors += 1
@@ -302,8 +298,8 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
         j = _price(red, bas.vstat, fixed, degen_count > bland_threshold)
         if j < 0:
             if phase1:
-                return result(LP_INFEASIBLE, message="phase 1 optimum is infeasible")
-            return result(LP_OPTIMAL)
+                return result(INFEASIBLE, message="phase 1 optimum is infeasible")
+            return result(OPTIMAL)
         direction = 1.0 if red[j] < 0.0 else -1.0
 
         d_col = fact.ftran(lp.column(j))
@@ -318,7 +314,7 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
         if t == INF and t_flip == INF:
             if phase1:
                 raise NumericalFailure("unblocked phase-1 direction")
-            return result(LP_UNBOUNDED, -INF, "unbounded direction")
+            return result(UNBOUNDED, -INF, "unbounded direction")
 
         if t_flip <= t:
             x_b += t_flip * delta
@@ -417,14 +413,14 @@ def _solve_unconstrained(lp: LpData) -> LpResult:
         cj = lp.c[j]
         if cj > 0.0:
             if lp.lb[j] == -INF:
-                return LpResult(LP_UNBOUNDED, x, -INF, None, 0, "unbounded variable")
+                return LpResult(UNBOUNDED, x, -INF, None, 0, "unbounded variable")
             x[j] = lp.lb[j]
         elif cj < 0.0:
             if lp.ub[j] == INF:
-                return LpResult(LP_UNBOUNDED, x, -INF, None, 0, "unbounded variable")
+                return LpResult(UNBOUNDED, x, -INF, None, 0, "unbounded variable")
             x[j] = lp.ub[j]
         else:
             x[j] = lp.lb[j] if lp.lb[j] > -INF else min(lp.ub[j], 0.0)
             if math.isinf(x[j]):
                 x[j] = 0.0
-    return LpResult(LP_OPTIMAL, x, float(lp.c @ x), None, 0)
+    return LpResult(OPTIMAL, x, float(lp.c @ x), None, 0)

@@ -40,6 +40,10 @@ class NonPositiveVoltageBounds(NetioError):
     pass
 
 
+class MalformedDocument(NetioError):
+    """A damage or plan JSON document that does not match its schema."""
+
+
 KNOWN_SECTIONS = ("bus", "gen", "branch", "gencost")
 
 
@@ -275,6 +279,18 @@ def damage_to_dict(dmg: DamageScenario) -> dict:
 
 
 def damage_from_dict(d: dict) -> DamageScenario:
+    """An object whose only keys are branch, gen and bus, each (if present)
+    a list of whole-number ids."""
+    if not isinstance(d, dict):
+        raise MalformedDocument(f"damage must be a JSON object, not {d!r}")
+    for kind, ids in d.items():
+        if kind not in ("branch", "gen", "bus"):
+            raise MalformedDocument(f"unknown damage key {kind!r}")
+        if not isinstance(ids, list) or not all(
+                isinstance(i, int) and not isinstance(i, bool)
+                or isinstance(i, float) and i.is_integer() for i in ids):
+            raise MalformedDocument(f"damage {kind!r} must be a list of "
+                                    f"whole-number ids, not {ids!r}")
     return DamageScenario.of(branches=d.get("branch", ()),
                              gens=d.get("gen", ()), buses=d.get("bus", ()))
 
@@ -298,19 +314,24 @@ def plan_to_dict(plan: RestorationPlan) -> dict:
 
 
 def plan_from_dict(d: dict) -> RestorationPlan:
-    status = {}
-    for kind, items in d.get("status", {}).items():
-        for cid, zs in items.items():
-            status[(kind, int(cid))] = [int(z) for z in zs]
-    return RestorationPlan(
-        periods=int(d["periods"]),
-        period_hours=float(d["period_hours"]),
-        status=status,
-        load_fraction={int(i): [float(f) for f in fr]
-                       for i, fr in d.get("load_fraction", {}).items()},
-        objective_value=float(d["objective_mwh"]),
-        formulation=d["formulation"],
-    )
+    try:
+        status = {}
+        for kind, items in d.get("status", {}).items():
+            for cid, zs in items.items():
+                status[(kind, int(cid))] = [int(z) for z in zs]
+        return RestorationPlan(
+            periods=int(d["periods"]),
+            period_hours=float(d["period_hours"]),
+            status=status,
+            load_fraction={int(i): [float(f) for f in fr]
+                           for i, fr in d.get("load_fraction", {}).items()},
+            objective_value=float(d["objective_mwh"]),
+            formulation=d["formulation"],
+        )
+    except KeyError as exc:
+        raise MalformedDocument(f"plan misses key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedDocument(f"malformed plan: {exc}") from None
 
 
 def report_to_dict(report: EnsReport) -> dict:
@@ -341,15 +362,19 @@ def report_from_dict(d: dict) -> EnsReport:
 
 
 def write_report(report: EnsReport) -> bytes:
-    """Render an EnsReport as CSV (one row per period plus totals)."""
+    """Render an EnsReport as CSV: one row per period, then a totals row.
+
+    The served and shed totals sum the counted rows; the ENS total is the
+    report's true_ens_mwh, which is rounded once, after summing.
+    """
     out = StringIO()
     out.write("period,served_mw,shed_mw,ens_mwh\n")
-    tot_served = tot_shed = tot_ens = 0.0
+    tot_served = tot_shed = 0.0
     for r in report.rows:
         out.write(f"{r.period},{r.served_mw:.3f},{r.shed_mw:.3f},{r.ens_mwh:.3f}\n")
         if r.period > 0 or report.count_initial_period:
             tot_served += r.served_mw
             tot_shed += r.shed_mw
-            tot_ens += r.ens_mwh
-    out.write(f"total,{tot_served:.3f},{tot_shed:.3f},{tot_ens:.3f}\n")
+    out.write(f"total,{tot_served:.3f},{tot_shed:.3f},"
+              f"{report.true_ens_mwh:.3f}\n")
     return out.getvalue().encode()

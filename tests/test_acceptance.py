@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from grs import cli, netio
-from grs.acvalidate import (max_load_delivery, newton_pf, power_flow_jacobian,
-                            redispatch_plan, residual_injections, _ybus)
+from grs.acvalidate import (IslandData, max_load_delivery, newton_pf,
+                            power_flow_jacobian, redispatch_plan,
+                            residual_injections)
 from grs.formulations import DC, SOC, build_mrsp, build_rop, decode_plan
 from grs.grid import DamageScenario, apply_damage, replicate
 from grs.mip import (INFEASIBLE, OPTIMAL, GAP_LIMIT, MipModel, SolveLimits,
@@ -140,7 +141,7 @@ def test_criterion_3_power_flow_verification():
     net = load_case5()
     buses = sorted(net.buses)
     branches = sorted(net.branches)
-    Y = _ybus(net, buses, branches)
+    Y = IslandData.build(net, buses, branches).Y
     rng = np.random.default_rng(314)
     h = 1e-6
     worst = 0.0
@@ -185,7 +186,8 @@ def test_criterion_3_power_flow_verification():
     assert max_resid <= 1e-7
 
     two = make_two_bus(load_pu=0.5, rate=0.0, n_branches=1, condenser_at_2=True)
-    pf2 = newton_pf(two, [1, 2], [1], {2: 0.0}, 1, {2: 1.0}, {1: [1], 2: [2]})
+    pf2 = newton_pf(two, IslandData.build(two, [1, 2], [1]), {2: 0.0}, 1,
+                    {2: 1.0}, {1: [1], 2: [2]})
     theta = pf2.va[1] - pf2.va[2]
     assert theta == pytest.approx(math.asin(0.05), abs=1e-6)
     report(3, f"Jacobian FD rel err {worst:.2e} < 1e-5; residual {max_resid:.2e}"

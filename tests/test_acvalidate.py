@@ -6,9 +6,10 @@ import pytest
 
 import grs.acvalidate
 from grs import cli, netio
-from grs.acvalidate import (PlanCaseMismatch, _ds_blocks, _ybus, branch_flows,
-                            max_load_delivery, newton_pf, power_flow_jacobian,
-                            redispatch_plan, residual_injections)
+from grs.acvalidate import (IslandData, PlanCaseMismatch, _ds_blocks,
+                            branch_flows, max_load_delivery, newton_pf,
+                            power_flow_jacobian, redispatch_plan,
+                            residual_injections)
 from grs.formulations import DC, build_rop, decode_plan
 from grs.grid import (BRANCH, GEN, Bus, DamageScenario, Generator, Network,
                       RestorationPlan, replicate)
@@ -34,7 +35,7 @@ def test_single_bus_trivial():
     net = Network(100.0, {1: Bus(1, 3, 0.9, 1.1)}, {},
                   {1: Generator(1, 1, 0.0, 1.0, -1.0, 1.0, 1.0)}, {}, {},
                   frozenset([1])).validate()
-    pf = newton_pf(net, [1], [], {}, 1, {}, {1: [1]})
+    pf = newton_pf(net, IslandData.build(net, [1], []), {}, 1, {}, {1: [1]})
     assert pf.converged
     assert pf.vm[1] == 1.0 and pf.va[1] == 0.0
     assert pf.iterations == 0
@@ -44,7 +45,8 @@ def test_two_bus_lossless_arcsin():
     # both ends held at 1.0 pu (condenser at the load bus), so the flow is
     # exactly sin(theta)/x and theta = arcsin(p*x)
     net = make_two_bus(load_pu=0.5, rate=0.0, n_branches=1, condenser_at_2=True)
-    pf = newton_pf(net, [1, 2], [1], {2: 0.0}, 1, {2: 1.0}, {1: [1], 2: [2]})
+    pf = newton_pf(net, IslandData.build(net, [1, 2], [1]), {2: 0.0}, 1,
+                   {2: 1.0}, {1: [1], 2: [2]})
     assert pf.converged and pf.mismatch <= 1e-8
     theta = pf.va[1] - pf.va[2]
     assert theta == pytest.approx(math.asin(0.05), abs=1e-6)
@@ -64,7 +66,7 @@ def test_jacobian_matches_finite_differences(case5):
     rng = np.random.default_rng(11)
     buses = sorted(case5.buses)
     branches = sorted(case5.branches)
-    Y = _ybus(case5, buses, branches)
+    Y = IslandData.build(case5, buses, branches).Y
     h = 1e-6
     for _ in range(5):
         vm = 1.0 + 0.05 * rng.standard_normal(len(buses))
@@ -124,6 +126,22 @@ def test_thermal_binding_lambda():
     # binds a hair below the pure-active 0.6
     assert lam == pytest.approx(0.6, abs=2e-3)
     assert lam <= 0.6 + 1e-9
+
+
+def test_infeasible_floor_kept_with_warning():
+    # the branch carries about 0.6 pu: a previous full-service floor cannot
+    # be met, so it is kept and warned; a 0.3 floor is feasible and bisected
+    net = make_two_bus(load_pu=1.0, rate=0.6, n_branches=1)
+    disp = max_load_delivery(net, {}, {2: 1.0})
+    isl = [i for i in disp.islands if i.buses == [1, 2]][0]
+    assert disp.warnings == 1
+    assert isl.lam == 1.0 and isl.served_mw == 100.0 and isl.warning
+    assert isl.binding == ["thermal branch 1"]
+    disp = max_load_delivery(net, {}, {2: 0.3})
+    isl = [i for i in disp.islands if i.buses == [1, 2]][0]
+    assert disp.warnings == 0 and not isl.warning
+    assert isl.lam == pytest.approx(0.5989, abs=1e-4)
+    assert isl.served_mw == pytest.approx(59.89, abs=1e-9)
 
 
 def test_gen_free_island_serves_zero():
@@ -216,7 +234,7 @@ def test_jacobian_matches_diag_products_case118(case118_area1):
     disp = max_load_delivery(net, energized)
     isl = max(disp.islands, key=lambda i: len(i.buses))
     buses = isl.buses
-    Y = _ybus(net, buses, sorted(isl.pf.flow_fr))
+    Y = IslandData.build(net, buses, sorted(isl.pf.flow_fr)).Y
     rng = np.random.default_rng(5)
     vm = 1.0 + 0.05 * rng.standard_normal(len(buses))
     va = 0.2 * rng.standard_normal(len(buses))

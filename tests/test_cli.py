@@ -215,6 +215,29 @@ def test_batch_scenarios(tmp_path):
     assert (out_dir / "two.result.json").exists()
 
 
+@pytest.mark.parametrize("command,damage,plan", [
+    ("rop", '{"branches": [1, 2]}', None),
+    ("pipeline", "[1, 2]", None),
+    ("rop", '{"branch": ["x"]}', None),
+    ("pipeline", '{"branch": 3}', None),
+    ("redispatch", None, '{"periods": 2}'),
+], ids=["misspelled-key", "list", "string-id", "not-a-list", "plan-keys"])
+def test_malformed_damage_or_plan_is_input_error(tmp_path, caplog, command,
+                                                 damage, plan):
+    args = [command, "--case", CASE2, "--periods", "2"]
+    for flag, text in (("--damage", damage), ("--plan", plan)):
+        if text is not None:
+            (tmp_path / "in.json").write_text(text)
+            args += [flag, str(tmp_path / "in.json")]
+    if damage is None:
+        args += ["--damage", DMG2]
+    out = tmp_path / "out.json"
+    assert main(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+
+
 @pytest.mark.parametrize("command", [
     ["rop", "--case", CASE2, "--damage", DMG2, "--periods", "2"],
     ["pipeline", "--case", CASE2, "--damage", DMG2, "--periods", "2"],

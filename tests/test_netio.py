@@ -136,11 +136,16 @@ def test_fixture_corpus_parses():
 
 
 def test_write_report_csv_totals():
-    rep = EnsReport.from_served(1000.0, [1000.0], 1.0, True, 0.0)
-    out = write_report(rep).decode()
-    lines = out.strip().splitlines()
-    assert lines[0] == "period,served_mw,shed_mw,ens_mwh"
-    assert lines[-1] == "total,1000.000,0.000,0.000"
+    # the ENS total is true_ens_mwh: three rows of 0.0007 MWh, each written
+    # as 0.001, total 0.002 as in the JSON
+    for served, total in (([1000.0], "total,1000.000,0.000,0.000"),
+                          ([999.9993] * 3, "total,2999.997,0.003,0.002")):
+        rep = EnsReport.from_served(1000.0, served, 1.0, True, 0.0)
+        out = write_report(rep).decode()
+        lines = out.strip().splitlines()
+        assert lines[0] == "period,served_mw,shed_mw,ens_mwh"
+        assert lines[-1] == total
+        assert float(total.split(",")[-1]) == rep.true_ens_mwh
 
 
 def test_write_report_csv_two_periods():
