@@ -39,10 +39,6 @@ LAMBDA_TOL = 1e-4
 LIMIT_TOL = 1e-6
 
 
-class PlanCaseMismatch(GridError):
-    pass
-
-
 class NoSlack(GridError):
     pass
 
@@ -319,24 +315,6 @@ def _pf_state(net, isl: IslandData, vm, va, pg_set, slack_gen, load_frac,
                    dict(zip(isl.branches, s_to.tolist())))
 
 
-def _island_components(net: Network, island: set[int],
-                       energized: dict[tuple[str, int], bool]):
-    """The island's branches, generators and loads; energized is the full
-    status map ``max_load_delivery`` builds."""
-    branches = [
-        i for i in sorted(net.branches)
-        if net.branches[i].in_service and energized[BRANCH, i]
-        and net.branches[i].f_bus in island and net.branches[i].t_bus in island
-    ]
-    gens = [
-        i for i in sorted(net.gens)
-        if net.gens[i].in_service and energized[GEN, i]
-        and net.gens[i].bus in island
-    ]
-    loads = [i for i in sorted(net.loads) if net.loads[i].bus in island]
-    return branches, gens, loads
-
-
 def _attempt(net, isl: IslandData, gens, loads, fractions, binding):
     """One PV/PQ-switched power-flow solve; returns (PfState|None, ok)."""
     slack = max(gens, key=lambda g: (net.gens[g].pmax, -g))
@@ -418,13 +396,19 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
                                   (GEN, net.gens))
               for cid, c in comps.items()}
     status.update(energized)
+    live = net.live()
     islands = connected_islands(net, status)
 
     results: list[IslandResult] = []
     fractions: dict[int, float] = {}
     warnings = 0
     for island in islands:
-        branches, gens, loads = _island_components(net, island, status)
+        branches = [i for i in live.branches if status[BRANCH, i]
+                    and net.branches[i].f_bus in island
+                    and net.branches[i].t_bus in island]
+        gens = [i for i in live.gens
+                if status[GEN, i] and net.gens[i].bus in island]
+        loads = [i for i in live.loads if net.loads[i].bus in island]
         floors = {lid: min(1.0, max(0.0, prev.get(lid, 0.0))) for lid in loads}
         if not loads:
             results.append(IslandResult(sorted(island), 1.0, 0.0, [], False, None))
@@ -507,13 +491,11 @@ def ens_report(case: MultiPeriodCase, plan: RestorationPlan,
 def redispatch_plan(case: MultiPeriodCase, plan: RestorationPlan,
                     count_initial_period: bool = True,
                     estimated_ens: float | None = None) -> EnsReport:
-    """True ENS of a plan: per-period maximal AC load delivery, integrated."""
-    if plan.periods != case.periods:
-        raise PlanCaseMismatch(
-            f"plan has {plan.periods} periods, case {case.periods}")
-    for item in case.damaged_items():
-        if item not in plan.status:
-            raise PlanCaseMismatch(f"plan misses damaged component {item}")
+    """True ENS of a plan: per-period maximal AC load delivery, integrated.
+
+    The plan is first checked against the case (``RestorationPlan.validate``).
+    """
+    plan.validate(case)
     dispatches = plan_dispatches(case.base, plan.status, case.periods)
     return ens_report(case, plan, dispatches, count_initial_period,
                       estimated_ens)

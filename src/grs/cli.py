@@ -95,11 +95,10 @@ def cmd_gen_damage(args):
     if bad:
         log.error("unknown damage kinds: %s", sorted(bad))
         return EXIT_INPUT
-    branches = [i for i in sorted(net.branches)
-                if net.branches[i].in_service
-                and net.branches[i].f_bus in area and net.branches[i].t_bus in area]
-    gens = [i for i in sorted(net.gens)
-            if net.gens[i].in_service and net.gens[i].bus in area]
+    live = net.live()
+    branches = [i for i in live.branches
+                if net.branches[i].f_bus in area and net.branches[i].t_bus in area]
+    gens = [i for i in live.gens if net.gens[i].bus in area]
     rng = random.Random(args.seed)
 
     def pick(items, kind):

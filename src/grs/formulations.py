@@ -31,11 +31,10 @@ incidence lists, so a build is linear in the network size per period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .grid import (BRANCH, BUS, GEN, INDICATOR_TOL, Branch, GridError,
-                   MultiPeriodCase, Network, NoRefBus, NonIntegralIndicator,
-                   RestorationPlan)
+from .grid import (BRANCH, BUS, GEN, Branch, GridError, MultiPeriodCase,
+                   Network, NoRefBus, RestorationPlan, counted_periods,
+                   indicator)
 from .mip import BINARY, CONTINUOUS, EQ, GE, LE, MipModel, MipSolution
 
 VA_BOUND = 0.5236  # rad; default bus-angle box, span = 2 * VA_BOUND
@@ -92,38 +91,6 @@ def soc_flow_cap(br: Branch, vmax_f: float, vmax_t: float) -> float:
     return cap
 
 
-@dataclass
-class _Parts:
-    """Deterministically ordered active component views of one network."""
-
-    buses: list[int]
-    branches: list[int]
-    gens: list[int]
-    loads: list[int]
-    shunts: list[int]
-    damaged: list[tuple[str, int]]
-
-    @staticmethod
-    def of(net: Network, damaged: list[tuple[str, int]]) -> "_Parts":
-        alive = {b for b in net.buses if net.buses[b].bus_type != 4}
-        branches = [
-            i for i in sorted(net.branches)
-            if net.branches[i].in_service
-            and net.branches[i].f_bus in alive and net.branches[i].t_bus in alive
-        ]
-        gens = [i for i in sorted(net.gens)
-                if net.gens[i].in_service and net.gens[i].bus in alive]
-        loads = [i for i in sorted(net.loads) if net.loads[i].bus in alive]
-        shunts = [i for i in sorted(net.shunts) if net.shunts[i].bus in alive]
-        keep = set(branches), set(gens)
-        dmg = [
-            (k, i) for k, i in damaged
-            if (k == BUS and i in alive) or (k == BRANCH and i in keep[0])
-            or (k == GEN and i in keep[1])
-        ]
-        return _Parts(sorted(alive), branches, gens, loads, shunts, dmg)
-
-
 class _Builder:
     def __init__(self, net: Network, formulation: str, rop: bool,
                  periods: int, damaged: list[tuple[str, int]]):
@@ -135,22 +102,23 @@ class _Builder:
         self.soc = formulation == SOC
         self.rop = rop
         self.K = periods
-        self.parts = parts = _Parts.of(net, damaged)
-        self.dmg_set = set(parts.damaged)
+        self.live = live = net.live()
+        self.damaged = damaged  # live items only, in the caller's order
+        self.dmg_set = set(damaged)
         self.m = MipModel()
         self.ix: dict[tuple[str, int, int], int] = {}
-        # per bus, in _Parts' order: gens, branch ends (id, "fr"/"to"),
-        # loads, shunts
-        self.inc = {b: ([], [], [], []) for b in parts.buses}
-        for gid in parts.gens:
+        # per bus, in id order: gens, branch ends (id, "fr"/"to"), loads,
+        # shunts
+        self.inc = {b: ([], [], [], []) for b in live.buses}
+        for gid in live.gens:
             self.inc[net.gens[gid].bus][0].append(gid)
-        for bid in parts.branches:
+        for bid in live.branches:
             br = net.branches[bid]
             self.inc[br.f_bus][1].append((bid, "fr"))
             self.inc[br.t_bus][1].append((bid, "to"))
-        for lid in parts.loads:
+        for lid in live.loads:
             self.inc[net.loads[lid].bus][2].append(lid)
-        for sid in parts.shunts:
+        for sid in live.shunts:
             self.inc[net.shunts[sid].bus][3].append(sid)
 
     def var(self, name: str, cid: int, n: int, lb: float, ub: float,
@@ -170,14 +138,14 @@ class _Builder:
 
     def _period_vars(self, n: int):
         net = self.net
-        for kind, cid in self.parts.damaged:
+        for kind, cid in self.damaged:
             lb, ub = 0.0, 1.0
             if self.rop and n == 0:
                 lb = ub = 0.0  # initial state: damaged means off
             elif self.rop and n == self.K:
                 lb = ub = 1.0  # everything restored by the final period
             self.var("z_" + kind, cid, n, lb, ub, BINARY)
-        for b in self.parts.buses:
+        for b in self.live.buses:
             bus = net.buses[b]
             if self.soc:
                 lo = 0.0 if (BUS, b) in self.dmg_set else bus.vmin ** 2
@@ -186,7 +154,7 @@ class _Builder:
                 self.var("va", b, n, 0.0, 0.0)
             else:
                 self.var("va", b, n, -VA_BOUND, VA_BOUND)
-        for gid in self.parts.gens:
+        for gid in self.live.gens:
             g = net.gens[gid]
             outputs = [("pg", g.pmin, g.pmax)]
             if self.soc:
@@ -195,7 +163,7 @@ class _Builder:
                 if (GEN, gid) in self.dmg_set:  # off means zero output
                     lo, hi = min(lo, 0.0), max(hi, 0.0)
                 self.var(name, gid, n, lo, hi)
-        for bid in self.parts.branches:
+        for bid in self.live.branches:
             br = net.branches[bid]
             if not self.soc:
                 cap = dc_flow_cap(br)
@@ -216,12 +184,12 @@ class _Builder:
                 self.var("s_fr", bid, n, 0.0, br.rate_a)
                 self.var("s_to", bid, n, 0.0, br.rate_a)
         if self.rop:
-            for lid in self.parts.loads:
+            for lid in self.live.loads:
                 self.var("zd", lid, n, 0.0, 1.0)
-            for sid in self.parts.shunts:
+            for sid in self.live.shunts:
                 self.var("zs", sid, n, 0.0, 1.0)
             if self.soc:
-                for sid in self.parts.shunts:
+                for sid in self.live.shunts:
                     bus = net.buses[net.shunts[sid].bus]
                     self.var("ws", sid, n, 0.0, bus.vmax ** 2)
 
@@ -229,7 +197,7 @@ class _Builder:
 
     def _dc_rows(self, n: int):
         net, ix = self.net, self.ix
-        for bid in self.parts.branches:
+        for bid in self.live.branches:
             br = net.branches[bid]
             bp = dc_susceptance(br)
             p_fr = ix["p_fr", bid, n]
@@ -257,7 +225,7 @@ class _Builder:
 
     def _soc_rows(self, n: int):
         net, ix = self.net, self.ix
-        for bid in self.parts.branches:
+        for bid in self.live.branches:
             br = net.branches[bid]
             g, b = _complex_admittance(br)
             tau = br.tap
@@ -322,7 +290,7 @@ class _Builder:
                     self.row({s_to: 1.0, zbr: -br.rate_a}, LE, 0.0,
                              "thermal_on_to", bid, n)
 
-        for b in self.parts.buses:
+        for b in self.live.buses:
             zb = self.z(BUS, b, n)
             if zb is not None:
                 bus = net.buses[b]
@@ -333,7 +301,7 @@ class _Builder:
     # -- rows of both formulations ------------------------------------------
 
     def _gen_rows(self, n: int):
-        for gid in self.parts.gens:
+        for gid in self.live.gens:
             zg = self.z(GEN, gid, n)
             if zg is None:
                 continue
@@ -350,7 +318,7 @@ class _Builder:
                 self.row({qg: 1.0, zg: -g.qmin}, GE, 0.0, "gen_on_q_lb", gid, n)
 
     def _branch_dependency_rows(self, n: int):
-        for bid in self.parts.branches:
+        for bid in self.live.branches:
             zbr = self.z(BRANCH, bid, n)
             if zbr is None:
                 continue
@@ -364,7 +332,7 @@ class _Builder:
     def _shunt_envelope_rows(self, n: int):
         """SOC ordering model: McCormick envelope of ws = zs * w."""
         ix = self.ix
-        for sid in self.parts.shunts:
+        for sid in self.live.shunts:
             bus = self.net.buses[self.net.shunts[sid].bus]
             lo, hi = bus.vmin ** 2, bus.vmax ** 2
             ws, zs, w = ix["ws", sid, n], ix["zs", sid, n], ix["w", bus.id, n]
@@ -376,7 +344,7 @@ class _Builder:
     def _balance_rows(self, n: int):
         """Power balance at each bus (P; Q too under SOC) from its incidence."""
         net, ix, soc = self.net, self.ix, self.soc
-        for b in self.parts.buses:
+        for b in self.live.buses:
             gens, ends, loads, shunts = self.inc[b]
             p: dict[int, float] = {}
             q: dict[int, float] = {}
@@ -418,7 +386,7 @@ class _Builder:
 
     def _cardinality_row(self, n: int, budget: int):
         coeffs: dict[int, float] = {}
-        for kind, cid in self.parts.damaged:
+        for kind, cid in self.damaged:
             coeffs[self.z(kind, cid, n)] = 1.0
             coeffs[self.z(kind, cid, n - 1)] = -1.0
         if coeffs:
@@ -426,11 +394,11 @@ class _Builder:
 
     def _intertemporal_rows(self):
         for n in range(1, self.K + 1):
-            for kind, cid in self.parts.damaged:
+            for kind, cid in self.damaged:
                 self.row({self.z(kind, cid, n): 1.0,
                           self.z(kind, cid, n - 1): -1.0},
                          GE, 0.0, "energized_" + kind, cid, n)
-            for lid in self.parts.loads:
+            for lid in self.live.loads:
                 self.row({self.ix["zd", lid, n]: 1.0,
                           self.ix["zd", lid, n - 1]: -1.0},
                          GE, 0.0, "load_increasing", lid, n)
@@ -453,10 +421,10 @@ class _Builder:
             self._intertemporal_rows()
             self.m.set_objective("max", {
                 self.ix["zd", lid, n]: self.net.loads[lid].pd
-                for n in range(self.K + 1) for lid in self.parts.loads})
+                for n in range(self.K + 1) for lid in self.live.loads})
         else:
             self.m.set_objective("min", {
-                self.z(kind, cid, 0): 1.0 for kind, cid in self.parts.damaged})
+                self.z(kind, cid, 0): 1.0 for kind, cid in self.damaged})
         return self.m
 
 
@@ -486,21 +454,16 @@ def mrsp_set(net: Network, model: MipModel,
 def decode_plan(case: MultiPeriodCase, model: MipModel, sol: MipSolution,
                 formulation: str) -> RestorationPlan:
     """Turn an ROP solution into a validated restoration plan."""
-    parts = _Parts.of(case.base, case.damaged_items())
-
     def values(name, cid):
         return [float(sol.values[model.var_index(var_name(name, cid, n))])
                 for n in range(case.periods + 1)]
 
     status: dict[tuple[str, int], list[int]] = {}
-    for kind, cid in parts.damaged:
-        zs = values("z_" + kind, cid)
-        for n, v in enumerate(zs):
-            if abs(v - round(v)) > INDICATOR_TOL:
-                raise NonIntegralIndicator(f"{kind} {cid}@{n}: indicator {v}")
-        status[(kind, cid)] = [int(round(v)) for v in zs]
+    for kind, cid in case.damaged_items():
+        status[(kind, cid)] = [indicator(v, f"{kind} {cid}@{n}")
+                               for n, v in enumerate(values("z_" + kind, cid))]
     fractions = {lid: [min(1.0, max(0.0, v)) for v in values("zd", lid)]
-                 for lid in parts.loads}
+                 for lid in case.base.live().loads}
     objective_mwh = sol.objective * case.base.base_mva * case.period_hours
     plan = RestorationPlan(
         periods=case.periods, period_hours=case.period_hours, status=status,
@@ -515,9 +478,7 @@ def estimated_ens_mwh(case: MultiPeriodCase, plan: RestorationPlan,
     """Model-side energy not served over the horizon, in MWh."""
     net = case.base
     total = 0.0
-    for n in range(case.periods + 1):
-        if n == 0 and not count_initial_period:
-            continue
+    for n in counted_periods(case.periods, count_initial_period):
         for lid, fr in plan.load_fraction.items():
             total += (1.0 - fr[n]) * net.loads[lid].pd
     return total * net.base_mva * case.period_hours
@@ -525,7 +486,8 @@ def estimated_ens_mwh(case: MultiPeriodCase, plan: RestorationPlan,
 
 def model_size(net: Network, formulation: str, rop: bool, periods: int,
                damaged: list[tuple[str, int]]) -> tuple[int, int]:
-    """Exact (variables, linear rows) the builders will produce.
+    """Exact (variables, linear rows) the builders will produce over the
+    live components (``Network.live``) with the given (live) damaged items.
 
     DC, per period: vars |bus| + |gen| + |branch| (p_fr only) + |dmg|
     (+|load| + |shunt| for the ordering model); rows |bus| (balance)
@@ -535,22 +497,22 @@ def model_size(net: Network, formulation: str, rop: bool, periods: int,
     (|dmg| + |load|) * K rows.  SOC counts follow the same structure with the
     W-space variables and rows.
     """
-    parts = _Parts.of(net, damaged)
-    nb, nbr, ng = len(parts.buses), len(parts.branches), len(parts.gens)
-    nl, ns, nd = len(parts.loads), len(parts.shunts), len(parts.damaged)
-    dmg_br = sum(1 for k, _ in parts.damaged if k == BRANCH)
-    dmg_g = sum(1 for k, _ in parts.damaged if k == GEN)
-    dmg_bus = sum(1 for k, _ in parts.damaged if k == BUS)
-    rated = sum(1 for i in parts.branches if net.branches[i].rate_a > 0.0)
-    rated_dmg = sum(1 for i in parts.branches
-                    if net.branches[i].rate_a > 0.0 and (BRANCH, i) in set(parts.damaged))
+    live = net.live()
+    dmg_set = set(damaged)
+    nb, nbr, ng = len(live.buses), len(live.branches), len(live.gens)
+    nl, ns, nd = len(live.loads), len(live.shunts), len(damaged)
+    dmg_br = sum(1 for k, _ in damaged if k == BRANCH)
+    dmg_g = sum(1 for k, _ in damaged if k == GEN)
+    dmg_bus = sum(1 for k, _ in damaged if k == BUS)
+    rated = sum(1 for i in live.branches if net.branches[i].rate_a > 0.0)
+    rated_dmg = sum(1 for i in live.branches
+                    if net.branches[i].rate_a > 0.0 and (BRANCH, i) in dmg_set)
     dep = 0
-    dmg_set = set(parts.damaged)
-    for i in parts.branches:
+    for i in live.branches:
         if (BRANCH, i) in dmg_set:
             br = net.branches[i]
             dep += sum(1 for e in (br.f_bus, br.t_bus) if (BUS, e) in dmg_set)
-    for i in parts.gens:
+    for i in live.gens:
         if (GEN, i) in dmg_set and (BUS, net.gens[i].bus) in dmg_set:
             dep += 1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 BUS = "bus"
 BRANCH = "branch"
@@ -41,6 +42,25 @@ class UnknownComponent(GridError):
 
 class NonIntegralIndicator(GridError):
     pass
+
+
+class PlanCaseMismatch(GridError):
+    pass
+
+
+def indicator(val: float, what: str) -> int:
+    """A solved repair indicator as 0 or 1; farther than INDICATOR_TOL from
+    both raises ``NonIntegralIndicator`` naming what."""
+    z = round(val)
+    if abs(val - z) > INDICATOR_TOL:
+        raise NonIntegralIndicator(f"{what}: indicator {val}")
+    return z
+
+
+def counted_periods(periods: int, count_initial_period: bool) -> range:
+    """The period states 0..periods that energy totals count: all of them,
+    or all but the pre-restoration state 0."""
+    return range(0 if count_initial_period else 1, periods + 1)
 
 
 @dataclass(frozen=True)
@@ -114,6 +134,16 @@ class Shunt:
     bs: float
 
 
+class Live(NamedTuple):
+    """Sorted ids of a network's live components (``Network.live``)."""
+
+    buses: list[int]
+    branches: list[int]
+    gens: list[int]
+    loads: list[int]
+    shunts: list[int]
+
+
 @dataclass(frozen=True)
 class Network:
     base_mva: float
@@ -162,18 +192,33 @@ class Network:
             raise UnknownComponent(f"{kind} {cid} not in network")
         return pool[cid]
 
+    def live(self) -> Live:
+        """The components every model, plan and validator works on.
+
+        A bus is live unless it is isolated (type 4); a branch, generator,
+        load or shunt is live when it is in service and its buses are live.
+        Damage on anything else is dropped (``replicate``).
+        """
+        buses = [b for b in sorted(self.buses) if self.buses[b].bus_type != 4]
+        alive = set(buses)
+        return Live(
+            buses,
+            [i for i in sorted(self.branches) if self.branches[i].in_service
+             and self.branches[i].f_bus in alive
+             and self.branches[i].t_bus in alive],
+            [i for i in sorted(self.gens)
+             if self.gens[i].in_service and self.gens[i].bus in alive],
+            [i for i in sorted(self.loads) if self.loads[i].bus in alive],
+            [i for i in sorted(self.shunts) if self.shunts[i].bus in alive])
+
     def damaged_items(self) -> list[tuple[str, int]]:
-        out = []
-        for b in sorted(self.buses):
-            if self.buses[b].damaged:
-                out.append((BUS, b))
-        for br in sorted(self.branches):
-            if self.branches[br].damaged and self.branches[br].in_service:
-                out.append((BRANCH, br))
-        for g in sorted(self.gens):
-            if self.gens[g].damaged and self.gens[g].in_service:
-                out.append((GEN, g))
-        return out
+        """Live damaged components: buses, then branches, then generators."""
+        live = self.live()
+        return [(kind, i) for kind, ids, pool in (
+                    (BUS, live.buses, self.buses),
+                    (BRANCH, live.branches, self.branches),
+                    (GEN, live.gens, self.gens))
+                for i in ids if pool[i].damaged]
 
 
 @dataclass(frozen=True)
@@ -230,32 +275,41 @@ class RestorationPlan:
     formulation: str
 
     def validate(self, case: MultiPeriodCase):
+        """Check the plan against its invariants on case.
+
+        The period count is the case's and every damaged item has a status.
+        Each status is K+1 values of 0 or 1 that never decrease, from 0 to 1
+        for a damaged item; no period repairs more than the budget; load
+        fractions lie in [0, 1] and never decrease.
+        """
         k = self.periods
+        if k != case.periods:
+            raise PlanCaseMismatch(f"plan has {k} periods, case {case.periods}")
+        for item in case.damaged_items():
+            if item not in self.status:
+                raise PlanCaseMismatch(f"plan misses damaged component {item}")
         for (kind, cid), zs in sorted(self.status.items()):
             if len(zs) != k + 1:
                 raise GridError(f"{kind} {cid}: wrong status length")
-            for a, b in zip(zs, zs[1:]):
-                if b < a:
-                    raise GridError(f"{kind} {cid}: status not monotone")
+            if any(z not in (0, 1) for z in zs):
+                raise GridError(f"{kind} {cid}: status {zs} is not 0/1")
+            if zs != sorted(zs):
+                raise GridError(f"{kind} {cid}: status not monotone")
             if (kind, cid) in case.damage.damaged:
                 if zs[0] != 0:
                     raise GridError(f"{kind} {cid}: damaged but energized at period 0")
                 if zs[-1] != 1:
                     raise GridError(f"{kind} {cid}: not restored by final period")
         for n in range(1, k + 1):
-            newly = sum(
-                self.status[item][n] - self.status[item][n - 1]
-                for item in case.damage.damaged
-                if item in self.status
-            )
+            newly = sum(self.status[item][n] - self.status[item][n - 1]
+                        for item in case.damage.damaged)
             if newly > case.repairs_per_period:
                 raise GridError(f"period {n}: {newly} repairs exceed budget")
         for lid, fr in sorted(self.load_fraction.items()):
             if len(fr) != k + 1:
                 raise GridError(f"load {lid}: wrong fraction length")
-            for a, b in zip(fr, fr[1:]):
-                if b < a - 1e-7:
-                    raise GridError(f"load {lid}: served fraction decreases")
+            if any(b < a - 1e-7 for a, b in zip(fr, fr[1:])):
+                raise GridError(f"load {lid}: served fraction decreases")
             if min(fr) < -1e-9 or max(fr) > 1.0 + 1e-9:
                 raise GridError(f"load {lid}: fraction outside [0,1]")
         return self
@@ -306,12 +360,14 @@ class EnsReport:
                     validation_warnings=0) -> "EnsReport":
         rows = []
         total = 0.0
+        counted = counted_periods(len(served_mw_by_period) - 1,
+                                  count_initial_period)
         for n, served in enumerate(served_mw_by_period):
             shed = max(0.0, total_load_mw - served)
             ens = shed * period_hours
             rows.append(PeriodEns(n, round(served, 3), round(shed, 3),
                                   round(ens, 3)))
-            if n > 0 or count_initial_period:
+            if n in counted:
                 total += ens
         return EnsReport(period_hours, count_initial_period, rows,
                          round(estimated_ens_mwh, 3), round(total, 3),
@@ -339,15 +395,19 @@ def apply_damage(net: Network, dmg: DamageScenario) -> Network:
 
 def replicate(net: Network, dmg: DamageScenario, periods: int,
               period_hours: float = 1.0) -> MultiPeriodCase:
-    """Build a K-period restoration case with the minimal uniform budget."""
-    dmg.resolve(net)
+    """Build a K-period restoration case with the minimal uniform budget.
+
+    Damage on components that are not live (``Network.live``) is dropped
+    first: it never enters the case, its budget or its plans.
+    """
+    base = apply_damage(net, dmg)  # resolves every id
+    dmg = DamageScenario(dmg.damaged & set(base.damaged_items()))
     if len(dmg) == 0:
-        return MultiPeriodCase(apply_damage(net, dmg), 0, 0, period_hours, dmg)
+        return MultiPeriodCase(base, 0, 0, period_hours, dmg)
     if periods < 1:
         raise GridError("periods must be >= 1")
     budget = -(-len(dmg) // periods)  # ceil
-    return MultiPeriodCase(apply_damage(net, dmg), periods, budget,
-                           period_hours, dmg)
+    return MultiPeriodCase(base, periods, budget, period_hours, dmg)
 
 
 def update_status(net: Network,
@@ -363,9 +423,7 @@ def update_status(net: Network,
     branches = dict(net.branches)
     gens = dict(net.gens)
     for (kind, cid), val in sorted(indicators.items()):
-        z = round(val)
-        if abs(val - z) > INDICATOR_TOL:
-            raise NonIntegralIndicator(f"{kind} {cid}: indicator {val}")
+        z = indicator(val, f"{kind} {cid}")
         net.component(kind, cid)
         if kind == BUS:
             # an unchosen bus becomes isolated (type 4), a chosen one is whole
@@ -383,12 +441,12 @@ def connected_islands(net: Network,
                       energized: dict[tuple[str, int], bool]) -> list[set[int]]:
     """Partition energized buses by connectivity over energized branches.
 
-    The status map must cover every bus and in-service branch; isolated
-    (type 4) buses never join an island.  Islands are returned ordered by
-    their minimum bus id.
+    Only live components (``Network.live``) take part; the status map must
+    cover every live branch.  Islands are returned ordered by their minimum
+    bus id.
     """
-    alive = [b for b in sorted(net.buses)
-             if net.buses[b].bus_type != 4 and energized.get((BUS, b), True)]
+    live = net.live()
+    alive = [b for b in live.buses if energized.get((BUS, b), True)]
     parent = {b: b for b in alive}
 
     def find(a):
@@ -397,10 +455,10 @@ def connected_islands(net: Network,
             a = parent[a]
         return a
 
-    for br_id in sorted(net.branches):
-        br = net.branches[br_id]
-        if not br.in_service or not energized.get((BRANCH, br_id), False):
+    for br_id in live.branches:
+        if not energized.get((BRANCH, br_id), False):
             continue
+        br = net.branches[br_id]
         if br.f_bus in parent and br.t_bus in parent:
             ra, rb = find(br.f_bus), find(br.t_bus)
             if ra != rb:

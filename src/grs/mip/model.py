@@ -100,12 +100,11 @@ class MipModel:
         self.cone_rows.append(ConeRow(x, y, u, v, name))
         return len(self.cone_rows) - 1
 
-    def set_objective(self, sense: str, coeffs: dict[int, float], const=0.0):
+    def set_objective(self, sense: str, coeffs: dict[int, float]):
         if sense not in ("min", "max"):
             raise MipError(f"bad objective sense {sense!r}")
         self.sense = sense
         self.obj = dict(coeffs)
-        self.obj_const = float(const)
 
     def var_index(self, name: str) -> int:
         return self._index[name]

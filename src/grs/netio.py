@@ -15,7 +15,7 @@ from io import StringIO
 
 from .grid import (Branch, Bus, DamageScenario, DEFAULT_ANGLE_BOUND,
                    DuplicateBusId, EnsReport, Generator, Load, Network,
-                   PeriodEns, RestorationPlan, Shunt)
+                   PeriodEns, RestorationPlan, Shunt, counted_periods)
 
 
 class NetioError(Exception):
@@ -370,9 +370,10 @@ def write_report(report: EnsReport) -> bytes:
     out = StringIO()
     out.write("period,served_mw,shed_mw,ens_mwh\n")
     tot_served = tot_shed = 0.0
+    counted = counted_periods(len(report.rows) - 1, report.count_initial_period)
     for r in report.rows:
         out.write(f"{r.period},{r.served_mw:.3f},{r.shed_mw:.3f},{r.ens_mwh:.3f}\n")
-        if r.period > 0 or report.count_initial_period:
+        if r.period in counted:
             tot_served += r.served_mw
             tot_shed += r.shed_mw
     out.write(f"total,{tot_served:.3f},{tot_shed:.3f},"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import acvalidate, formulations, netio
 from .grid import (BRANCH, GEN, DamageScenario, EnsReport, GridError,
                    MultiPeriodCase, Network, RestorationPlan, apply_damage,
-                   replicate, update_status)
+                   counted_periods, indicator, replicate, update_status)
 from .mip import (GAP_LIMIT, INFEASIBLE, OPTIMAL, MipModel, MipSolution,
                   SolveLimits, solve_lp, solve_mip)
 
@@ -67,10 +67,10 @@ class PipelineResult:
         return self
 
 
-def _checked(sol: MipSolution, stage: str, allow_gap: bool = True) -> MipSolution:
+def _checked(sol: MipSolution, stage: str) -> MipSolution:
     if sol.status == INFEASIBLE:
         raise PipelineInfeasible(stage)
-    if sol.status == OPTIMAL or (allow_gap and sol.status == GAP_LIMIT):
+    if sol.status in (OPTIMAL, GAP_LIMIT):
         return sol
     raise SolverLimit(stage, sol)
 
@@ -102,8 +102,8 @@ def run_rop_then_redispatch(net: Network, dmg: DamageScenario, periods: int,
 
     result = PipelineResult(formulation, plan, report, est,
                             report.true_ens_mwh, timings, None, sol.gap)
-    total_energy = net.total_load() * net.base_mva * period_hours * (
-        periods + 1 if count_initial_period else periods)
+    total_energy = net.total_load() * net.base_mva * period_hours * len(
+        counted_periods(periods, count_initial_period))
     return result.check(total_energy)
 
 
@@ -129,7 +129,8 @@ def solve_mrsp(damaged: Network, model: MipModel,
     except PipelineInfeasible as exc:
         raise MrspInfeasible() from exc
     indicators = formulations.mrsp_set(damaged, model, sol)
-    kept = frozenset(item for item, z in indicators.items() if round(z) == 1)
+    kept = frozenset((kind, cid) for (kind, cid), z in indicators.items()
+                     if indicator(z, f"{kind} {cid}") == 1)
     return indicators, DamageScenario(kept)
 
 
@@ -191,7 +192,7 @@ def run_heuristic(net: Network, dmg: DamageScenario, periods: int,
     """
     case = replicate(net, dmg, periods, period_hours)
     periods = case.periods  # collapses to the single base state if undamaged
-    items = sorted(dmg.sorted_items(),
+    items = sorted(case.damaged_items(),
                    key=lambda it: (-capability(net, it[0], it[1]), it[1], it[0]))
     budget = case.repairs_per_period
     status: dict[tuple[str, int], list[int]] = {it: [0] for it in items}
@@ -227,8 +228,7 @@ def score_plan_dc(case: MultiPeriodCase, plan: RestorationPlan) -> float:
     return sol.objective * case.base.base_mva * case.period_hours
 
 
-def pipeline_result_to_dict(result: PipelineResult,
-                            include_timings: bool = False) -> dict:
+def pipeline_result_to_dict(result: PipelineResult) -> dict:
     out = {
         "formulation": result.formulation,
         "estimated_ens_mwh": round(result.estimated_ens_mwh, 3),
@@ -240,6 +240,4 @@ def pipeline_result_to_dict(result: PipelineResult,
     if result.mrsp_set is not None:
         out["mrsp_set"] = netio.damage_to_dict(
             DamageScenario(frozenset(result.mrsp_set)))
-    if include_timings:
-        out["timings_s"] = {k: round(v, 3) for k, v in sorted(result.timings.items())}
     return out

@@ -6,13 +6,13 @@ import pytest
 
 import grs.acvalidate
 from grs import cli, netio
-from grs.acvalidate import (IslandData, PlanCaseMismatch, _ds_blocks,
-                            branch_flows, max_load_delivery, newton_pf,
+from grs.acvalidate import (IslandData, _ds_blocks, branch_flows,
+                            max_load_delivery, newton_pf,
                             power_flow_jacobian, redispatch_plan,
                             residual_injections)
 from grs.formulations import DC, build_rop, decode_plan
 from grs.grid import (BRANCH, GEN, Bus, DamageScenario, Generator, Network,
-                      RestorationPlan, replicate)
+                      PlanCaseMismatch, RestorationPlan, replicate)
 from grs.mip import solve_mip
 from tests.conftest import CASES, make_two_bus
 

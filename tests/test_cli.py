@@ -274,3 +274,46 @@ def test_solver_status_exit_codes(tmp_path, monkeypatch, caplog, command,
     assert len(errors) == 1
     if command[0] == "mrsp" and status == INFEASIBLE:
         assert "full load unreachable" in errors[0]
+
+
+@pytest.mark.parametrize("old,new", [
+    ("0.03126\t426.0\t426.0\t426.0\t0.0\t0.0\t1",
+     "0.03126\t426.0\t426.0\t426.0\t0.0\t0.0\t0"),  # branch 3 out of service
+    ("\t5\t2\t0.0", "\t5\t4\t0.0"),  # bus 5 isolated, and branch 3 with it
+], ids=["branch3-out", "bus5-isolated"])
+def test_damage_on_dead_component_is_dropped(tmp_path, old, new):
+    text = Path(CASE5).read_text()
+    assert text.count(old) == 1
+    case = tmp_path / "case5_dead.m"
+    case.write_text(text.replace(old, new))
+    damage = tmp_path / "damage.json"
+    damage.write_text('{"branch": [1, 3]}')
+    args = ["--case", str(case), "--damage", str(damage), "--periods", "2"]
+    assert main(["pipeline", *args, "--out", str(tmp_path / "p.json")]) == 0
+
+    heur = tmp_path / "h.json"
+    assert main(["heuristic", *args, "--out", str(heur)]) == 0
+    status = json.loads(heur.read_text())["plan"]["status"]
+    assert status == {"branch": {"1": [0, 1, 1]}}
+
+    plan = tmp_path / "plan.json"
+    assert main(["rop", *args, "--out", str(plan)]) == 0
+    status = json.loads(plan.read_text())["status"]
+    assert {kind: list(ids) for kind, ids in status.items()} == {"branch": ["1"]}
+    assert main(["redispatch", *args, "--plan", str(plan),
+                 "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_redispatch_rejects_non_binary_status(tmp_path, caplog):
+    plan = tmp_path / "plan.json"
+    args = ["--case", CASE2, "--damage", DMG2, "--periods", "2"]
+    assert main(["rop", *args, "--out", str(plan)]) == 0
+    doc = json.loads(plan.read_text())
+    doc["status"]["branch"]["1"] = [0, 7, 0]
+    plan.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["redispatch", *args, "--plan", str(plan),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "not 0/1" in errors[0]

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grs.grid import (BRANCH, DamageScenario, GridError,
-                      NonIntegralIndicator, RestorationPlan, UnknownComponent,
-                      apply_damage, connected_islands, replicate,
-                      update_status)
+from grs.grid import (BRANCH, DamageScenario, GridError, Load,
+                      NonIntegralIndicator, PlanCaseMismatch, RestorationPlan,
+                      Shunt, UnknownComponent, apply_damage,
+                      connected_islands, indicator, replicate, update_status)
 from tests.conftest import make_two_bus
 
 
@@ -50,6 +52,42 @@ def test_replicate_budget(case5, n_damaged, k, budget):
     # minimality of the uniform budget
     if case.repairs_per_period > 1:
         assert (case.repairs_per_period - 1) * case.periods < n_damaged
+
+
+def test_live_components(case5):
+    # bus 5 isolated: branches 3 (1-5) and 6 (4-5) and gen 5 die with it,
+    # as do a load and a shunt placed there; branch 2 is out of service
+    net = replace(
+        case5,
+        buses={**case5.buses, 5: replace(case5.buses[5], bus_type=4)},
+        branches={**case5.branches,
+                  2: replace(case5.branches[2], in_service=False)},
+        gens={**case5.gens, 1: replace(case5.gens[1], in_service=False)},
+        loads={**case5.loads, 5: Load(5, 5, 0.1, 0.0)},
+        shunts={1: Shunt(1, 1, 0.0, 0.1), 5: Shunt(5, 5, 0.0, 0.1)})
+    live = net.live()
+    assert live.buses == [1, 2, 3, 4]
+    assert live.branches == [1, 4, 5]
+    assert live.gens == [2, 3, 4]
+    assert live.loads == [2, 3, 4]
+    assert live.shunts == [1]
+    assert case5.live().branches == [1, 2, 3, 4, 5, 6]
+
+    dmg = DamageScenario.of(branches=[1, 2, 3], gens=[1, 5], buses=[5])
+    assert apply_damage(net, dmg).damaged_items() == [(BRANCH, 1)]
+    case = replicate(net, dmg, 2)
+    assert case.damaged_items() == [(BRANCH, 1)]
+    assert case.base.damaged_items() == [(BRANCH, 1)]
+    assert (case.periods, case.repairs_per_period) == (2, 1)
+    only_dead = replicate(net, DamageScenario.of(branches=[3], gens=[5]), 2)
+    assert (only_dead.periods, only_dead.damaged_items()) == (0, [])
+
+
+def test_indicator_rounding():
+    assert [indicator(v, "x") for v in (0.0, 1e-7, 1.0 - 1e-7, 1.0)] == \
+        [0, 0, 1, 1]
+    with pytest.raises(NonIntegralIndicator, match="gen 3@1: indicator 0.5"):
+        indicator(0.5, "gen 3@1")
 
 
 def test_replicate_empty_damage(case5):
@@ -160,3 +198,19 @@ def test_plan_validation_catches_breaches():
         objective_value=0.0, formulation="dc")
     with pytest.raises(GridError):
         not_restored.validate(case)
+
+
+@pytest.mark.parametrize("periods,status,match", [
+    (3, {(BRANCH, 1): [0, 1, 1, 1], (BRANCH, 2): [0, 0, 1, 1]},
+     "plan has 3 periods, case 2"),
+    (2, {(BRANCH, 1): [0, 1, 1]}, "misses damaged component"),
+    (2, {(BRANCH, 1): [0, 7, 0], (BRANCH, 2): [0, 0, 1]}, "not 0/1"),
+    (2, {(BRANCH, 1): [0, 0.5, 1], (BRANCH, 2): [0, 0, 1]}, "not 0/1"),
+], ids=["periods", "missing-item", "not-binary", "fractional"])
+def test_plan_validation_against_case(periods, status, match):
+    case = replicate(make_two_bus(), DamageScenario.of(branches=[1, 2]), 2)
+    plan = RestorationPlan(periods, 1.0, status,
+                           {2: [0.0] * periods + [1.0]}, 0.0, "dc")
+    with pytest.raises(PlanCaseMismatch if "0/1" not in match else GridError,
+                       match=match):
+        plan.validate(case)
