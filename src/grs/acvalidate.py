@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import formulations
 from .grid import (BRANCH, BUS, GEN, EnsReport, GridError, MultiPeriodCase,
                    Network, RestorationPlan, connected_islands)
 
@@ -479,13 +480,13 @@ def ens_report(case: MultiPeriodCase, plan: RestorationPlan,
                estimated_ens: float | None = None) -> EnsReport:
     """True ENS of a plan from its per-period dispatches, integrated."""
     if estimated_ens is None:
-        from .formulations import estimated_ens_mwh
-        estimated_ens = estimated_ens_mwh(case, plan, count_initial_period)
+        estimated_ens = formulations.estimated_ens_mwh(case, plan,
+                                                       count_initial_period)
     served = [dispatch.served_mw for dispatch, _ in dispatches]
     warnings = sum(dispatch.warnings for dispatch, _ in dispatches)
-    total_load_mw = case.base.total_load() * case.base.base_mva
-    return EnsReport.from_served(total_load_mw, served, case.period_hours,
-                                 count_initial_period, estimated_ens, warnings)
+    return EnsReport.from_served(case.total_load_mw(), served,
+                                 case.period_hours, count_initial_period,
+                                 estimated_ens, warnings)
 
 
 def redispatch_plan(case: MultiPeriodCase, plan: RestorationPlan,

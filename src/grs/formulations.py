@@ -33,8 +33,7 @@ from __future__ import annotations
 import math
 
 from .grid import (BRANCH, BUS, GEN, Branch, GridError, MultiPeriodCase,
-                   Network, NoRefBus, RestorationPlan, counted_periods,
-                   indicator)
+                   Network, NoRefBus, RestorationPlan, ens_mwh, indicator)
 from .mip import BINARY, CONTINUOUS, EQ, GE, LE, MipModel, MipSolution
 
 VA_BOUND = 0.5236  # rad; default bus-angle box, span = 2 * VA_BOUND
@@ -475,13 +474,15 @@ def decode_plan(case: MultiPeriodCase, model: MipModel, sol: MipSolution,
 
 def estimated_ens_mwh(case: MultiPeriodCase, plan: RestorationPlan,
                       count_initial_period: bool = True) -> float:
-    """Model-side energy not served over the horizon, in MWh."""
+    """Model-side energy not served over the horizon, in MWh: ``ens_mwh``
+    of the power the plan's load fractions claim to serve."""
     net = case.base
-    total = 0.0
-    for n in counted_periods(case.periods, count_initial_period):
-        for lid, fr in plan.load_fraction.items():
-            total += (1.0 - fr[n]) * net.loads[lid].pd
-    return total * net.base_mva * case.period_hours
+    loads = net.live().loads
+    served = [sum(plan.load_fraction[lid][n] * net.loads[lid].pd
+                  for lid in loads) * net.base_mva
+              for n in range(case.periods + 1)]
+    return ens_mwh(case.total_load_mw(), served, case.period_hours,
+                   count_initial_period)
 
 
 def model_size(net: Network, formulation: str, rop: bool, periods: int,

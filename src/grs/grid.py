@@ -63,6 +63,16 @@ def counted_periods(periods: int, count_initial_period: bool) -> range:
     return range(0 if count_initial_period else 1, periods + 1)
 
 
+def ens_mwh(total_load_mw: float, served_mw_by_period, period_hours: float,
+            count_initial_period: bool) -> float:
+    """Energy not served, in MWh: over the counted periods, the total load
+    minus the served power, floored at 0, times the period length."""
+    counted = counted_periods(len(served_mw_by_period) - 1,
+                              count_initial_period)
+    return sum(max(0.0, total_load_mw - served_mw_by_period[n]) * period_hours
+               for n in counted)
+
+
 @dataclass(frozen=True)
 class Bus:
     id: int
@@ -257,6 +267,10 @@ class MultiPeriodCase:
     def damaged_items(self) -> list[tuple[str, int]]:
         return self.damage.sorted_items()
 
+    def total_load_mw(self) -> float:
+        """The load that shed is measured against: every load, live or not."""
+        return self.base.total_load() * self.base.base_mva
+
 
 @dataclass
 class RestorationPlan:
@@ -280,7 +294,8 @@ class RestorationPlan:
         The period count is the case's and every damaged item has a status.
         Each status is K+1 values of 0 or 1 that never decrease, from 0 to 1
         for a damaged item; no period repairs more than the budget; load
-        fractions lie in [0, 1] and never decrease.
+        fractions cover exactly the live loads, lie in [0, 1] and never
+        decrease.
         """
         k = self.periods
         if k != case.periods:
@@ -288,6 +303,10 @@ class RestorationPlan:
         for item in case.damaged_items():
             if item not in self.status:
                 raise PlanCaseMismatch(f"plan misses damaged component {item}")
+        loads, live_loads = sorted(self.load_fraction), case.base.live().loads
+        if loads != live_loads:
+            raise PlanCaseMismatch(f"plan lists loads {loads}, the case's "
+                                   f"live loads are {live_loads}")
         for (kind, cid), zs in sorted(self.status.items()):
             if len(zs) != k + 1:
                 raise GridError(f"{kind} {cid}: wrong status length")
@@ -338,6 +357,8 @@ class EnsReport:
     skip period 0 (the pre-restoration state); rows always list it.
     validation_warnings counts islands where the redispatch could not even
     hold the previous period's service (zero on the bundled fixtures).
+    served_mw_total and shed_mw_total (filled by ``from_served``) sum the
+    counted periods unrounded and are rounded once, like true_ens_mwh.
     """
 
     period_hours: float
@@ -346,6 +367,8 @@ class EnsReport:
     estimated_ens_mwh: float
     true_ens_mwh: float
     validation_warnings: int = 0
+    served_mw_total: float = 0.0
+    shed_mw_total: float = 0.0
 
     def __post_init__(self):
         if not self.rows:
@@ -358,23 +381,24 @@ class EnsReport:
     def from_served(total_load_mw, served_mw_by_period, period_hours,
                     count_initial_period, estimated_ens_mwh,
                     validation_warnings=0) -> "EnsReport":
+        """Per-period rows, and totals over the counted periods that are
+        summed unrounded and rounded once; shed totals follow ``ens_mwh``."""
         rows = []
-        total = 0.0
-        counted = counted_periods(len(served_mw_by_period) - 1,
-                                  count_initial_period)
         for n, served in enumerate(served_mw_by_period):
             shed = max(0.0, total_load_mw - served)
-            ens = shed * period_hours
             rows.append(PeriodEns(n, round(served, 3), round(shed, 3),
-                                  round(ens, 3)))
-            if n in counted:
-                total += ens
-        return EnsReport(period_hours, count_initial_period, rows,
-                         round(estimated_ens_mwh, 3), round(total, 3),
-                         validation_warnings)
+                                  round(shed * period_hours, 3)))
+        counted = counted_periods(len(rows) - 1, count_initial_period)
 
-    def total_served_mw(self) -> float:
-        return sum(r.served_mw for r in self.rows)
+        def shed_total(hours):
+            return round(ens_mwh(total_load_mw, served_mw_by_period, hours,
+                                 count_initial_period), 3)
+
+        served_total = sum(served_mw_by_period[n] for n in counted)
+        return EnsReport(period_hours, count_initial_period, rows,
+                         round(estimated_ens_mwh, 3), shed_total(period_hours),
+                         validation_warnings, round(served_total, 3),
+                         shed_total(1.0))
 
 
 def apply_damage(net: Network, dmg: DamageScenario) -> Network:

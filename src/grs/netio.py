@@ -8,14 +8,13 @@ per-unit on the system base; angle columns from degrees to radians.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from io import StringIO
 
 from .grid import (Branch, Bus, DamageScenario, DEFAULT_ANGLE_BOUND,
                    DuplicateBusId, EnsReport, Generator, Load, Network,
-                   PeriodEns, RestorationPlan, Shunt, counted_periods)
+                   RestorationPlan, Shunt)
 
 
 class NetioError(Exception):
@@ -252,27 +251,6 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
-def network_from_dict(d: dict) -> Network:
-    return Network(
-        base_mva=d["base_mva"],
-        buses={b["id"]: Bus(**b) for b in d["buses"]},
-        branches={b["id"]: Branch(**b) for b in d["branches"]},
-        gens={g["id"]: Generator(**g) for g in d["gens"]},
-        loads={l["id"]: Load(**l) for l in d["loads"]},
-        shunts={s["id"]: Shunt(**s) for s in d["shunts"]},
-        ref_buses=frozenset(d["ref_buses"]),
-        name=d.get("name", ""),
-    ).validate()
-
-
-def network_to_json(net: Network) -> str:
-    return json.dumps(network_to_dict(net), indent=1) + "\n"
-
-
-def network_from_json(text: str) -> Network:
-    return network_from_dict(json.loads(text))
-
-
 def damage_to_dict(dmg: DamageScenario) -> dict:
     return {"branch": dmg.ids("branch"), "gen": dmg.ids("gen"),
             "bus": dmg.ids("bus")}
@@ -349,33 +327,13 @@ def report_to_dict(report: EnsReport) -> dict:
     }
 
 
-def report_from_dict(d: dict) -> EnsReport:
-    return EnsReport(
-        period_hours=d["period_hours"],
-        count_initial_period=d["count_initial_period"],
-        rows=[PeriodEns(r["period"], r["served_mw"], r["shed_mw"], r["ens_mwh"])
-              for r in d["periods"]],
-        estimated_ens_mwh=d["estimated_ens_mwh"],
-        true_ens_mwh=d["true_ens_mwh"],
-        validation_warnings=d.get("validation_warnings", 0),
-    )
-
-
 def write_report(report: EnsReport) -> bytes:
-    """Render an EnsReport as CSV: one row per period, then a totals row.
-
-    The served and shed totals sum the counted rows; the ENS total is the
-    report's true_ens_mwh, which is rounded once, after summing.
-    """
+    """Render an EnsReport as CSV: one row per period, then the report's
+    totals over the counted periods."""
     out = StringIO()
     out.write("period,served_mw,shed_mw,ens_mwh\n")
-    tot_served = tot_shed = 0.0
-    counted = counted_periods(len(report.rows) - 1, report.count_initial_period)
     for r in report.rows:
         out.write(f"{r.period},{r.served_mw:.3f},{r.shed_mw:.3f},{r.ens_mwh:.3f}\n")
-        if r.period in counted:
-            tot_served += r.served_mw
-            tot_shed += r.shed_mw
-    out.write(f"total,{tot_served:.3f},{tot_shed:.3f},"
+    out.write(f"total,{report.served_mw_total:.3f},{report.shed_mw_total:.3f},"
               f"{report.true_ens_mwh:.3f}\n")
     return out.getvalue().encode()

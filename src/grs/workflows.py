@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import acvalidate, formulations, netio
 from .grid import (BRANCH, GEN, DamageScenario, EnsReport, GridError,
                    MultiPeriodCase, Network, RestorationPlan, apply_damage,
-                   counted_periods, indicator, replicate, update_status)
+                   ens_mwh, indicator, replicate, update_status)
 from .mip import (GAP_LIMIT, INFEASIBLE, OPTIMAL, MipModel, MipSolution,
                   SolveLimits, solve_lp, solve_mip)
 
@@ -102,9 +102,9 @@ def run_rop_then_redispatch(net: Network, dmg: DamageScenario, periods: int,
 
     result = PipelineResult(formulation, plan, report, est,
                             report.true_ens_mwh, timings, None, sol.gap)
-    total_energy = net.total_load() * net.base_mva * period_hours * len(
-        counted_periods(periods, count_initial_period))
-    return result.check(total_energy)
+    # the demanded energy is the ENS of serving nothing
+    return result.check(ens_mwh(case.total_load_mw(), [0.0] * (periods + 1),
+                                period_hours, count_initial_period))
 
 
 def solve_rop(case: MultiPeriodCase, model: MipModel, formulation: str,
@@ -203,7 +203,7 @@ def run_heuristic(net: Network, dmg: DamageScenario, periods: int,
 
     dispatches = acvalidate.plan_dispatches(case.base, status, periods)
     per_load = {lid: [fractions.get(lid, 0.0) for _, fractions in dispatches]
-                for lid in net.loads}
+                for lid in case.base.live().loads}
     served_mwh = 0.0
     for dispatch, _ in dispatches:
         served_mwh += dispatch.served_mw * period_hours

@@ -304,6 +304,47 @@ def test_damage_on_dead_component_is_dropped(tmp_path, old, new):
                  "--out", str(tmp_path / "r.json")]) == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["pipeline", "--formulation", "dc"],
+    ["pipeline", "--formulation", "soc"],
+    ["heuristic"],
+], ids=["pipeline-dc", "pipeline-soc", "heuristic"])
+def test_dead_load_is_shed_in_both_figures(tmp_path, command):
+    # bus 2 isolated: its 300 MW load is dead, shed in every period
+    text = Path(CASE5).read_text()
+    assert text.count("\t2\t1\t300.0") == 1
+    case = tmp_path / "case5_dead.m"
+    case.write_text(text.replace("\t2\t1\t300.0", "\t2\t4\t300.0"))
+    damage = tmp_path / "damage.json"
+    damage.write_text('{"branch": [2]}')
+    out = tmp_path / "out.json"
+    assert main([*command, "--case", str(case), "--damage", str(damage),
+                 "--periods", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    report = doc.get("report", doc)
+    assert report["estimated_ens_mwh"] == 600.0
+    assert report["true_ens_mwh"] == 600.0
+    assert list(doc["plan"]["load_fraction"]) == ["3", "4"]
+
+
+@pytest.mark.parametrize("loads", [["2", "99"], []], ids=["unknown", "none"])
+def test_redispatch_rejects_plan_loads_other_than_live(tmp_path, caplog,
+                                                       loads):
+    plan = tmp_path / "plan.json"
+    args = ["--case", CASE2, "--damage", DMG2, "--periods", "2"]
+    assert main(["rop", *args, "--out", str(plan)]) == 0
+    doc = json.loads(plan.read_text())
+    fraction = doc["load_fraction"]["2"]
+    doc["load_fraction"] = {lid: fraction for lid in loads}
+    plan.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["redispatch", *args, "--plan", str(plan),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "live loads" in errors[0]
+
+
 def test_redispatch_rejects_non_binary_status(tmp_path, caplog):
     plan = tmp_path / "plan.json"
     args = ["--case", CASE2, "--damage", DMG2, "--periods", "2"]
