@@ -18,6 +18,7 @@ order nor any bound, only the incumbent.
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -34,6 +35,8 @@ CONE_TOL = 1e-6
 MAX_CONE_ROUNDS = 60  # cut rounds per node LP
 CONE_CUT_BUDGET = 6000  # cuts in the global pool
 DIVE_EVERY = 25  # processed nodes between dives
+
+log = logging.getLogger("grs.mip")
 
 
 @dataclass
@@ -121,9 +124,7 @@ def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
         if bas is not None:
             bas = ctx.extend_basis(bas)
         res = solve_lp_core(lpd, start=bas)
-        stats.lp_iters += res.iters
-        stats.refactors += res.refactors
-        stats.basis_restarts += res.restarts
+        stats.add_lp(res)
         if res.status != OPTIMAL:
             return res, True
         if not ctx.model.cone_rows:
@@ -179,10 +180,21 @@ def solve_lp(model: MipModel) -> MipSolution:
     t0 = time.perf_counter()
     lpd = build_lp_data(model)
     res = solve_lp_core(lpd)
-    stats = SolveStats(nodes=0, lp_iters=res.iters,
-                       wall_time=time.perf_counter() - t0,
-                       refactors=res.refactors, basis_restarts=res.restarts)
+    stats = SolveStats(wall_time=time.perf_counter() - t0)
+    stats.add_lp(res)
+    _log_summary("solve_lp", res.status, stats)
     return _lp_to_solution(model, res, stats)
+
+
+def _log_summary(what: str, status: str, stats: SolveStats):
+    log.debug("%s %s: nodes=%d lp_iters=%d phase1_iters=%d phase_switches=%d "
+              "refactors=%d restarts=%d cuts=%d cut_rounds=%d wall_s=%.3f "
+              "factor_s=%.3f ftran_s=%.3f btran_s=%.3f price_s=%.3f "
+              "ratio_s=%.3f", what, status, stats.nodes, stats.lp_iters,
+              stats.phase1_iters, stats.phase_switches, stats.refactors,
+              stats.basis_restarts, stats.cuts, stats.cut_rounds,
+              stats.wall_time, stats.factor_s, stats.ftran_s, stats.btran_s,
+              stats.price_s, stats.ratio_s)
 
 
 def _lp_to_solution(model: MipModel, res, stats) -> MipSolution:
@@ -233,6 +245,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
 
     def finish(status):
         stats.wall_time = time.perf_counter() - t0
+        _log_summary("solve_mip", status, stats)
         if incumbent_x is None:
             if status == INFEASIBLE:
                 return MipSolution(INFEASIBLE, np.zeros(n), math.nan, math.nan,

@@ -162,6 +162,27 @@ class SolveStats:
     refactors: int = 0  # periodic basis refactorizations
     basis_restarts: int = 0  # slack-basis restarts after a singular factor
     cut_rounds: int = 0  # standard-form extensions by a round of cone cuts
+    phase1_iters: int = 0  # simplex iterations on the phase-1 objective
+    phase_switches: int = 0  # phase changes between consecutive iterations
+    # simplex kernel seconds: factorization, ftran, btran, pricing, ratio test
+    factor_s: float = 0.0
+    ftran_s: float = 0.0
+    btran_s: float = 0.0
+    price_s: float = 0.0
+    ratio_s: float = 0.0
+
+    def add_lp(self, res) -> None:
+        """Add one simplex solve's (an LpResult's) counters and timers."""
+        self.lp_iters += res.iters
+        self.refactors += res.refactors
+        self.basis_restarts += res.restarts
+        self.phase1_iters += res.phase1_iters
+        self.phase_switches += res.phase_switches
+        self.factor_s += res.factor_s
+        self.ftran_s += res.ftran_s
+        self.btran_s += res.btran_s
+        self.price_s += res.price_s
+        self.ratio_s += res.ratio_s
 
 
 @dataclass

@@ -12,18 +12,33 @@ refactored every REFACTOR_EVERY pivots.  Pricing is Dantzig (most attractive
 reduced cost, ties by lowest column index); Bland's rule takes over after
 10*(rows+cols) degenerate pivots to guarantee termination.
 
-The ratio test gives each basic variable one target bound and divides
-only where that can block; pricing ranks one eligibility array.  Both
-evaluate the same expressions on the same values as the per-case masks
-they replace, so every pivot, and hence every basis and solution, is
-bit-for-bit unchanged.  A singular factor restarts from the slack basis;
-LpResult counts those restarts and the periodic refactors.
+Per-iteration bookkeeping is kept across pivots instead of rebuilt from
+the column statuses: a pricing weight per column (-1 at its lower bound,
++1 at its upper, 0 when basic, free or fixed) and the short list of free
+nonbasic columns, both updated by each pivot and bound flip and rebuilt
+after a slack-basis restart; the basics' bounds and their FEAS_TOL bands;
+and each eta's pivot element.  The infeasibility masks that choose the
+phase are computed once per iteration and shared with the ratio test,
+which gives each basic variable one target bound and divides only where
+that can block.
+
+Invariant: all of this evaluates the same floating-point expressions on
+the same values as the plain per-iteration masks (kept as a frozen loop
+in tests/test_mip.py), so every pivot, iteration count, refactor,
+restart, final basis and solution is bit-for-bit the same.  NaN or
+infinite reduced costs, steps and basic values are never chosen and
+never block.
+
+A singular factor restarts from the slack basis.  LpResult counts those
+restarts, the periodic refactors, the phase-1 iterations and the phase
+switches, and times the kernels with perf_counter.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +177,15 @@ class LpResult:
     message: str = ""
     refactors: int = 0  # periodic refactorizations
     restarts: int = 0  # resets to the slack basis after a singular factor
+    phase1_iters: int = 0  # iterations that priced the phase-1 objective
+    phase_switches: int = 0  # iterations whose phase differs from the last's
+    # perf_counter seconds in each kernel: LU factorization, the entering
+    # column's ftran, btran, pricing (reduced costs and choice), ratio test
+    factor_s: float = 0.0
+    ftran_s: float = 0.0
+    btran_s: float = 0.0
+    price_s: float = 0.0
+    ratio_s: float = 0.0
 
 
 class _Factors:
@@ -169,28 +193,27 @@ class _Factors:
 
     def __init__(self, A: sp.csc_matrix, basis: np.ndarray):
         self.lu = spla.splu(A[:, basis].tocsc())
-        self.etas: list[tuple[int, np.ndarray]] = []
+        self.etas: list[tuple[int, float, np.ndarray]] = []  # (r, d[r], d)
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         w = self.lu.solve(rhs)
-        for r, d in self.etas:
-            wr = w[r] / d[r]
+        for r, piv, d in self.etas:
+            wr = w.item(r) / piv
             if wr != 0.0:
                 w -= wr * d
             w[r] = wr
         return w
 
-    def btran(self, rhs: np.ndarray) -> np.ndarray:
-        y = rhs.astype(float, copy=True)
-        for r, d in reversed(self.etas):
-            yr = y[r]
-            s = d @ y - d[r] * yr
-            y[r] = (yr - s) / d[r]
+    def btran(self, y: np.ndarray) -> np.ndarray:
+        """Solves in place: y is a fresh float array the caller gives up."""
+        for r, piv, d in reversed(self.etas):
+            yr = y.item(r)
+            y[r] = (yr - (float(d.dot(y)) - piv * yr)) / piv
         return self.lu.solve(y, trans="T")
 
     def push_eta(self, r: int, d: np.ndarray):
         # d is ftran's fresh result, which the caller does not write to again
-        self.etas.append((r, d))
+        self.etas.append((r, d.item(r), d))
 
 
 def _nonbasic_value(j, vstat, lb, ub):
@@ -234,42 +257,55 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
     if m == 0:
         return _solve_unconstrained(lp)
     max_iters = 20000 + 40 * (m + ncols)
+    clock = time.perf_counter
 
     bas = start.copy() if start is not None else default_basis(lp)
-    refactors = restarts = 0
+    fixed = lp.lb == lp.ub
+    psign, free = _pricing_weights(bas.vstat, fixed)
+    iters = refactors = restarts = phase1_iters = phase_switches = 0
+    factor_s = ftran_s = btran_s = price_s = ratio_s = 0.0
 
     def factor():
-        nonlocal bas, restarts
+        nonlocal bas, psign, free, restarts, factor_s
+        t0 = clock()
         try:
-            return _Factors(lp.A, bas.basis)
+            fact = _Factors(lp.A, bas.basis)
         except RuntimeError:
             # numerically singular basis: restart from the slack basis
             restarts += 1
             log.debug("singular basis factor after %d iterations: "
                       "restarting from the slack basis", iters)
             bas = default_basis(lp)
-            return _Factors(lp.A, bas.basis)
+            psign, free = _pricing_weights(bas.vstat, fixed)
+            fact = _Factors(lp.A, bas.basis)
+        factor_s += clock() - t0
+        return fact
 
     def result(status, obj=None, message=""):
         return LpResult(status, _full_x(lp, bas, x_b),
                         _struct_obj(lp, bas, x_b) if obj is None else obj,
-                        bas, iters, message, refactors, restarts)
+                        bas, iters, message, refactors, restarts,
+                        phase1_iters, phase_switches,
+                        factor_s, ftran_s, btran_s, price_s, ratio_s)
 
-    iters = 0
+    def basic_bounds():
+        # the basics' bounds and their FEAS_TOL bands, kept per pivot
+        lb_b, ub_b = lp.lb[bas.basis], lp.ub[bas.basis]
+        return lb_b, ub_b, lb_b - FEAS_TOL, ub_b + FEAS_TOL
+
     fact = factor()
-    fixed = lp.lb == lp.ub
 
     def compute_xb():
         xn = _nonbasic_vector(lp, bas)
         return fact.ftran(lp.b - lp.A @ xn)
 
     x_b = compute_xb()
-    lb_b = lp.lb[bas.basis]
-    ub_b = lp.ub[bas.basis]
+    lb_b, ub_b, lo_b, hi_b = basic_bounds()
 
     degen_count = 0
     bland_threshold = 10 * (m + ncols)
     pivots_since_refactor = 0
+    was_phase1 = None
 
     while True:
         if iters >= max_iters:
@@ -280,22 +316,30 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
             fact = None  # free the old LU and etas before SuperLU's workspace
             fact = factor()
             x_b = compute_xb()
-            lb_b = lp.lb[bas.basis]
-            ub_b = lp.ub[bas.basis]
+            lb_b, ub_b, lo_b, hi_b = basic_bounds()
             pivots_since_refactor = 0
 
-        below = x_b < lb_b - FEAS_TOL
-        above = x_b > ub_b + FEAS_TOL
+        below = x_b < lo_b
+        above = x_b > hi_b
         phase1 = bool(below.any() or above.any())
+        phase1_iters += phase1
+        phase_switches += was_phase1 is not None and phase1 != was_phase1
+        was_phase1 = phase1
+        t0 = clock()
         if phase1:
-            d_b = np.where(below, -1.0, np.where(above, 1.0, 0.0))
-            y = fact.btran(d_b)
-            red = -(lp.AT @ y)
+            y = fact.btran(np.subtract(above, below, dtype=float))
+            t1 = clock()
+            red = lp.AT @ y
+            red *= -1.0
         else:
             y = fact.btran(lp.c[bas.basis])
-            red = lp.c - lp.AT @ y
-
-        j = _price(red, bas.vstat, fixed, degen_count > bland_threshold)
+            t1 = clock()
+            red = lp.AT @ y
+            np.subtract(lp.c, red, out=red)
+        j = _price(red, psign, free, degen_count > bland_threshold)
+        t2 = clock()
+        btran_s += t1 - t0
+        price_s += t2 - t1
         if j < 0:
             if phase1:
                 return result(INFEASIBLE, message="phase 1 optimum is infeasible")
@@ -304,8 +348,11 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
 
         d_col = fact.ftran(lp.column(j))
         delta = -direction * d_col  # basic motion per unit entering step
-
-        t, blocking, block_bound = _ratio_test(delta, x_b, lb_b, ub_b)
+        t3 = clock()
+        t, blocking, block_bound = _ratio_test(delta, x_b, lb_b, ub_b,
+                                               below, above)
+        ftran_s += t3 - t2
+        ratio_s += clock() - t3
 
         t_flip = INF
         if lp.lb[j] > -INF and lp.ub[j] < INF:
@@ -316,9 +363,12 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
                 raise NumericalFailure("unblocked phase-1 direction")
             return result(UNBOUNDED, -INF, "unbounded direction")
 
+        if bas.vstat[j] == FREE_NB:
+            free = free[free != j]
         if t_flip <= t:
             x_b += t_flip * delta
             bas.vstat[j] = AT_UB if bas.vstat[j] == AT_LB else AT_LB
+            psign[j] = _PRICE_SIGN[bas.vstat[j]]
             if t_flip <= DEGEN_TOL:
                 degen_count += 1
             pivots_since_refactor += 1
@@ -330,11 +380,19 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
         enter_val = _nonbasic_value(j, bas.vstat, lp.lb, lp.ub) + direction * t
         x_b += t * delta
         x_b[blocking] = enter_val
-        bas.vstat[leave] = AT_LB if fixed[leave] else block_bound
+        if fixed[leave]:
+            bas.vstat[leave] = AT_LB
+            psign[leave] = 0.0
+        else:
+            bas.vstat[leave] = block_bound
+            psign[leave] = _PRICE_SIGN[block_bound]
         bas.vstat[j] = BASIC
+        psign[j] = 0.0
         bas.basis[blocking] = j
         lb_b[blocking] = lp.lb[j]
         ub_b[blocking] = lp.ub[j]
+        lo_b[blocking] = lp.lb[j] - FEAS_TOL
+        hi_b[blocking] = lp.ub[j] + FEAS_TOL
         fact.push_eta(blocking, d_col)
         pivots_since_refactor += 1
 
@@ -343,63 +401,69 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
 _PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
 
 
-def _price(red, vstat, fixed, bland):
+def _pricing_weights(vstat, fixed):
+    """(psign, free): per column, the sign by which its reduced cost is
+    attractive (-1 at AT_LB, +1 at AT_UB, 0 at BASIC, FREE_NB and fixed
+    columns), and the indices of the free nonbasic columns, priced by |red|."""
+    psign = _PRICE_SIGN[vstat]
+    psign[fixed] = 0.0
+    return psign, np.flatnonzero((vstat == FREE_NB) & ~fixed)
+
+
+def _price(red, psign, free, bland):
     """Entering column, or -1 when no reduced cost is attractive.
 
-    One eligibility array: -red at AT_LB, red at AT_UB, |red| at FREE_NB and
-    -1 at BASIC and fixed columns.  A column is a candidate when its
-    eligibility exceeds OPT_TOL and enters upward iff red < 0.  Dantzig picks
-    the largest eligibility (lowest index on ties); Bland the lowest index.
+    Eligibility is red * psign, |red| at the free columns, and 0 where that
+    is NaN.  A column is a candidate when its eligibility exceeds OPT_TOL
+    and enters upward iff red < 0.  Dantzig picks the largest eligibility
+    (lowest index on ties); Bland the lowest index.
     """
-    elig = red * _PRICE_SIGN[vstat]
-    free = vstat == FREE_NB
-    if free.any():
+    elig = red * psign
+    if len(free):
         elig[free] = np.abs(red[free])
-    elig[(vstat == BASIC) | fixed] = -1.0
-    cand = elig > OPT_TOL
-    if not cand.any():
-        return -1
-    if bland:
-        return int(np.argmax(cand))
-    return int(np.argmax(np.where(cand, elig, -1.0)))
+    np.fmax(elig, 0.0, out=elig)  # 0 * inf and NaN never enter
+    j = int(np.argmax(elig > OPT_TOL if bland else elig))
+    return j if elig[j] > OPT_TOL else -1
 
 
-def _ratio_test(delta, x_b, lb_b, ub_b):
+def _ratio_test(delta, x_b, lb_b, ub_b, below, above):
     """Two-pass (Harris) ratio test, phase aware.
 
     Basic variables outside their bounds block at the bound they are moving
     toward (restoring feasibility); moving further away never blocks.  The
     first pass finds the smallest step with bounds relaxed by FEAS_TOL, the
     second picks the largest pivot among blockers within that step, which
-    keeps the eta updates well conditioned.
+    keeps the eta updates well conditioned.  ``below`` and ``above`` are the
+    caller's masks of x_b outside lb_b - FEAS_TOL and ub_b + FEAS_TOL.
 
     Each position gets one target bound: a decreasing variable above
     ub + FEAS_TOL targets ub, any other decreasing one lb (mirrored for
     increasing ones).  The step is divided out only where |delta| > PIV_TOL
     and the variable is not moving away from a violated bound; elsewhere it
-    stays infinite, as it does toward an infinite bound.  The arrays stay
-    full length: compressing to the moving positions gives arrays of a new
-    size each call, and numpy keeps up to seven freed buffers of every size
-    under 1 KB, which raised peak memory by about 2 MB on case5 SOC.
+    stays infinite, as it does toward an infinite bound, and a NaN step
+    never blocks.  The arrays stay full length: compressing to the moving
+    positions gives arrays of a new size each call, and numpy keeps up to
+    seven freed buffers of every size under 1 KB, which raised peak memory
+    by about 2 MB on case5 SOC.
     Returns (step, blocking position or -1, bound status the leaver takes).
     """
     adelta = np.abs(delta)
     dec = delta < 0.0
-    above = x_b > ub_b + FEAS_TOL
-    below = x_b < lb_b - FEAS_TOL  # never with above, as lb <= ub
-    to_ub = np.where(dec, above, ~below)
+    # dec ? above : ~below and dec ? below : above, as bit operations,
+    # which numpy runs faster than np.where on booleans
+    to_ub = (dec & above) | ~(dec | below)
+    away = (dec & below) | (above & ~dec)
     ti = np.full(delta.shape, INF)
     np.divide(np.where(to_ub, ub_b, lb_b) - x_b, delta, out=ti,
-              where=(adelta > PIV_TOL) & ~np.where(dec, below, above))
+              where=(adelta > PIV_TOL) & ~away)
     np.maximum(ti, 0.0, out=ti)
-    blockable = ti < INF
-    if not blockable.any():
+    # pass 1: relaxed step, letting each blocker overshoot by FEAS_TOL; a
+    # non-blocker's INF stays INF and fmin skips NaN
+    t_rel = np.fmin.reduce(ti + FEAS_TOL / np.fmax(adelta, PIV_TOL))
+    if not t_rel < INF:
         return INF, -1, 0
-    # pass 1: relaxed step, letting each blocker overshoot by FEAS_TOL
-    t_rel = np.min(np.where(blockable, ti + FEAS_TOL / np.maximum(adelta, PIV_TOL),
-                            INF))
     # pass 2: largest pivot among blockers within the relaxed step
-    k = int(np.argmax(np.where(blockable & (ti <= t_rel), adelta, -1.0)))
+    k = int(np.argmax(np.where(ti <= t_rel, adelta, -1.0)))
     return float(ti[k]), k, AT_UB if to_ub[k] else AT_LB
 
 

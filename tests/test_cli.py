@@ -100,6 +100,32 @@ def test_pipeline_command_byte_identical(tmp_path):
     assert "timings_s" not in result
 
 
+def test_pipeline_debug_log_leaves_outputs_unchanged(tmp_path):
+    import os
+    import subprocess
+    import sys
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for level in ("WARNING", "DEBUG"):
+        out = tmp_path / level
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "grs.cli", "pipeline", "--case", CASE2,
+             "--damage", DMG2, "--periods", "2", "--mrsp",
+             "--out", str(out / "r.json"), "--csv", str(out / "r.csv")],
+            env={**os.environ, "GRS_LOG": level, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(((out / "r.json").read_bytes(),
+                     (out / "r.csv").read_bytes(), proc.stdout, proc.stderr))
+    assert runs[0][:3] == runs[1][:3]
+    assert "grs.mip" not in runs[0][3]
+    # one summary per solve: the MRSP, then the ROP on its repair set
+    notes = [line for line in runs[1][3].splitlines()
+             if line.startswith("DEBUG grs.mip: solve_mip ")]
+    assert len(notes) == 2 and all("phase1_iters=" in n for n in notes)
+
+
 def test_pipeline_infeasible_exit_code(tmp_path):
     # a case whose full load can never be served -> the final-period model
     # (everything restored) still sheds, which the ROP tolerates, but MRSP

@@ -462,12 +462,22 @@ def _near(rng, size, scale, tol):
     return v
 
 
+def _nonfinite(rng, v):
+    """A copy of v with about one entry in five set to NaN, +inf or -inf."""
+    v = v.copy()
+    hit = rng.random(v.size) < 0.2
+    v[hit] = rng.choice([math.nan, math.inf, -math.inf], hit.sum())
+    return v
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 30))
 def test_ratio_test_and_pricing_match_reference(seed):
     from grs.mip.simplex import (AT_LB, AT_UB, BASIC, FEAS_TOL, FREE_NB,
-                                 OPT_TOL, PIV_TOL, _price, _ratio_test)
+                                 OPT_TOL, PIV_TOL, _price, _pricing_weights,
+                                 _ratio_test)
     rng = np.random.default_rng(seed)
+    odd = np.random.default_rng([seed, 1])  # NaN and inf draws, kept apart
     m = int(rng.integers(1, 30))
     lb = np.round(rng.normal(size=m), int(rng.integers(0, 3)))
     ub = lb + rng.choice([0.0, 0.5, 1.0, 3.0], m)  # fixed bounds included
@@ -478,19 +488,272 @@ def test_ratio_test_and_pricing_match_reference(seed):
     x = np.where(np.isfinite(at), at, rng.normal(size=m)) \
         + _near(rng, m, 0.5, FEAS_TOL)
     delta = _near(rng, m, 1.0, PIV_TOL)
-    assert _ratio_test(delta, x, lb, ub) == _reference_ratio_test(delta, x, lb, ub)
+    with np.errstate(invalid="ignore"):
+        for xs, ds in ((x, delta), (_nonfinite(odd, x), _nonfinite(odd, delta))):
+            below = xs < lb - FEAS_TOL
+            above = xs > ub + FEAS_TOL
+            assert _ratio_test(ds, xs, lb, ub, below, above) \
+                == _reference_ratio_test(ds, xs, lb, ub)
 
     n = int(rng.integers(1, 40))
     vstat = rng.choice(np.array([BASIC, AT_LB, AT_UB, FREE_NB], dtype=np.int8), n)
     fixed = rng.random(n) < 0.2
     red = _near(rng, n, 1.0, OPT_TOL)
     red[rng.random(n) < 0.3] = rng.choice([-1.0, 1.0])  # ties
-    for bland in (False, True):
-        want_j, want_dir = _reference_price(red, vstat, fixed, bland)
-        j = _price(red, vstat, fixed, bland)
-        assert j == want_j
-        if j >= 0:
-            assert (1.0 if red[j] < 0.0 else -1.0) == want_dir
+    psign, free = _pricing_weights(vstat, fixed)
+    with np.errstate(invalid="ignore"):
+        for reds in (red, _nonfinite(odd, red)):
+            for bland in (False, True):
+                want_j, want_dir = _reference_price(reds, vstat, fixed, bland)
+                j = _price(reds, psign, free, bland)
+                assert j == want_j
+                if j >= 0:
+                    assert (1.0 if reds[j] < 0.0 else -1.0) == want_dir
+
+
+# --- whole solves against the earlier iteration loop --------------------
+
+class _ReferenceFactors:
+    """The earlier LU + eta file: pivots read back from d, btran copies."""
+
+    def __init__(self, A, basis):
+        from scipy.sparse.linalg import splu
+        self.lu = splu(A[:, basis].tocsc())
+        self.etas = []
+
+    def ftran(self, rhs):
+        w = self.lu.solve(rhs)
+        for r, d in self.etas:
+            wr = w[r] / d[r]
+            if wr != 0.0:
+                w -= wr * d
+            w[r] = wr
+        return w
+
+    def btran(self, rhs):
+        y = rhs.astype(float, copy=True)
+        for r, d in reversed(self.etas):
+            yr = y[r]
+            s = d @ y - d[r] * yr
+            y[r] = (yr - s) / d[r]
+        return self.lu.solve(y, trans="T")
+
+
+def _reference_solve_lp_core(lp, start=None):
+    """The earlier iteration loop, frozen: masks recomputed every iteration,
+    pricing and the ratio test from the mask references above."""
+    from grs.mip.model import NumericalFailure
+    from grs.mip.simplex import (AT_LB, AT_UB, BASIC, DEGEN_TOL, FEAS_TOL,
+                                 INFEASIBLE, ITERATION_LIMIT, REFACTOR_EVERY,
+                                 LpResult, _full_x, _nonbasic_value,
+                                 _nonbasic_vector, _solve_unconstrained,
+                                 _struct_obj, default_basis)
+    INF = math.inf
+    m, ncols = lp.m, lp.ncols
+    if m == 0:
+        return _solve_unconstrained(lp)
+    max_iters = 20000 + 40 * (m + ncols)
+    bas = start.copy() if start is not None else default_basis(lp)
+    refactors = restarts = iters = 0
+
+    def factor():
+        nonlocal bas, restarts
+        try:
+            return _ReferenceFactors(lp.A, bas.basis)
+        except RuntimeError:
+            restarts += 1
+            bas = default_basis(lp)
+            return _ReferenceFactors(lp.A, bas.basis)
+
+    def result(status, obj=None, message=""):
+        return LpResult(status, _full_x(lp, bas, x_b),
+                        _struct_obj(lp, bas, x_b) if obj is None else obj,
+                        bas, iters, message, refactors, restarts)
+
+    fact = factor()
+    fixed = lp.lb == lp.ub
+
+    def compute_xb():
+        return fact.ftran(lp.b - lp.A @ _nonbasic_vector(lp, bas))
+
+    x_b = compute_xb()
+    lb_b, ub_b = lp.lb[bas.basis], lp.ub[bas.basis]
+    degen_count = pivots_since_refactor = 0
+    bland_threshold = 10 * (m + ncols)
+    while True:
+        if iters >= max_iters:
+            return result(ITERATION_LIMIT, message="simplex iteration limit")
+        iters += 1
+        if pivots_since_refactor >= REFACTOR_EVERY:
+            refactors += 1
+            fact = None
+            fact = factor()
+            x_b = compute_xb()
+            lb_b, ub_b = lp.lb[bas.basis], lp.ub[bas.basis]
+            pivots_since_refactor = 0
+        below = x_b < lb_b - FEAS_TOL
+        above = x_b > ub_b + FEAS_TOL
+        phase1 = bool(below.any() or above.any())
+        if phase1:
+            y = fact.btran(np.where(below, -1.0, np.where(above, 1.0, 0.0)))
+            red = -(lp.AT @ y)
+        else:
+            y = fact.btran(lp.c[bas.basis])
+            red = lp.c - lp.AT @ y
+        j, direction = _reference_price(red, bas.vstat, fixed,
+                                        degen_count > bland_threshold)
+        if j < 0:
+            if phase1:
+                return result(INFEASIBLE, message="phase 1 optimum is infeasible")
+            return result(OPTIMAL)
+        d_col = fact.ftran(lp.column(j))
+        delta = -direction * d_col
+        t, blocking, block_bound = _reference_ratio_test(delta, x_b, lb_b, ub_b)
+        t_flip = INF
+        if lp.lb[j] > -INF and lp.ub[j] < INF:
+            t_flip = lp.ub[j] - lp.lb[j]
+        if t == INF and t_flip == INF:
+            if phase1:
+                raise NumericalFailure("unblocked phase-1 direction")
+            return result(UNBOUNDED, -INF, "unbounded direction")
+        if t_flip <= t:
+            x_b += t_flip * delta
+            bas.vstat[j] = AT_UB if bas.vstat[j] == AT_LB else AT_LB
+            if t_flip <= DEGEN_TOL:
+                degen_count += 1
+            pivots_since_refactor += 1
+            continue
+        if t <= DEGEN_TOL:
+            degen_count += 1
+        leave = int(bas.basis[blocking])
+        enter_val = _nonbasic_value(j, bas.vstat, lp.lb, lp.ub) + direction * t
+        x_b += t * delta
+        x_b[blocking] = enter_val
+        bas.vstat[leave] = AT_LB if fixed[leave] else block_bound
+        bas.vstat[j] = BASIC
+        bas.basis[blocking] = j
+        lb_b[blocking] = lp.lb[j]
+        ub_b[blocking] = lp.ub[j]
+        fact.etas.append((blocking, d_col))
+        pivots_since_refactor += 1
+
+
+def _solve_both(lp, start=None):
+    """Solve with the kernel and the frozen loop; assert the same outcome,
+    bit for bit, and return the kernel's result (or failure message)."""
+    from grs.mip import NumericalFailure
+    from grs.mip.simplex import solve_lp_core
+
+    def run(solve):
+        try:
+            return solve(lp, start=start)
+        except NumericalFailure as exc:
+            return f"NumericalFailure: {exc}"
+
+    want, got = run(_reference_solve_lp_core), run(solve_lp_core)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return got
+    assert (got.status, got.iters, got.refactors, got.restarts, got.message) \
+        == (want.status, want.iters, want.refactors, want.restarts,
+            want.message)
+    assert np.array_equal(got.x, want.x, equal_nan=True)
+    assert got.obj == want.obj or (math.isnan(got.obj) and math.isnan(want.obj))
+    assert (got.basis is None) == (want.basis is None)
+    if got.basis is not None:
+        assert np.array_equal(got.basis.basis, want.basis.basis)
+        assert np.array_equal(got.basis.vstat, want.basis.vstat)
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_simplex_matches_frozen_loop(seed):
+    from grs.mip.simplex import (AT_LB, AT_UB, BASIC, Basis, build_lp_data,
+                                 default_basis)
+    INF = math.inf
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    m = MipModel()
+    for j in range(n):
+        lo = round(float(rng.normal()), 1)
+        boxed, fixed, free = (lo, lo + rng.uniform(0.5, 4)), (lo, lo), (-INF, INF)
+        lb, ub = [boxed, fixed, free, (lo, INF), (-INF, lo)][rng.integers(0, 5)]
+        m.add_var(f"x{j}", lb, ub)
+    # rows hold at a point inside the bounds, so most draws are feasible
+    point = np.clip(rng.normal(size=n) * 2, [v.lb for v in m.vars],
+                    [v.ub for v in m.vars])
+    for _ in range(int(rng.integers(1, 12))):
+        cols = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        coeffs = {int(c): float(rng.normal()) for c in cols}
+        at = sum(a * point[c] for c, a in coeffs.items())
+        sense = [LE, GE, EQ][rng.integers(0, 3)]
+        slack = 0.0 if sense == EQ else abs(float(rng.normal()))
+        m.add_row(coeffs, sense, at + slack if sense == LE else at - slack)
+    m.set_objective(["min", "max"][rng.integers(0, 2)],
+                    {j: float(rng.normal()) for j in range(n)})
+    lp = build_lp_data(m)
+    cold = _solve_both(lp)
+    if not isinstance(cold, str) and cold.basis is not None:
+        # warm start, as for a B&B child: one more column fixed
+        lb, ub = lp.lb.copy(), lp.ub.copy()
+        j = int(rng.integers(0, n))
+        v = cold.x[j] if np.isfinite(cold.x[j]) else 0.0
+        lb[j] = ub[j] = float(np.round(v + rng.choice([-1.0, 0.0, 1.0])))
+        _solve_both(lp.with_bounds(lb, ub), cold.basis)
+    if lp.m >= 2:
+        # singular start: one structural column in every basis slot
+        vstat = default_basis(lp).vstat
+        vstat[n:] = np.where(lp.lb[n:] > -INF, AT_LB, AT_UB)
+        j = int(rng.integers(0, n))
+        vstat[j] = BASIC
+        _solve_both(lp, Basis(np.full(lp.m, j, dtype=np.int64), vstat))
+
+
+def _checked_lps(monkeypatch, cut_rounds=None):
+    """Route bnb's LP solves through _solve_both; stop before the first LP
+    past ``cut_rounds`` cut rounds (each round grows the row count)."""
+    import grs.mip.bnb
+
+    class Enough(Exception):
+        pass
+
+    seen = []
+
+    def checked(lp, start=None):
+        if cut_rounds is not None and lp.m not in seen \
+                and len(set(seen)) > cut_rounds:
+            raise Enough
+        seen.append(lp.m)
+        res = _solve_both(lp, start)
+        if isinstance(res, str):
+            raise NumericalFailure(res)
+        return res
+
+    from grs.mip import NumericalFailure
+    monkeypatch.setattr(grs.mip.bnb, "solve_lp_core", checked)
+    return seen, Enough
+
+
+def test_simplex_matches_frozen_loop_on_case5_dc_k3(monkeypatch, case5,
+                                                    damage5_all):
+    from grs.formulations import DC, build_rop
+    from grs.grid import replicate
+    seen, _ = _checked_lps(monkeypatch)
+    sol = solve_mip(build_rop(replicate(case5, damage5_all, 3), DC))
+    assert sol.status == OPTIMAL
+    assert len(seen) > 50  # every LP of the search, root to last node
+
+
+def test_simplex_matches_frozen_loop_on_case5_soc_cut_rounds(
+        monkeypatch, case5, damage5_all):
+    from grs.formulations import SOC, build_rop
+    from grs.grid import replicate
+    seen, enough = _checked_lps(monkeypatch, cut_rounds=20)
+    with pytest.raises(enough):
+        solve_mip(build_rop(replicate(case5, damage5_all, 3), SOC))
+    # the root LP, its cut rounds and the dive's, 20 rounds in all
+    assert len(set(seen)) == 21 and seen == sorted(seen)
 
 
 # --- recoveries and cut rounds are counted ----------------------------------
@@ -520,6 +783,65 @@ def test_singular_warm_start_is_counted_restart(caplog):
     assert np.array_equal(res.x, cold.x)
     notes = [r for r in caplog.records if r.name == "grs.mip"]
     assert len(notes) == 1 and notes[0].levelname == "DEBUG"
+
+
+def test_phase_counters_and_kernel_timers():
+    from grs.mip.simplex import build_lp_data, solve_lp_core
+    feasible = solve_lp_core(build_lp_data(_two_row_lp()))
+    assert feasible.phase1_iters == feasible.phase_switches == 0
+    m = MipModel()  # the slack basis violates x + y >= 2
+    x = m.add_var("x", 0, 10)
+    y = m.add_var("y", 0, 10)
+    m.add_row({x: 1, y: 1}, GE, 2.0)
+    m.set_objective("min", {x: 1, y: 2})
+    cover = solve_lp_core(build_lp_data(m))
+    assert cover.status == OPTIMAL and cover.x[0] == 2.0
+    assert (cover.iters, cover.phase1_iters, cover.phase_switches) == (2, 1, 1)
+    for res in (feasible, cover):
+        assert min(res.factor_s, res.ftran_s, res.btran_s, res.price_s,
+                   res.ratio_s) > 0.0
+
+
+def test_solves_log_one_summary_of_their_lp_totals(monkeypatch, caplog):
+    import grs.mip.bnb
+    results = []
+    real = grs.mip.bnb.solve_lp_core
+
+    def recorded(lp, start=None):
+        results.append(real(lp, start=start))
+        return results[-1]
+
+    monkeypatch.setattr(grs.mip.bnb, "solve_lp_core", recorded)
+    m = MipModel()  # a fractional cover: the root LP branches
+    a, b, c = (m.add_var(k, 0, 1, BINARY) for k in "abc")
+    m.add_row({a: 1, b: 1, c: 1}, GE, 1.5)
+    m.set_objective("min", {a: 3, b: 2, c: 4})
+    with caplog.at_level("DEBUG", logger="grs.mip"):
+        sol = solve_mip(m)
+        relaxed = solve_lp(m)
+    assert sol.status == relaxed.status == OPTIMAL and len(results) > 1
+    st = sol.stats
+    for total, field in ((st.lp_iters, "iters"), (st.refactors, "refactors"),
+                         (st.basis_restarts, "restarts"),
+                         (st.phase1_iters, "phase1_iters"),
+                         (st.phase_switches, "phase_switches"),
+                         (st.factor_s, "factor_s"), (st.ftran_s, "ftran_s"),
+                         (st.btran_s, "btran_s"), (st.price_s, "price_s"),
+                         (st.ratio_s, "ratio_s")):
+        assert total == sum(getattr(r, field) for r in results[:-1]), field
+    assert st.phase1_iters > 0 and st.phase_switches > 0
+    notes = [r for r in caplog.records if r.name == "grs.mip"]
+    assert [r.levelname for r in notes] == ["DEBUG", "DEBUG"]
+    mip_note, lp_note = (r.getMessage() for r in notes)
+    assert mip_note.startswith(f"solve_mip optimal: nodes={st.nodes} "
+                               f"lp_iters={st.lp_iters} "
+                               f"phase1_iters={st.phase1_iters} "
+                               f"phase_switches={st.phase_switches} ")
+    assert lp_note.startswith("solve_lp optimal: nodes=0 "
+                              f"lp_iters={relaxed.stats.lp_iters} ")
+    for key in ("refactors=", "restarts=", "cuts=", "cut_rounds=", "wall_s=",
+                "factor_s=", "ftran_s=", "btran_s=", "price_s=", "ratio_s="):
+        assert key in mip_note and key in lp_note
 
 
 def test_cut_rounds_count_standard_form_extensions(monkeypatch):
