@@ -39,16 +39,14 @@ def _limits_from(args) -> SolveLimits:
     )
 
 
-def _read_damage(path, net):
+def _read_damage(path):
     with open(path, encoding="utf-8") as f:
-        dmg = netio.damage_from_dict(json.load(f))
-    dmg.resolve(net)
-    return dmg
+        return netio.damage_from_dict(json.load(f))
 
 
 def _load_inputs(args, need_damage=True):
     net = netio.load_case(args.case)
-    return net, _read_damage(args.damage, net) if need_damage else None
+    return net, _read_damage(args.damage) if need_damage else None
 
 
 def _write(path, data: bytes | str):
@@ -175,7 +173,7 @@ def cmd_pipeline(args):
         outdir = Path(args.out_dir or ".")
         outdir.mkdir(parents=True, exist_ok=True)
         for path in sorted(Path(args.scenarios).glob("*.json")):
-            result = _run_pipeline(args, net, _read_damage(path, net))
+            result = _run_pipeline(args, net, _read_damage(path))
             _dump_json(outdir / f"{path.stem}.result.json",
                        workflows.pipeline_result_to_dict(result))
             log.info("%s: estimated %.3f / true %.3f MWh", path.stem,

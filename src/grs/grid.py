@@ -166,11 +166,7 @@ class Network:
     name: str = ""
 
     def validate(self) -> "Network":
-        seen = set()
         for b in self.buses.values():
-            if b.id in seen:
-                raise DuplicateBusId(f"bus id {b.id} repeated")
-            seen.add(b.id)
             b.check()
         for br in self.branches.values():
             br.check()

@@ -1,14 +1,18 @@
 """Matpower case parsing and JSON/CSV serialization.
 
 Reads the Matpower .m subset needed by the DC/SOC/AC models: the baseMVA
-scalar and the bus/gen/branch (and gencost) matrices.  Other sections, e.g.
-storage, are skipped with a warning record.  Quantities are converted to
-per-unit on the system base; angle columns from degrees to radians.
+scalar and the bus/gen/branch matrices, whose numbers must be finite.
+Other sections, e.g. gencost or storage, are skipped with a warning record.
+The reader checks only what reading needs; the network rules, bus
+references among them, belong to ``to_network`` and ``Network.validate``.
+Quantities are converted to per-unit on the system base; angle columns from
+degrees to radians.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from io import StringIO
 
@@ -35,15 +39,14 @@ class NegativeDemand(NetioError):
     pass
 
 
-class NonPositiveVoltageBounds(NetioError):
-    pass
-
-
 class MalformedDocument(NetioError):
     """A damage or plan JSON document that does not match its schema."""
 
 
-KNOWN_SECTIONS = ("bus", "gen", "branch", "gencost")
+SECTIONS = ("bus", "gen", "branch")
+# a function line or an ``mpc.<key> = <value>`` statement, at a line start
+_STATEMENT = re.compile(r"^[ \t]*(?:function(.*)|mpc\.([^=\n]*)=[ \t]*(.*))",
+                        re.M)
 
 
 @dataclass
@@ -53,114 +56,65 @@ class RawCase:
     bus_rows: list[list[float]]
     gen_rows: list[list[float]]
     branch_rows: list[list[float]]
-    gencost_rows: list[list[float]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    def check(self):
-        if self.base_mva <= 0:
-            raise MalformedSection("baseMVA must be positive")
-        if not self.bus_rows:
-            raise MissingSection("no bus rows")
-        bus_ids = {int(r[0]) for r in self.bus_rows}
-        for k, row in enumerate(self.gen_rows):
-            if int(row[0]) not in bus_ids:
-                raise MalformedSection(f"gen row {k + 1} references bus {int(row[0])}")
-        for k, row in enumerate(self.branch_rows):
-            if int(row[0]) not in bus_ids or int(row[1]) not in bus_ids:
-                raise MalformedSection(f"branch row {k + 1} references unknown bus")
-        return self
 
-
-def _strip_comment(line: str) -> str:
-    pos = line.find("%")
-    return line if pos < 0 else line[:pos]
+def _number(tok: str, what: str, line: int) -> float:
+    try:
+        x = float(tok)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise MalformedSection(f"{what}: {tok!r} is not a finite number",
+                               line=line)
+    return x
 
 
 def parse_matpower(text: str) -> RawCase:
-    """Parse Matpower .m text into raw numeric sections."""
-    base_mva = None
-    name = ""
-    sections: dict[str, list[list[float]]] = {}
-    warnings: list[str] = []
-
-    lines = text.splitlines()
-    i = 0
-    nlines = len(lines)
-    while i < nlines:
-        raw = _strip_comment(lines[i]).strip()
-        i += 1
-        if not raw:
+    """Parse Matpower .m text into raw numeric sections, statement by
+    statement: a ``[``/``{`` value runs to its closing bracket, after which
+    only ``;`` and blanks may follow on that line."""
+    text = re.sub(r"%[^\n]*", "", text)
+    base_mva, name, sections, warnings, pos = None, "", {}, [], 0
+    while m := _STATEMENT.search(text, pos):
+        pos, line = m.end(), text.count("\n", 0, m.start()) + 1
+        if m[2] is None:  # the case is named by the function line's last token
+            parts = ("function" + m[1]).replace("=", " = ").split()
+            name = name if parts[-1] == "=" else parts[-1]
             continue
-        if raw.startswith("function"):
-            parts = raw.replace("=", " = ").split()
-            if parts and parts[-1] != "=":
-                name = parts[-1]
-            continue
-        if not raw.startswith("mpc."):
-            continue
-        head, _, rest = raw.partition("=")
-        key = head.strip()[4:].strip()
-        rest = rest.strip()
+        key, value = m[2].strip(), m[3]
         if key == "baseMVA":
-            tok = rest.rstrip(";").strip()
-            try:
-                base_mva = float(tok)
-            except ValueError:
-                raise MalformedSection(f"bad baseMVA {tok!r}", line=i)
+            base_mva = _number(value.strip().rstrip(";").strip(), key, line)
+            if base_mva <= 0:
+                raise MalformedSection("baseMVA must be positive", line=line)
             continue
-        if key == "version":
-            continue
-        opener = rest[:1]
-        if opener not in ("[", "{"):
-            continue  # scalar assignment we do not use
-        closer = "]" if opener == "[" else "}"
-        start_line = i
-        body = rest[1:]
-        buf = [body]
-        closed = closer + ";" in body.replace(" ", "") or body.strip().endswith(closer)
-        while not closed:
-            if i >= nlines:
-                raise MalformedSection(f"section {key}: unbalanced {opener!r}",
-                                       line=start_line)
-            nxt = _strip_comment(lines[i])
-            i += 1
-            buf.append(nxt)
-            stripped = nxt.replace(" ", "").rstrip()
-            if closer + ";" in stripped or stripped.endswith(closer):
-                closed = True
-        block = "\n".join(buf)
-        block = block[: block.rfind(closer)]
-        if key not in KNOWN_SECTIONS or opener == "{":
+        if value[:1] not in ("[", "{"):
+            continue  # a scalar assignment we do not use
+        closer = "]" if value[0] == "[" else "}"
+        end = text.find(closer, m.start(3))
+        if end < 0:
+            raise MalformedSection(f"section {key}: no closing {closer!r}",
+                                   line=line)
+        pos = text.find("\n", end)
+        pos = len(text) if pos < 0 else pos
+        if text[end + 1:pos].replace(";", "").strip():
+            raise MalformedSection(f"section {key}: text after {closer!r}",
+                                   line=text.count("\n", 0, end) + 1)
+        if key not in SECTIONS or closer == "}":
             warnings.append(f"skipped section {key!r}")
             continue
-        rows: list[list[float]] = []
-        for lineno_off, chunk_line in enumerate(block.split("\n")):
-            for chunk in chunk_line.split(";"):
-                toks = chunk.split()
-                if not toks:
-                    continue
-                try:
-                    rows.append([float(t) for t in toks])
-                except ValueError:
-                    raise MalformedSection(
-                        f"section {key}: non-numeric token in {chunk.strip()!r}",
-                        line=start_line + lineno_off)
-        sections[key] = rows
-
+        rows = sections[key] = []
+        body = text[m.start(3) + 1:end].split("\n")
+        for n, chunks in enumerate(body, start=line):
+            rows += [[_number(t, f"section {key}", n) for t in chunk.split()]
+                     for chunk in chunks.split(";") if chunk.strip()]
     if base_mva is None:
         raise MissingSection("no mpc.baseMVA")
-    for needed in ("bus", "gen", "branch"):
+    for needed in SECTIONS:
         if needed not in sections:
             raise MissingSection(f"no mpc.{needed} section")
-    return RawCase(
-        base_mva=base_mva,
-        name=name,
-        bus_rows=sections["bus"],
-        gen_rows=sections["gen"],
-        branch_rows=sections["branch"],
-        gencost_rows=sections.get("gencost", []),
-        warnings=warnings,
-    ).check()
+    return RawCase(base_mva, name, sections["bus"], sections["gen"],
+                   sections["branch"], warnings)
 
 
 def to_network(raw: RawCase) -> Network:
@@ -179,10 +133,8 @@ def to_network(raw: RawCase) -> Network:
             raise MalformedSection(f"bus {bid}: bad type {btype}")
         if bid in buses:
             raise DuplicateBusId(f"duplicate bus id {bid}")
-        vmax, vmin = float(row[11]), float(row[12])
-        if vmin <= 0 or vmax < vmin:
-            raise NonPositiveVoltageBounds(f"bus {bid}: [{vmin}, {vmax}]")
-        buses[bid] = Bus(id=bid, bus_type=btype, vmin=vmin, vmax=vmax)
+        buses[bid] = Bus(id=bid, bus_type=btype, vmin=float(row[12]),
+                         vmax=float(row[11]))
         pd, qd = float(row[2]) / base, float(row[3]) / base
         if pd < 0:
             raise NegativeDemand(f"bus {bid}: negative demand {pd * base} MW")

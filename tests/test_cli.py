@@ -264,6 +264,47 @@ def test_malformed_damage_or_plan_is_input_error(tmp_path, caplog, command,
     assert len(errors) == 1
 
 
+@pytest.mark.parametrize("old,new", [
+    ("\t4\t5\t0.00297", "\t4\n\t5\t0.00297"),
+    ("\n\t5\t2\t0.0", "\n\tnan\t2\t0.0"),
+    ("\n\t5\t2\t0.0", "\n\tinf\t2\t0.0"),
+    ("\n\t5\t2\t0.0", "\n\t1e999\t2\t0.0"),
+    ("\t2\t1\t300.0", "\t2\t1\tnan"),
+    ("mpc.baseMVA = 100.0;", "mpc.baseMVA = nan;"),
+], ids=["wrapped-branch-row", "nan-bus-id", "inf-bus-id", "overflow-bus-id",
+        "nan-demand", "nan-base"])
+def test_malformed_case_is_input_error(tmp_path, caplog, old, new):
+    text = Path(CASE5).read_text()
+    assert text.count(old) == 1
+    case = tmp_path / "case.m"
+    case.write_text(text.replace(old, new))
+    out = tmp_path / "net.json"
+    assert main(["parse", "--case", str(case), "--out", str(out)]) == 2
+    assert not out.exists()
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+
+
+@pytest.mark.parametrize("batch", [False, True],
+                         ids=["rop", "pipeline-scenarios"])
+def test_unknown_damage_id_is_input_error(tmp_path, caplog, batch):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    (scenarios / "bad.json").write_text('{"branch": [99]}')
+    out = tmp_path / "out"
+    if batch:
+        args = ["pipeline", "--scenarios", str(scenarios),
+                "--out-dir", str(out)]
+    else:
+        args = ["rop", "--damage", str(scenarios / "bad.json"),
+                "--out", str(out)]
+    assert main(args + ["--case", CASE2, "--periods", "2"]) == 2
+    assert not out.exists() or not any(out.iterdir())
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert "branch 99" in errors[0].getMessage()
+
+
 @pytest.mark.parametrize("command", [
     ["rop", "--case", CASE2, "--damage", DMG2, "--periods", "2"],
     ["pipeline", "--case", CASE2, "--damage", DMG2, "--periods", "2"],

@@ -1,10 +1,16 @@
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grs import netio
-from grs.grid import DEFAULT_ANGLE_BOUND, EnsReport, PeriodEns
+from grs.grid import (DEFAULT_ANGLE_BOUND, EnsReport, GridError,
+                      InvalidBusRef, NoRefBus, PeriodEns)
 from grs.netio import (MalformedSection, MissingSection, NegativeDemand,
-                       parse_matpower, to_network, write_report)
+                       NetioError, parse_matpower, to_network, write_report)
+
+CASES = pathlib.Path(__file__).resolve().parent.parent / "cases"
+FIXTURES = [p.read_text() for p in sorted(CASES.glob("*.m"))]
 
 MINIMAL = """
 function mpc = tiny
@@ -65,6 +71,57 @@ def test_parse_missing_section():
         parse_matpower(MINIMAL.replace("mpc.baseMVA = 100;", ""))
 
 
+@pytest.mark.parametrize("old,new,line", [
+    ("0.0  0.0 0 0 1", "nan 0.0 0 0 1", 6),
+    ("1 10 0 30", "inf 10 0 30", 10),
+    ("1.02 100 1", "1.02 1e999 1", 10),
+    ("40 40 40", "40 -inf 40", 13),
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = nan;", 4),
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = 0;", 4),
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = 100 x;", 4),
+    ("];\nmpc.gen", "]; 1\nmpc.gen", 8),
+    ("];\nmpc.gen", "] x;\nmpc.gen", 8),
+    ("];\nmpc.gen", "]; mpc.gen = [];\nmpc.gen", 8),
+    ("mpc.branch = [", "mpc.branch = {", 12),
+], ids=["nan", "inf", "overflow", "minus-inf", "nan-base", "zero-base",
+        "bad-base", "number-after-bracket", "text-after-bracket",
+        "statement-after-bracket", "no-closing-bracket"])
+def test_reader_rules_name_their_line(old, new, line):
+    text = MINIMAL.replace(old, new, 1)
+    assert text != MINIMAL
+    with pytest.raises(MalformedSection) as exc:
+        parse_matpower(text)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: ")
+
+
+def test_only_semicolons_and_blanks_after_a_bracket():
+    text = MINIMAL.replace("];\nmpc.gen", "]\t; ;\nmpc.gen").replace(
+        "30;\n];", "30;\n]")
+    assert parse_matpower(text) == parse_matpower(MINIMAL)
+
+
+def test_network_rules_left_to_validation():
+    # the reader checks statements and numbers; bus references, an empty
+    # bus list and voltage bounds are network rules
+    for old, new, error in (
+            ("1 2 0.01 0.1", "1 7 0.01 0.1", InvalidBusRef),
+            ("  1 10 0 30", "  9 10 0 30", InvalidBusRef),
+            ("230 1 1.1 0.9;\n];", "230 1 1.1 0.0;\n];", GridError)):
+        with pytest.raises(error):
+            to_network(parse_matpower(MINIMAL.replace(old, new, 1)))
+    empty = "mpc.baseMVA = 100;\nmpc.bus = [];\nmpc.gen = [];\nmpc.branch = [];"
+    assert parse_matpower(empty).bus_rows == []
+    with pytest.raises(NoRefBus):
+        to_network(parse_matpower(empty))
+
+
+def test_gencost_skipped_like_other_sections():
+    raw = parse_matpower(MINIMAL + "mpc.gencost = [\n  2 0 0 3 0.1 20 0;\n];\n")
+    assert raw.warnings == ["skipped section 'gencost'"]
+    assert to_network(raw) == to_network(parse_matpower(MINIMAL))
+
+
 def test_parse_malformed():
     with pytest.raises(MalformedSection):
         parse_matpower(MINIMAL.replace("0.01 0.1", "0.01 oops"))
@@ -118,9 +175,7 @@ def test_tap_zero_becomes_one():
 
 
 def test_fixture_corpus_parses():
-    import pathlib
-    cases = pathlib.Path(__file__).resolve().parent.parent / "cases"
-    for path in sorted(cases.glob("*.m")):
+    for path in sorted(CASES.glob("*.m")):
         net = netio.load_case(path)
         assert net.buses
         for load in net.loads.values():
@@ -179,15 +234,36 @@ def test_damage_json_round_trip():
     assert netio.damage_to_dict(dmg) == d
 
 
+def _parse_to_network(text):
+    try:
+        to_network(parse_matpower(text))
+    except (NetioError, GridError):
+        pass  # typed failures only; anything else would escape and fail
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet=st.sampled_from(list(
     "mpc.basMVAbusgenbrch=[]{};%0123456789.-\n\t ")), max_size=400))
 def test_parser_total_on_arbitrary_text(text):
-    from grs.netio import NetioError
-    try:
-        parse_matpower(text)
-    except NetioError:
-        pass  # typed failures only; anything else would escape and fail
+    _parse_to_network(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIXTURES), st.lists(st.tuples(
+    st.integers(0, 10**6),
+    st.sampled_from(["", ";", "\n", "[", "]", "%", " nan ", " inf ", " 1e999 "])),
+    min_size=1, max_size=4))
+def test_reader_total_on_edited_fixtures(text, edits):
+    # each edit deletes a character ("") or inserts a token at a blank
+    for k, token in edits:
+        if token:
+            blanks = [i for i, c in enumerate(text) if c in " \t\n"]
+            i = blanks[k % len(blanks)]
+            text = text[:i] + token + text[i:]
+        elif text:
+            i = k % len(text)
+            text = text[:i] + text[i + 1:]
+    _parse_to_network(text)
 
 
 @settings(max_examples=30, deadline=None)
