@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -86,8 +87,15 @@ def _parse_bus_list(spec: str) -> set[int]:
 
 
 def cmd_gen_damage(args):
+    if not math.isfinite(args.fraction):
+        log.error("--fraction must be a finite number")
+        return EXIT_INPUT
     net = netio.load_case(args.case)
-    area = _parse_bus_list(args.area) if args.area else set(net.buses)
+    try:
+        area = _parse_bus_list(args.area) if args.area else set(net.buses)
+    except ValueError:
+        log.error("--area %r is not a list of bus ids and ranges", args.area)
+        return EXIT_INPUT
     kinds = {k.strip() for k in args.kinds.split(",") if k.strip()}
     bad = kinds - {"branch", "gen"}
     if bad:
@@ -325,8 +333,8 @@ def main(argv=None) -> int:
         if getattr(args, "periods", 1) < 1:
             log.error("--periods must be >= 1")
             return EXIT_INPUT
-        if getattr(args, "period_hours", 1.0) <= 0:
-            log.error("--period-hours must be > 0")
+        if not 0 < getattr(args, "period_hours", 1.0) < math.inf:
+            log.error("--period-hours must be a finite number > 0")
             return EXIT_INPUT
         if getattr(args, "damage", None) is None and args.command in (
                 "mrsp", "rop", "redispatch", "heuristic"):

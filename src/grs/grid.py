@@ -287,7 +287,8 @@ class RestorationPlan:
     def validate(self, case: MultiPeriodCase):
         """Check the plan against its invariants on case.
 
-        The period count is the case's and every damaged item has a status.
+        The period count and length are the case's and every damaged item
+        has a status.
         Each status is K+1 values of 0 or 1 that never decrease, from 0 to 1
         for a damaged item; no period repairs more than the budget; load
         fractions cover exactly the live loads, lie in [0, 1] and never
@@ -296,6 +297,9 @@ class RestorationPlan:
         k = self.periods
         if k != case.periods:
             raise PlanCaseMismatch(f"plan has {k} periods, case {case.periods}")
+        if self.period_hours != case.period_hours:
+            raise PlanCaseMismatch(f"plan has {self.period_hours} h periods, "
+                                   f"case {case.period_hours} h")
         for item in case.damaged_items():
             if item not in self.status:
                 raise PlanCaseMismatch(f"plan misses damaged component {item}")

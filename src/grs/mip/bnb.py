@@ -21,14 +21,15 @@ import heapq
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .model import (GAP_LIMIT, INF, INFEASIBLE, ITERATION_LIMIT, LE,
                     OPTIMAL, UNBOUNDED, ConeRow, LinRow, MipModel,
                     MipSolution, NumericalFailure, SolveStats, cone_violation)
-from .simplex import BASIC, Basis, build_lp_data, solve_lp_core
+from .simplex import Basis, build_lp_data, solve_lp_core
 
 INT_TOL = 1e-6
 CONE_TOL = 1e-6
@@ -44,7 +45,7 @@ class SolveLimits:
     gap: float = 1e-6
     nodes: int | None = None
     time_s: float | None = None
-    cone_tol: float = CONE_TOL
+    cone_tol: ClassVar[float] = CONE_TOL
 
 
 def cone_cut(cone: ConeRow, x: np.ndarray) -> LinRow:
@@ -71,7 +72,6 @@ class _LpContext:
         self.cuts: list[LinRow] = []
         self.cut_signatures: set = set()
         self.lp = build_lp_data(model)
-        self.nstruct = self.lp.nstruct
 
     def add_cut(self, cut: LinRow) -> bool:
         """Append a cut unless a nearly identical one is already pooled."""
@@ -87,20 +87,6 @@ class _LpContext:
     def rebuild(self):
         """Append the cuts pooled since the last build to the standard form."""
         self.lp = build_lp_data(self.model, self.cuts, prev=self.lp)
-
-    def extend_basis(self, bas: Basis) -> Basis:
-        m = self.lp.m
-        have = len(bas.basis)
-        if have == m and len(bas.vstat) == self.lp.ncols:
-            return bas
-        extra = [self.nstruct + k for k in range(have, m)]
-        basis = np.concatenate([bas.basis, np.asarray(extra, dtype=np.int64)])
-        # old slack columns keep their positions; new slacks go at the end
-        old_ncols = len(bas.vstat)
-        vstat = np.concatenate(
-            [bas.vstat, np.full(self.lp.ncols - old_ncols, BASIC, dtype=np.int8)]
-        )
-        return Basis(basis, vstat)
 
     def bounds_with(self, fixes: dict[int, tuple[float, float]]):
         lb = self.lp.lb.copy()
@@ -120,11 +106,8 @@ def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
     bas = start
     for _ in range(MAX_CONE_ROUNDS + 1):
         lb, ub = ctx.bounds_with(fixes)
-        lpd = ctx.lp.with_bounds(lb, ub)
-        if bas is not None:
-            bas = ctx.extend_basis(bas)
-        res = solve_lp_core(lpd, start=bas)
-        stats.add_lp(res)
+        res = solve_lp_core(ctx.lp.with_bounds(lb, ub), start=bas)
+        stats.add(res.stats)
         if res.status != OPTIMAL:
             return res, True
         if not ctx.model.cone_rows:
@@ -178,23 +161,17 @@ class _Node:
 def solve_lp(model: MipModel) -> MipSolution:
     """Solve the LP relaxation: binaries relaxed, cone rows ignored."""
     t0 = time.perf_counter()
-    lpd = build_lp_data(model)
-    res = solve_lp_core(lpd)
-    stats = SolveStats(wall_time=time.perf_counter() - t0)
-    stats.add_lp(res)
+    res = solve_lp_core(build_lp_data(model))
+    stats = replace(res.stats, wall_s=time.perf_counter() - t0)
     _log_summary("solve_lp", res.status, stats)
     return _lp_to_solution(model, res, stats)
 
 
 def _log_summary(what: str, status: str, stats: SolveStats):
-    log.debug("%s %s: nodes=%d lp_iters=%d phase1_iters=%d phase_switches=%d "
-              "refactors=%d restarts=%d cuts=%d cut_rounds=%d wall_s=%.3f "
-              "factor_s=%.3f ftran_s=%.3f btran_s=%.3f price_s=%.3f "
-              "ratio_s=%.3f", what, status, stats.nodes, stats.lp_iters,
-              stats.phase1_iters, stats.phase_switches, stats.refactors,
-              stats.basis_restarts, stats.cuts, stats.cut_rounds,
-              stats.wall_time, stats.factor_s, stats.ftran_s, stats.btran_s,
-              stats.price_s, stats.ratio_s)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("%s %s: %s", what, status, " ".join(
+            f"{k}={v:.3f}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in asdict(stats).items()))
 
 
 def _lp_to_solution(model: MipModel, res, stats) -> MipSolution:
@@ -233,9 +210,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
     def rel_gap():
         if incumbent_x is None:
             return math.inf
-        lo = heap[0].bound if heap else incumbent_obj
-        lo = min(lo, incumbent_obj)
-        a, b = external(incumbent_obj), external(lo)
+        a, b = external(incumbent_obj), external(best_bound())
         return abs(a - b) / max(1.0, abs(a))
 
     def best_bound():
@@ -244,7 +219,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
         return incumbent_obj if incumbent_x is not None else INF
 
     def finish(status):
-        stats.wall_time = time.perf_counter() - t0
+        stats.wall_s = time.perf_counter() - t0
         _log_summary("solve_mip", status, stats)
         if incumbent_x is None:
             if status == INFEASIBLE:

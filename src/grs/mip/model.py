@@ -9,7 +9,7 @@ cuts, so a single LP kernel serves both pure MILPs and MISOCPs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -155,15 +155,17 @@ class MipModel:
 
 @dataclass
 class SolveStats:
-    nodes: int = 0
-    lp_iters: int = 0
-    cuts: int = 0
-    wall_time: float = 0.0
-    refactors: int = 0  # periodic basis refactorizations
-    basis_restarts: int = 0  # slack-basis restarts after a singular factor
-    cut_rounds: int = 0  # standard-form extensions by a round of cone cuts
+    """The counters of one LP solve or one whole solve; every field sums."""
+
+    nodes: int = 0  # branch-and-bound nodes processed
+    lp_iters: int = 0  # simplex iterations
     phase1_iters: int = 0  # simplex iterations on the phase-1 objective
     phase_switches: int = 0  # phase changes between consecutive iterations
+    refactors: int = 0  # periodic basis refactorizations
+    basis_restarts: int = 0  # slack-basis restarts after a singular factor
+    cuts: int = 0  # cone cuts added to the global pool
+    cut_rounds: int = 0  # standard-form extensions by a round of cone cuts
+    wall_s: float = 0.0  # perf_counter seconds of the whole solve
     # simplex kernel seconds: factorization, ftran, btran, pricing, ratio test
     factor_s: float = 0.0
     ftran_s: float = 0.0
@@ -171,18 +173,9 @@ class SolveStats:
     price_s: float = 0.0
     ratio_s: float = 0.0
 
-    def add_lp(self, res) -> None:
-        """Add one simplex solve's (an LpResult's) counters and timers."""
-        self.lp_iters += res.iters
-        self.refactors += res.refactors
-        self.basis_restarts += res.restarts
-        self.phase1_iters += res.phase1_iters
-        self.phase_switches += res.phase_switches
-        self.factor_s += res.factor_s
-        self.ftran_s += res.ftran_s
-        self.btran_s += res.btran_s
-        self.price_s += res.price_s
-        self.ratio_s += res.ratio_s
+    def add(self, other: "SolveStats") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass

@@ -29,9 +29,11 @@ restart, final basis and solution is bit-for-bit the same.  NaN or
 infinite reduced costs, steps and basic values are never chosen and
 never block.
 
-A singular factor restarts from the slack basis.  LpResult counts those
-restarts, the periodic refactors, the phase-1 iterations and the phase
-switches, and times the kernels with perf_counter.
+A start basis taken before rows were appended gets a basic slack for
+each new row.  A singular factor restarts from the slack basis.  Each
+LpResult carries a SolveStats that counts those restarts, the periodic
+refactors, the phase-1 iterations and the phase switches, and times the
+kernels with perf_counter.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .model import (GE, INF, INFEASIBLE, ITERATION_LIMIT, LE, OPTIMAL,
-                    UNBOUNDED, MipModel, NumericalFailure)
+                    UNBOUNDED, MipModel, NumericalFailure, SolveStats)
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
@@ -173,19 +175,12 @@ class LpResult:
     x: np.ndarray  # full column values (structural + slacks)
     obj: float  # internal (minimization) objective
     basis: Basis | None
-    iters: int
     message: str = ""
-    refactors: int = 0  # periodic refactorizations
-    restarts: int = 0  # resets to the slack basis after a singular factor
-    phase1_iters: int = 0  # iterations that priced the phase-1 objective
-    phase_switches: int = 0  # iterations whose phase differs from the last's
-    # perf_counter seconds in each kernel: LU factorization, the entering
-    # column's ftran, btran, pricing (reduced costs and choice), ratio test
-    factor_s: float = 0.0
-    ftran_s: float = 0.0
-    btran_s: float = 0.0
-    price_s: float = 0.0
-    ratio_s: float = 0.0
+    stats: SolveStats = field(default_factory=SolveStats)
+
+    @property
+    def iters(self) -> int:
+        return self.stats.lp_iters
 
 
 class _Factors:
@@ -252,6 +247,15 @@ def default_basis(lp: LpData) -> Basis:
     return Basis(basis, vstat)
 
 
+def _extended(start: Basis, lp: LpData) -> Basis:
+    """A copy of start, taken before lp's last rows were appended, with
+    each new row's slack (a column at the end) basic."""
+    have = len(start.basis)
+    return Basis(
+        np.concatenate([start.basis, np.arange(lp.nstruct + have, lp.ncols)]),
+        np.concatenate([start.vstat, np.full(lp.m - have, BASIC, np.int8)]))
+
+
 def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
     m, ncols = lp.m, lp.ncols
     if m == 0:
@@ -259,7 +263,7 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
     max_iters = 20000 + 40 * (m + ncols)
     clock = time.perf_counter
 
-    bas = start.copy() if start is not None else default_basis(lp)
+    bas = default_basis(lp) if start is None else _extended(start, lp)
     fixed = lp.lb == lp.ub
     psign, free = _pricing_weights(bas.vstat, fixed)
     iters = refactors = restarts = phase1_iters = phase_switches = 0
@@ -284,9 +288,13 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
     def result(status, obj=None, message=""):
         return LpResult(status, _full_x(lp, bas, x_b),
                         _struct_obj(lp, bas, x_b) if obj is None else obj,
-                        bas, iters, message, refactors, restarts,
-                        phase1_iters, phase_switches,
-                        factor_s, ftran_s, btran_s, price_s, ratio_s)
+                        bas, message, SolveStats(
+                            lp_iters=iters, phase1_iters=phase1_iters,
+                            phase_switches=phase_switches,
+                            refactors=refactors, basis_restarts=restarts,
+                            factor_s=factor_s, ftran_s=ftran_s,
+                            btran_s=btran_s, price_s=price_s,
+                            ratio_s=ratio_s))
 
     def basic_bounds():
         # the basics' bounds and their FEAS_TOL bands, kept per pivot
@@ -477,14 +485,14 @@ def _solve_unconstrained(lp: LpData) -> LpResult:
         cj = lp.c[j]
         if cj > 0.0:
             if lp.lb[j] == -INF:
-                return LpResult(UNBOUNDED, x, -INF, None, 0, "unbounded variable")
+                return LpResult(UNBOUNDED, x, -INF, None, "unbounded variable")
             x[j] = lp.lb[j]
         elif cj < 0.0:
             if lp.ub[j] == INF:
-                return LpResult(UNBOUNDED, x, -INF, None, 0, "unbounded variable")
+                return LpResult(UNBOUNDED, x, -INF, None, "unbounded variable")
             x[j] = lp.ub[j]
         else:
             x[j] = lp.lb[j] if lp.lb[j] > -INF else min(lp.ub[j], 0.0)
             if math.isinf(x[j]):
                 x[j] = 0.0
-    return LpResult(OPTIMAL, x, float(lp.c @ x), None, 0)
+    return LpResult(OPTIMAL, x, float(lp.c @ x), None)

@@ -45,6 +45,17 @@ def test_rop_periods_zero_is_input_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("hours", ["nan", "inf"])
+def test_non_finite_period_hours_is_input_error(tmp_path, caplog, hours):
+    out = tmp_path / "result.json"
+    rc = main(["pipeline", "--case", CASE2, "--damage", DMG2, "--periods", "2",
+               "--period-hours", hours, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+
+
 def test_missing_case_is_input_error(tmp_path):
     rc = main(["parse", "--case", str(tmp_path / "nope.m"), "--out", "-"])
     assert rc == 2
@@ -69,6 +80,21 @@ def test_gen_damage_kinds_filter(tmp_path):
     assert rc == 0
     scenario = json.loads(out.read_text())
     assert scenario["branch"] and not scenario["gen"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--fraction", "0.35", "--area", "1-x"],
+    ["--fraction", "nan"],
+    ["--fraction", "inf"],
+], ids=["area", "nan-fraction", "inf-fraction"])
+def test_gen_damage_bad_area_or_fraction_is_input_error(tmp_path, caplog,
+                                                        args):
+    out = tmp_path / "damage.json"
+    rc = main(["gen-damage", "--case", CASE5, *args, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
 
 
 def test_rop_then_redispatch_commands(tmp_path):
@@ -425,3 +451,20 @@ def test_redispatch_rejects_non_binary_status(tmp_path, caplog):
     assert not out.exists()
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "not 0/1" in errors[0]
+
+
+@pytest.mark.parametrize("hours", [2.0, math.nan], ids=["other", "nan"])
+def test_redispatch_rejects_plan_of_other_period_hours(tmp_path, caplog,
+                                                       hours):
+    plan = tmp_path / "plan.json"
+    args = ["--case", CASE2, "--damage", DMG2, "--periods", "2"]
+    assert main(["rop", *args, "--out", str(plan)]) == 0
+    doc = json.loads(plan.read_text())
+    doc["period_hours"] = hours
+    plan.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["redispatch", *args, "--plan", str(plan),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "h periods" in errors[0]
