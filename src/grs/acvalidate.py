@@ -14,7 +14,11 @@ Each energized island's data (``IslandData``: Ybus, branch admittance
 arrays, per-bus load lists) is built once per island per
 ``max_load_delivery`` call; ``newton_pf`` solves a given ``IslandData``, so
 the call's bisection and PV-to-PQ solves share it, and each solve still
-starts flat.
+starts flat.  Each solve is a chord Newton iteration: it factors the
+Jacobian (LAPACK ``dgetrf``) and reuses the factors for later steps until
+the largest mismatch falls by less than ``CHORD_RATE`` in one step, then
+rebuilds and refactors.  ``PfState.iterations`` counts the steps and
+``PfState.factorizations`` the Jacobians factored.
 
 Because the dispatch is a deterministic procedure rather than a nonlinear
 optimum, the reported true ENS is an upper bound on what a full multi-period
@@ -28,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import formulations
 from .grid import (BRANCH, BUS, GEN, EnsReport, GridError, MultiPeriodCase,
@@ -35,6 +40,7 @@ from .grid import (BRANCH, BUS, GEN, EnsReport, GridError, MultiPeriodCase,
 
 PF_TOL = 1e-8
 PF_MAX_ITER = 30
+CHORD_RATE = 4.0  # refactor unless the mismatch fell at least this much
 QLIM_ROUNDS = 10
 LAMBDA_TOL = 1e-4
 LIMIT_TOL = 1e-6
@@ -48,6 +54,7 @@ class NoSlack(GridError):
 class PfState:
     converged: bool
     iterations: int
+    factorizations: int  # Jacobians the solve factored
     mismatch: float
     vm: dict[int, float]
     va: dict[int, float]
@@ -203,13 +210,18 @@ def newton_pf(net: Network, isl: IslandData, pg_set: dict[int, float],
               slack_gen: int, load_frac: dict[int, float],
               pv_gens: dict[int, list[int]],
               q_fixed: dict[int, float] | None = None) -> PfState:
-    """Full Newton-Raphson polar power flow on the island isl.
+    """Chord Newton-Raphson polar power flow on the island isl.
 
     pv_gens maps PV bus id -> energized generator ids there (voltage held at
     the setpoint); q_fixed marks former PV buses pinned at a reactive limit
     (treated as PQ with that generation).  Flat start: V = 1 / PV setpoints,
-    angles zero.  Stops once the largest mismatch is at most PF_TOL, or
-    after PF_MAX_ITER iterations.
+    angles zero.  The Jacobian is built and LU-factored on the first
+    iteration and whenever the largest mismatch fell by less than a factor
+    of CHORD_RATE since the previous one; other steps reuse the last
+    factors.  The result counts both (``iterations``, ``factorizations``).
+    Stops once the largest mismatch is at most PF_TOL, or after PF_MAX_ITER
+    iterations; a non-finite mismatch or a singular Jacobian ends the solve
+    at once, not converged.
     """
     q_fixed = q_fixed or {}
     buses, pos, Y = isl.buses, isl.pos, isl.Y
@@ -245,8 +257,9 @@ def newton_pf(net: Network, isl: IslandData, pg_set: dict[int, float],
     y_pvpq = Y[np.ix_(pvpq, pvpq)]
     nva = len(pvpq)
 
-    mismatch = math.inf
-    it = 0
+    mismatch = prev = math.inf
+    lu = piv = None
+    factorizations = it = 0
     for it in range(PF_MAX_ITER + 1):
         v = vm * np.exp(1j * va)
         ibus = Y @ v
@@ -255,28 +268,30 @@ def newton_pf(net: Network, isl: IslandData, pg_set: dict[int, float],
         dq = q_spec - s_calc.imag
         f = np.concatenate([dp[pvpq], dq[pq_i]])
         mismatch = float(np.max(np.abs(f))) if f.size else 0.0
-        if mismatch <= PF_TOL:
+        if mismatch <= PF_TOL or it == PF_MAX_ITER or not math.isfinite(mismatch):
             break
-        if it == PF_MAX_ITER:
-            break
-        ds_dva, ds_dvm = _ds_blocks(y_pvpq, v[pvpq], ibus[pvpq], pq_at)
-        jac = np.block([[ds_dva.real, ds_dvm.real],
-                        [ds_dva.imag[pq_at], ds_dvm.imag[pq_at]]])
-        try:
-            dx = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError:
-            return _pf_state(net, isl, vm, va, pg_set, slack_gen, load_frac,
-                             False, it, mismatch)
+        if lu is None or mismatch * CHORD_RATE > prev:
+            ds_dva, ds_dvm = _ds_blocks(y_pvpq, v[pvpq], ibus[pvpq], pq_at)
+            jac = np.block([[ds_dva.real, ds_dvm.real],
+                            [ds_dva.imag[pq_at], ds_dvm.imag[pq_at]]])
+            lu, piv, info = dgetrf(jac, overwrite_a=True)
+            factorizations += 1
+            if info > 0:  # singular Jacobian
+                return _pf_state(net, isl, vm, va, pg_set, slack_gen,
+                                 load_frac, False, it, factorizations,
+                                 mismatch)
+        dx, _ = dgetrs(lu, piv, f)
+        prev = mismatch
         va[pvpq] += dx[:nva]
         vm[pq_i] += dx[nva:]
 
     converged = mismatch <= PF_TOL
     return _pf_state(net, isl, vm, va, pg_set, slack_gen, load_frac,
-                     converged, it, mismatch)
+                     converged, it, factorizations, mismatch)
 
 
 def _pf_state(net, isl: IslandData, vm, va, pg_set, slack_gen, load_frac,
-              converged, iterations, mismatch) -> PfState:
+              converged, iterations, factorizations, mismatch) -> PfState:
     v = vm * np.exp(1j * va)
     s_calc = v * (isl.Y @ v).conjugate()
     gen_p = dict(pg_set)
@@ -309,7 +324,7 @@ def _pf_state(net, isl: IslandData, vm, va, pg_set, slack_gen, load_frac,
     s_fr = vf * (isl.yff * vf + isl.yft * vt).conjugate()
     s_to = vt * (isl.ytf * vf + isl.ytt * vt).conjugate()
 
-    return PfState(converged, iterations, mismatch,
+    return PfState(converged, iterations, factorizations, mismatch,
                    dict(zip(isl.buses, vm.tolist())),
                    dict(zip(isl.buses, va.tolist())),
                    gen_p, gen_q, dict(zip(isl.branches, s_fr.tolist())),

@@ -242,6 +242,9 @@ def _add_period_args(p):
     p.add_argument("--count-initial-period", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="include the pre-restoration period in ENS totals")
+
+
+def _add_formulation_arg(p):
     p.add_argument("--formulation", choices=("dc", "soc"), default="dc")
 
 
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mrsp", help="minimum repair set for full load")
     _add_case_args(p)
-    p.add_argument("--formulation", choices=("dc", "soc"), default="dc")
+    _add_formulation_arg(p)
     p.add_argument("--out", default="-")
     _add_common_solver_args(p)
     _add_dump_lp_arg(p)
@@ -281,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rop", help="optimize the restoration order")
     _add_case_args(p)
     _add_period_args(p)
+    _add_formulation_arg(p)
     p.add_argument("--out", default="-")
     _add_common_solver_args(p)
     _add_dump_lp_arg(p)
@@ -297,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="plan then AC-validate in one run")
     _add_case_args(p)
     _add_period_args(p)
+    _add_formulation_arg(p)
     p.add_argument("--mrsp", action="store_true",
                    help="shrink the repair set before ordering")
     p.add_argument("--out", default="-")

@@ -6,7 +6,8 @@ import pytest
 
 import grs.acvalidate
 from grs import cli, netio
-from grs.acvalidate import (IslandData, _ds_blocks, branch_flows,
+from grs.acvalidate import (PF_MAX_ITER, PF_TOL, IslandData, NoSlack,
+                            _attempt, _ds_blocks, _pf_state, branch_flows,
                             max_load_delivery, newton_pf,
                             power_flow_jacobian, redispatch_plan,
                             residual_injections)
@@ -14,12 +15,13 @@ from grs.formulations import DC, build_rop, decode_plan
 from grs.grid import (BRANCH, GEN, Bus, DamageScenario, Generator, Network,
                       PlanCaseMismatch, RestorationPlan, replicate)
 from grs.mip import solve_mip
+from grs.workflows import run_heuristic
 from tests.conftest import CASES, make_two_bus
 
 
 @pytest.fixture(scope="module")
-def case118_area1(tmp_path_factory):
-    """case118 with its area-1 gen-damage scenario (seed 42) switched off."""
+def area1_scenario(tmp_path_factory):
+    """case118 and its area-1 gen-damage scenario (seed 42)."""
     out = tmp_path_factory.mktemp("dmg118") / "seed42.json"
     rc = cli.main(["gen-damage", "--case", str(CASES / "case118_smoke.m"),
                    "--fraction", "0.35", "--area", "1-23,25-32,113-115,117",
@@ -28,7 +30,82 @@ def case118_area1(tmp_path_factory):
     net = netio.load_case(CASES / "case118_smoke.m")
     dmg = netio.damage_from_dict(json.loads(out.read_text()))
     dmg.resolve(net)
+    return net, dmg
+
+
+@pytest.fixture(scope="module")
+def case118_area1(area1_scenario):
+    """case118 with its area-1 gen-damage scenario (seed 42) switched off."""
+    net, dmg = area1_scenario
     return net, {item: False for item in dmg.sorted_items()}
+
+
+def _full_newton_pf(net, isl, pg_set, slack_gen, load_frac, pv_gens,
+                    q_fixed=None):
+    """The full Newton loop newton_pf ran before the chord: one Jacobian
+    built and solved per iteration.  Frozen here as the reference."""
+    q_fixed = q_fixed or {}
+    buses, pos, Y = isl.buses, isl.pos, isl.Y
+    n = len(buses)
+
+    slack_bus = net.gens[slack_gen].bus
+    if slack_bus not in pos:
+        raise NoSlack(f"slack gen {slack_gen} sits outside the island")
+    pv = [b for b in buses if b in pv_gens and b != slack_bus and b not in q_fixed]
+    pq = [b for b in buses if b != slack_bus and b not in pv]
+
+    p_spec = np.zeros(n)
+    q_spec = np.zeros(n)
+    for g, p in pg_set.items():
+        p_spec[pos[net.gens[g].bus]] += p
+    for lid, frac in load_frac.items():
+        ld = net.loads[lid]
+        if ld.bus in pos:
+            p_spec[pos[ld.bus]] -= frac * ld.pd
+            q_spec[pos[ld.bus]] -= frac * ld.qd
+    for b, qv in q_fixed.items():
+        q_spec[pos[b]] += qv
+
+    vm = np.ones(n)
+    va = np.zeros(n)
+    for b, gids in pv_gens.items():
+        vm[pos[b]] = net.gens[gids[0]].vg
+    vm[pos[slack_bus]] = net.gens[slack_gen].vg
+
+    pvpq = np.array([pos[b] for b in buses if b != slack_bus], dtype=int)
+    pq_i = np.array([pos[b] for b in pq], dtype=int)
+    pq_at = np.searchsorted(pvpq, pq_i)
+    y_pvpq = Y[np.ix_(pvpq, pvpq)]
+    nva = len(pvpq)
+
+    mismatch = math.inf
+    it = 0
+    for it in range(PF_MAX_ITER + 1):
+        v = vm * np.exp(1j * va)
+        ibus = Y @ v
+        s_calc = v * ibus.conjugate()
+        dp = p_spec - s_calc.real
+        dq = q_spec - s_calc.imag
+        f = np.concatenate([dp[pvpq], dq[pq_i]])
+        mismatch = float(np.max(np.abs(f))) if f.size else 0.0
+        if mismatch <= PF_TOL:
+            break
+        if it == PF_MAX_ITER:
+            break
+        ds_dva, ds_dvm = _ds_blocks(y_pvpq, v[pvpq], ibus[pvpq], pq_at)
+        jac = np.block([[ds_dva.real, ds_dvm.real],
+                        [ds_dva.imag[pq_at], ds_dvm.imag[pq_at]]])
+        try:
+            dx = np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError:
+            return _pf_state(net, isl, vm, va, pg_set, slack_gen, load_frac,
+                             False, it, it + 1, mismatch)
+        va[pvpq] += dx[:nva]
+        vm[pq_i] += dx[nva:]
+
+    converged = mismatch <= PF_TOL
+    return _pf_state(net, isl, vm, va, pg_set, slack_gen, load_frac,
+                     converged, it, it, mismatch)
 
 
 def test_single_bus_trivial():
@@ -38,7 +115,7 @@ def test_single_bus_trivial():
     pf = newton_pf(net, IslandData.build(net, [1], []), {}, 1, {}, {1: [1]})
     assert pf.converged
     assert pf.vm[1] == 1.0 and pf.va[1] == 0.0
-    assert pf.iterations == 0
+    assert pf.iterations == 0 and pf.factorizations == 0
 
 
 def test_two_bus_lossless_arcsin():
@@ -299,3 +376,91 @@ def test_ybus_built_once_per_served_island(case118_area1, monkeypatch):
     assert len(with_loads_and_gens) >= 2
     assert calls["_ybus"] == len(with_loads_and_gens)
     assert calls["newton_pf"] > calls["_ybus"]
+
+
+def _paired(monkeypatch, pairs):
+    """Make every newton_pf call also run the reference loop on the same
+    arguments; pairs collects (chord, reference, q_fixed at the call)."""
+    chord = grs.acvalidate.newton_pf
+
+    def both(*args):
+        pf = chord(*args)
+        pairs.append((pf, _full_newton_pf(*args), dict(args[-1] or {})))
+        return pf
+    monkeypatch.setattr(grs.acvalidate, "newton_pf", both)
+
+
+def _served_islands(net, energized):
+    """(IslandData, gens, loads) of each island max_load_delivery solves."""
+    live = net.live()
+    out = []
+    for res in max_load_delivery(net, energized).islands:
+        if res.pf is None:
+            continue
+        isl = IslandData.build(net, res.buses, sorted(res.pf.flow_fr))
+        gens = [g for g in live.gens if net.gens[g].bus in isl.pos
+                and energized.get((GEN, g), True)]
+        loads = [lid for lid in live.loads if net.loads[lid].bus in isl.pos]
+        out.append((isl, gens, loads))
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.7, 1.0])
+def test_chord_matches_full_newton(case5, case118_area1, monkeypatch, lam):
+    pinned = 0
+    for net, energized in ((case5, {}), case118_area1):
+        for isl, gens, loads in _served_islands(net, energized):
+            fractions = {lid: lam for lid in loads}
+            pairs = []
+            with monkeypatch.context() as m:
+                _paired(m, pairs)
+                chord_binding = []
+                _, ok = _attempt(net, isl, gens, loads, fractions,
+                                 chord_binding)
+            ref_binding = []
+            with monkeypatch.context() as m:
+                m.setattr(grs.acvalidate, "newton_pf", _full_newton_pf)
+                _, ref_ok = _attempt(net, isl, gens, loads, fractions,
+                                     ref_binding)
+            assert (ok, chord_binding) == (ref_ok, ref_binding)
+            for pf, ref, q_fixed in pairs:
+                pinned += bool(q_fixed)
+                assert pf.converged and ref.converged
+                assert pf.factorizations <= ref.iterations
+                for b in isl.buses:
+                    assert abs(pf.vm[b] - ref.vm[b]) <= 1e-7
+                    assert abs(pf.va[b] - ref.va[b]) <= 1e-7
+    assert pinned > 0  # some solves ran with PV buses pinned as PQ
+
+
+def test_nan_load_stops_at_once(case5):
+    isl = IslandData.build(case5, sorted(case5.buses), sorted(case5.branches))
+    fractions = {lid: 1.0 for lid in case5.loads}
+    fractions[min(fractions)] = math.nan
+    pv_gens = {}
+    for g in sorted(case5.gens):
+        pv_gens.setdefault(case5.gens[g].bus, []).append(g)
+    slack = max(case5.gens, key=lambda g: (case5.gens[g].pmax, -g))
+    pf = newton_pf(case5, isl, {}, slack, fractions, pv_gens)
+    assert not pf.converged
+    assert pf.iterations == 0 and pf.factorizations == 0
+
+
+def test_singular_jacobian_ends_unconverged():
+    # bus 2 has no branch in the island: its rows of the Jacobian are zero
+    net = make_two_bus(load_pu=0.5)
+    pf = newton_pf(net, IslandData.build(net, [1, 2], []), {}, 1, {2: 1.0},
+                   {1: [1]})
+    assert not pf.converged
+    assert pf.iterations == 0 and pf.factorizations == 1
+
+
+def test_heuristic_factors_fewer_jacobians_than_full_newton(area1_scenario,
+                                                             monkeypatch):
+    pairs = []
+    _paired(monkeypatch, pairs)
+    run_heuristic(*area1_scenario, 10)
+    assert pairs and all(pf.converged and ref.converged
+                         for pf, ref, _ in pairs)
+    factorizations = sum(pf.factorizations for pf, _, _ in pairs)
+    assert factorizations < sum(ref.iterations for _, ref, _ in pairs)

@@ -254,6 +254,27 @@ def test_pipeline_rejects_dump_lp(tmp_path):
     assert not lp.exists()
 
 
+@pytest.mark.parametrize("command", ["redispatch", "heuristic"])
+def test_formulation_flag_is_usage_error_where_unread(tmp_path, command):
+    args = [command, "--case", CASE2, "--damage", DMG2, "--periods", "2"]
+    if command == "redispatch":
+        plan = tmp_path / "plan.json"
+        assert main(["rop", *args[1:], "--out", str(plan)]) == 0
+        args += ["--plan", str(plan)]
+    out = tmp_path / "out.json"
+    assert main([*args, "--formulation", "soc", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main([*args, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["rop", "pipeline"])
+def test_formulation_flag_is_read(tmp_path, command):
+    out = tmp_path / "out.json"
+    assert main([command, "--case", CASE2, "--damage", DMG2, "--periods", "2",
+                 "--formulation", "soc", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["formulation"] == "soc"
+
+
 def test_batch_scenarios(tmp_path):
     scen_dir = tmp_path / "scenarios"
     scen_dir.mkdir()
