@@ -46,10 +46,6 @@ LAMBDA_TOL = 1e-4
 LIMIT_TOL = 1e-6
 
 
-class NoSlack(GridError):
-    pass
-
-
 @dataclass
 class PfState:
     converged: bool
@@ -229,7 +225,7 @@ def newton_pf(net: Network, isl: IslandData, pg_set: dict[int, float],
 
     slack_bus = net.gens[slack_gen].bus
     if slack_bus not in pos:
-        raise NoSlack(f"slack gen {slack_gen} sits outside the island")
+        raise GridError(f"slack gen {slack_gen} sits outside the island")
     pv = [b for b in buses if b in pv_gens and b != slack_bus and b not in q_fixed]
     pq = [b for b in buses if b != slack_bus and b not in pv]
 

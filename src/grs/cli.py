@@ -3,8 +3,9 @@
 Subcommands: parse, mrsp, rop, redispatch, pipeline, heuristic, gen-damage.
 All outputs are deterministic functions of (inputs, seed); wall-clock stage
 timings are only written when --timings is passed, to a separate file.
-Exit codes: 0 success, 1 infeasible, 2 input error, 3 solver limit or
-numerical failure.
+Exit codes: 0 success, 1 infeasible (``PipelineInfeasible``), 2 input error
+(``GridError``, or a file that cannot be read or decoded), 3 solver limit or
+numerical failure (``MipError``).
 Set GRS_LOG to a logging level name (e.g. DEBUG) for diagnostics on stderr.
 """
 
@@ -22,7 +23,6 @@ from pathlib import Path
 from . import acvalidate, formulations, netio, workflows
 from .grid import GridError, apply_damage, replicate
 from .mip import MipError, SolveLimits
-from .netio import NetioError
 
 log = logging.getLogger("grs")
 
@@ -176,6 +176,9 @@ def _run_pipeline(args, net, dmg):
 
 
 def cmd_pipeline(args):
+    if args.scenarios and not Path(args.scenarios).is_dir():
+        log.error("--scenarios %s is not a directory", args.scenarios)
+        return EXIT_INPUT
     net, dmg = _load_inputs(args, need_damage=not args.scenarios)
     if args.scenarios:
         outdir = Path(args.out_dir or ".")
@@ -349,21 +352,16 @@ def main(argv=None) -> int:
             log.error("pipeline needs --damage or --scenarios")
             return EXIT_INPUT
         return args.func(args)
-    except (NetioError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (GridError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         log.error("input error: %s", exc)
         return EXIT_INPUT
-    except workflows.SolverLimit as exc:
-        log.error("%s", exc)
-        return EXIT_LIMIT
-    except MipError as exc:
-        log.error("solver failure: %s", exc)
-        return EXIT_LIMIT
     except workflows.PipelineInfeasible as exc:
         log.error("%s", exc)
         return EXIT_INFEASIBLE
-    except GridError as exc:
-        log.error("%s", exc)
-        return EXIT_INPUT
+    except MipError as exc:
+        log.error("solver: %s", exc)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

@@ -15,11 +15,11 @@ Two power-flow formulations are supported:
 
 Damaged components carry one binary indicator per period; undamaged
 components are compiled as constants (indicator fixed to one), so model
-size is an exact function of component and damage counts (see
-``model_size``).  The restoration-order model replicates the period model
-K+1 times and links periods with energization monotonicity, a repair
-cardinality budget, and non-decreasing served-load fractions; period 0 is
-pinned fully damaged and period K fully restored through variable bounds.
+size is an exact function of component and damage counts.  The
+restoration-order model replicates the period model K+1 times and links
+periods with energization monotonicity, a repair cardinality budget, and
+non-decreasing served-load fractions; period 0 is pinned fully damaged and
+period K fully restored through variable bounds.
 
 Columns and rows are labelled ``name[cid]@n`` (``var_name``).  The labels
 exist for the LP dump (``--dump-lp``) and for callers that look a column up
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 
 from .grid import (BRANCH, BUS, GEN, Branch, GridError, MultiPeriodCase,
-                   Network, NoRefBus, RestorationPlan, ens_mwh, indicator)
+                   Network, RestorationPlan, ens_mwh, indicator)
 from .mip import BINARY, CONTINUOUS, EQ, GE, LE, MipModel, MipSolution
 
 VA_BOUND = 0.5236  # rad; default bus-angle box, span = 2 * VA_BOUND
@@ -41,10 +41,6 @@ VA_SPAN = 2 * VA_BOUND
 
 DC = "dc"
 SOC = "soc"
-
-
-class FormulationError(GridError):
-    pass
 
 
 def var_name(name: str, cid: int | str, n: int) -> str:
@@ -94,9 +90,9 @@ class _Builder:
     def __init__(self, net: Network, formulation: str, rop: bool,
                  periods: int, damaged: list[tuple[str, int]]):
         if formulation not in (DC, SOC):
-            raise FormulationError(f"unknown formulation {formulation!r}")
+            raise GridError(f"unknown formulation {formulation!r}")
         if not any(net.buses[b].bus_type == 3 for b in net.buses):
-            raise NoRefBus("network has no reference bus")
+            raise GridError("network has no reference bus")
         self.net = net
         self.soc = formulation == SOC
         self.rop = rop
@@ -483,53 +479,3 @@ def estimated_ens_mwh(case: MultiPeriodCase, plan: RestorationPlan,
               for n in range(case.periods + 1)]
     return ens_mwh(case.total_load_mw(), served, case.period_hours,
                    count_initial_period)
-
-
-def model_size(net: Network, formulation: str, rop: bool, periods: int,
-               damaged: list[tuple[str, int]]) -> tuple[int, int]:
-    """Exact (variables, linear rows) the builders will produce over the
-    live components (``Network.live``) with the given (live) damaged items.
-
-    DC, per period: vars |bus| + |gen| + |branch| (p_fr only) + |dmg|
-    (+|load| + |shunt| for the ordering model); rows |bus| (balance)
-    + |branch| + |dmg branch| (flow law) + 2|branch| (angle) + 2|dmg branch|
-    (activation) + 2|dmg gen| (on/off) + dependency rows + 1 cardinality
-    (periods >= 1); the reference angle is a bound, not a row.  Inter-period:
-    (|dmg| + |load|) * K rows.  SOC counts follow the same structure with the
-    W-space variables and rows.
-    """
-    live = net.live()
-    dmg_set = set(damaged)
-    nb, nbr, ng = len(live.buses), len(live.branches), len(live.gens)
-    nl, ns, nd = len(live.loads), len(live.shunts), len(damaged)
-    dmg_br = sum(1 for k, _ in damaged if k == BRANCH)
-    dmg_g = sum(1 for k, _ in damaged if k == GEN)
-    dmg_bus = sum(1 for k, _ in damaged if k == BUS)
-    rated = sum(1 for i in live.branches if net.branches[i].rate_a > 0.0)
-    rated_dmg = sum(1 for i in live.branches
-                    if net.branches[i].rate_a > 0.0 and (BRANCH, i) in dmg_set)
-    dep = 0
-    for i in live.branches:
-        if (BRANCH, i) in dmg_set:
-            br = net.branches[i]
-            dep += sum(1 for e in (br.f_bus, br.t_bus) if (BUS, e) in dmg_set)
-    for i in live.gens:
-        if (GEN, i) in dmg_set and (BUS, net.gens[i].bus) in dmg_set:
-            dep += 1
-
-    if formulation == DC:
-        vars_pp = nb + ng + nbr + nd + (nl + ns if rop else 0)
-        rows_pp = nb + (nbr + dmg_br) + 2 * nbr + 2 * dmg_br + 2 * dmg_g + dep
-    else:
-        vars_pp = (nb + 2 * ng + 6 * nbr + 2 * dmg_br + 2 * rated + nd
-                   + (nl + 2 * ns if rop else 0))
-        rows_pp = (2 * nb + 6 * nbr + 10 * dmg_br + 2 * rated_dmg
-                   + 2 * dmg_bus + 4 * dmg_g + dep
-                   + (4 * ns if rop else 0))
-    nper = periods + 1 if rop else 1
-    nvars = vars_pp * nper
-    nrows = rows_pp * nper
-    if rop:
-        nrows += periods  # cardinality
-        nrows += (nd + nl) * periods  # monotone energization and service
-    return nvars, nrows

@@ -21,39 +21,15 @@ INDICATOR_TOL = 1e-6  # farthest a solved repair indicator may sit from 0 or 1
 
 
 class GridError(Exception):
-    pass
-
-
-class InvalidBusRef(GridError):
-    pass
-
-
-class DuplicateBusId(GridError):
-    pass
-
-
-class NoRefBus(GridError):
-    pass
-
-
-class UnknownComponent(GridError):
-    pass
-
-
-class NonIntegralIndicator(GridError):
-    pass
-
-
-class PlanCaseMismatch(GridError):
-    pass
+    """Input the network, damage or plan rules reject: exit code 2."""
 
 
 def indicator(val: float, what: str) -> int:
     """A solved repair indicator as 0 or 1; farther than INDICATOR_TOL from
-    both raises ``NonIntegralIndicator`` naming what."""
+    both raises ``GridError`` naming what."""
     z = round(val)
     if abs(val - z) > INDICATOR_TOL:
-        raise NonIntegralIndicator(f"{what}: indicator {val}")
+        raise GridError(f"{what}: indicator {val}")
     return z
 
 
@@ -172,21 +148,21 @@ class Network:
             br.check()
             for end in (br.f_bus, br.t_bus):
                 if end not in self.buses:
-                    raise InvalidBusRef(f"branch {br.id} endpoint {end} unknown")
+                    raise GridError(f"branch {br.id} endpoint {end} unknown")
         for g in self.gens.values():
             g.check()
             if g.bus not in self.buses:
-                raise InvalidBusRef(f"gen {g.id} bus {g.bus} unknown")
+                raise GridError(f"gen {g.id} bus {g.bus} unknown")
         for d in self.loads.values():
             if d.bus not in self.buses:
-                raise InvalidBusRef(f"load {d.id} bus {d.bus} unknown")
+                raise GridError(f"load {d.id} bus {d.bus} unknown")
         for s in self.shunts.values():
             if s.bus not in self.buses:
-                raise InvalidBusRef(f"shunt {s.bus} bus unknown")
+                raise GridError(f"shunt {s.id} bus {s.bus} unknown")
         if not any(
             b in self.buses and self.buses[b].bus_type != 4 for b in self.ref_buses
         ):
-            raise NoRefBus("no energizable reference bus")
+            raise GridError("no energizable reference bus")
         return self
 
     def total_load(self) -> float:
@@ -195,7 +171,7 @@ class Network:
     def component(self, kind: str, cid: int):
         pool = {BUS: self.buses, BRANCH: self.branches, GEN: self.gens}[kind]
         if cid not in pool:
-            raise UnknownComponent(f"{kind} {cid} not in network")
+            raise GridError(f"{kind} {cid} not in network")
         return pool[cid]
 
     def live(self) -> Live:
@@ -296,16 +272,16 @@ class RestorationPlan:
         """
         k = self.periods
         if k != case.periods:
-            raise PlanCaseMismatch(f"plan has {k} periods, case {case.periods}")
+            raise GridError(f"plan has {k} periods, case {case.periods}")
         if self.period_hours != case.period_hours:
-            raise PlanCaseMismatch(f"plan has {self.period_hours} h periods, "
+            raise GridError(f"plan has {self.period_hours} h periods, "
                                    f"case {case.period_hours} h")
         for item in case.damaged_items():
             if item not in self.status:
-                raise PlanCaseMismatch(f"plan misses damaged component {item}")
+                raise GridError(f"plan misses damaged component {item}")
         loads, live_loads = sorted(self.load_fraction), case.base.live().loads
         if loads != live_loads:
-            raise PlanCaseMismatch(f"plan lists loads {loads}, the case's "
+            raise GridError(f"plan lists loads {loads}, the case's "
                                    f"live loads are {live_loads}")
         for (kind, cid), zs in sorted(self.status.items()):
             if len(zs) != k + 1:
@@ -332,12 +308,6 @@ class RestorationPlan:
             if min(fr) < -1e-9 or max(fr) > 1.0 + 1e-9:
                 raise GridError(f"load {lid}: fraction outside [0,1]")
         return self
-
-    def energized(self, period: int) -> dict[tuple[str, int], bool]:
-        out = {}
-        for item, zs in self.status.items():
-            out[item] = bool(zs[period])
-        return out
 
 
 @dataclass(frozen=True)

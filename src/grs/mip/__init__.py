@@ -3,7 +3,7 @@
 from .model import (BINARY, CONTINUOUS, EQ, GAP_LIMIT, GE, INF, INFEASIBLE,
                     ITERATION_LIMIT, LE, OPTIMAL, UNBOUNDED, ConeRow, LinRow,
                     MipError, MipModel, MipSolution, NumericalFailure,
-                    SolveStats, Var, cone_violation, row_activity)
+                    SolveStats, Var, cone_violation)
 from .bnb import CONE_TOL, INT_TOL, SolveLimits, cone_cut, solve_lp, solve_mip
 
 __all__ = [
@@ -12,5 +12,5 @@ __all__ = [
     "ConeRow", "LinRow", "Var", "MipModel", "MipSolution", "SolveStats",
     "MipError", "NumericalFailure",
     "SolveLimits", "solve_lp", "solve_mip", "cone_cut", "cone_violation",
-    "row_activity", "CONE_TOL", "INT_TOL",
+    "CONE_TOL", "INT_TOL",
 ]

@@ -135,9 +135,8 @@ def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
     return res, False
 
 
-def _fractional(model: MipModel, x: np.ndarray) -> list[int]:
-    return [j for j in model.binary_indices()
-            if abs(x[j] - round(x[j])) > INT_TOL]
+def _fractional(binaries: list[int], x: np.ndarray) -> list[int]:
+    return [j for j in binaries if abs(x[j] - round(x[j])) > INT_TOL]
 
 
 def _most_fractional(frac_idx: list[int], x: np.ndarray) -> int:
@@ -198,6 +197,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
     ctx = _LpContext(model)
     sgn = 1.0 if model.sense == "min" else -1.0
     n = len(model.vars)
+    binaries = model.binary_indices()
 
     def external(v):  # internal minimization value -> reported objective
         return sgn * v + model.obj_const
@@ -242,8 +242,8 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
     def dive(x0, fixes0, basis0):
         fixes = dict(fixes0)
         x, bas = x0, basis0
-        for _ in range(model.num_binary + 2):
-            frac = _fractional(model, x)
+        for _ in range(len(binaries) + 2):
+            frac = _fractional(binaries, x)
             if not frac:
                 ok = all(cone_violation(c, x) <= limits.cone_tol
                          for c in model.cone_rows)
@@ -302,7 +302,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
         if incumbent_x is not None and node_obj >= incumbent_obj - 1e-12:
             continue
 
-        frac = _fractional(model, res.x)
+        frac = _fractional(binaries, res.x)
         if not frac:
             if cone_ok:
                 try_incumbent(res.x, node_obj)

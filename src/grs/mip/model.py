@@ -31,7 +31,8 @@ ITERATION_LIMIT = "iteration_limit"
 
 
 class MipError(Exception):
-    pass
+    """A model the solver rejects, or a solve it could not finish: exit
+    code 3."""
 
 
 class NumericalFailure(MipError):
@@ -109,10 +110,6 @@ class MipModel:
     def var_index(self, name: str) -> int:
         return self._index[name]
 
-    @property
-    def num_binary(self) -> int:
-        return sum(1 for v in self.vars if v.integrality == BINARY)
-
     def binary_indices(self) -> list[int]:
         return [i for i, v in enumerate(self.vars) if v.integrality == BINARY]
 
@@ -187,10 +184,6 @@ class MipSolution:
     gap: float
     stats: SolveStats = field(default_factory=SolveStats)
     message: str = ""
-
-
-def row_activity(row: LinRow, x: np.ndarray) -> float:
-    return float(sum(c * x[i] for i, c in row.coeffs.items()))
 
 
 def cone_violation(cone: ConeRow, x: np.ndarray) -> float:

@@ -2,7 +2,8 @@
 
 Reads the Matpower .m subset needed by the DC/SOC/AC models: the baseMVA
 scalar and the bus/gen/branch matrices, whose numbers must be finite.
-Other sections, e.g. gencost or storage, are skipped with a warning record.
+Other sections, e.g. gencost or storage, are skipped with a warning record,
+which ``load_case`` logs.
 The reader checks only what reading needs; the network rules, bus
 references among them, belong to ``to_network`` and ``Network.validate``.
 Quantities are converted to per-unit on the system base; angle columns from
@@ -11,36 +12,26 @@ degrees to radians.
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 from dataclasses import dataclass, field
 from io import StringIO
 
 from .grid import (Branch, Bus, DamageScenario, DEFAULT_ANGLE_BOUND,
-                   DuplicateBusId, EnsReport, Generator, Load, Network,
+                   EnsReport, Generator, GridError, Load, Network,
                    RestorationPlan, Shunt)
 
-
-class NetioError(Exception):
-    pass
+log = logging.getLogger(__name__)
 
 
-class MalformedSection(NetioError):
+class MalformedSection(GridError):
+    """A case-file row or statement the reader rejects; ``line``, when
+    known, names where."""
+
     def __init__(self, message, line=None):
         super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
-
-
-class MissingSection(NetioError):
-    pass
-
-
-class NegativeDemand(NetioError):
-    pass
-
-
-class MalformedDocument(NetioError):
-    """A damage or plan JSON document that does not match its schema."""
 
 
 SECTIONS = ("bus", "gen", "branch")
@@ -109,10 +100,10 @@ def parse_matpower(text: str) -> RawCase:
             rows += [[_number(t, f"section {key}", n) for t in chunk.split()]
                      for chunk in chunks.split(";") if chunk.strip()]
     if base_mva is None:
-        raise MissingSection("no mpc.baseMVA")
+        raise GridError("no mpc.baseMVA")
     for needed in SECTIONS:
         if needed not in sections:
-            raise MissingSection(f"no mpc.{needed} section")
+            raise GridError(f"no mpc.{needed} section")
     return RawCase(base_mva, name, sections["bus"], sections["gen"],
                    sections["branch"], warnings)
 
@@ -132,12 +123,12 @@ def to_network(raw: RawCase) -> Network:
         if btype not in (1, 2, 3, 4):
             raise MalformedSection(f"bus {bid}: bad type {btype}")
         if bid in buses:
-            raise DuplicateBusId(f"duplicate bus id {bid}")
+            raise GridError(f"duplicate bus id {bid}")
         buses[bid] = Bus(id=bid, bus_type=btype, vmin=float(row[12]),
                          vmax=float(row[11]))
         pd, qd = float(row[2]) / base, float(row[3]) / base
         if pd < 0:
-            raise NegativeDemand(f"bus {bid}: negative demand {pd * base} MW")
+            raise GridError(f"bus {bid}: negative demand {pd * base} MW")
         if pd != 0.0 or qd != 0.0:
             loads[bid] = Load(id=bid, bus=bid, pd=pd, qd=qd)
         gs, bs = float(row[4]) / base, float(row[5]) / base
@@ -184,8 +175,13 @@ def to_network(raw: RawCase) -> Network:
 
 
 def load_case(path) -> Network:
+    """Read a case file; each section the reader skipped is logged at
+    WARNING."""
     with open(path, encoding="utf-8") as f:
-        return to_network(parse_matpower(f.read()))
+        raw = parse_matpower(f.read())
+    for warning in raw.warnings:
+        log.warning("%s: %s", path, warning)
+    return to_network(raw)
 
 
 # --- JSON serialization -------------------------------------------------
@@ -212,15 +208,15 @@ def damage_from_dict(d: dict) -> DamageScenario:
     """An object whose only keys are branch, gen and bus, each (if present)
     a list of whole-number ids."""
     if not isinstance(d, dict):
-        raise MalformedDocument(f"damage must be a JSON object, not {d!r}")
+        raise GridError(f"damage must be a JSON object, not {d!r}")
     for kind, ids in d.items():
         if kind not in ("branch", "gen", "bus"):
-            raise MalformedDocument(f"unknown damage key {kind!r}")
+            raise GridError(f"unknown damage key {kind!r}")
         if not isinstance(ids, list) or not all(
                 isinstance(i, int) and not isinstance(i, bool)
                 or isinstance(i, float) and i.is_integer() for i in ids):
-            raise MalformedDocument(f"damage {kind!r} must be a list of "
-                                    f"whole-number ids, not {ids!r}")
+            raise GridError(f"damage {kind!r} must be a list of "
+                            f"whole-number ids, not {ids!r}")
     return DamageScenario.of(branches=d.get("branch", ()),
                              gens=d.get("gen", ()), buses=d.get("bus", ()))
 
@@ -259,9 +255,9 @@ def plan_from_dict(d: dict) -> RestorationPlan:
             formulation=d["formulation"],
         )
     except KeyError as exc:
-        raise MalformedDocument(f"plan misses key {exc}") from None
+        raise GridError(f"plan misses key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
-        raise MalformedDocument(f"malformed plan: {exc}") from None
+        raise GridError(f"malformed plan: {exc}") from None
 
 
 def report_to_dict(report: EnsReport) -> dict:

@@ -21,22 +21,21 @@ from . import acvalidate, formulations, netio
 from .grid import (BRANCH, GEN, DamageScenario, EnsReport, GridError,
                    MultiPeriodCase, Network, RestorationPlan, apply_damage,
                    ens_mwh, indicator, replicate, update_status)
-from .mip import (GAP_LIMIT, INFEASIBLE, OPTIMAL, MipModel, MipSolution,
-                  SolveLimits, solve_lp, solve_mip)
+from .mip import (GAP_LIMIT, INFEASIBLE, OPTIMAL, MipError, MipModel,
+                  MipSolution, SolveLimits, solve_lp, solve_mip)
 
 
-class PipelineInfeasible(GridError):
+class PipelineInfeasible(Exception):
+    """A planning stage whose model has no feasible point: exit code 1."""
+
     def __init__(self, stage, message=""):
         super().__init__(f"{stage}: {message or 'infeasible'}")
         self.stage = stage
 
 
-class MrspInfeasible(PipelineInfeasible):
-    def __init__(self, message=""):
-        super().__init__("mrsp", message or "full load unreachable even with all repairs")
+class SolverLimit(MipError):
+    """A solve stopped at a limit before the gap target."""
 
-
-class SolverLimit(GridError):
     def __init__(self, stage, sol: MipSolution):
         super().__init__(f"{stage}: stopped at {sol.status}, bound {sol.bound}")
         self.stage = stage
@@ -116,7 +115,8 @@ def solve_rop(case: MultiPeriodCase, model: MipModel, formulation: str,
 
 def solve_mrsp(damaged: Network, model: MipModel,
                limits: SolveLimits | None = None):
-    """Solve a built MRSP model; an infeasible one raises ``MrspInfeasible``.
+    """Solve a built MRSP model; an infeasible one raises
+    ``PipelineInfeasible``.
 
     Returns each damaged component's repair indicator and the components
     kept for repair.
@@ -124,7 +124,8 @@ def solve_mrsp(damaged: Network, model: MipModel,
     try:
         sol = _checked(solve_mip(model, limits), "mrsp")
     except PipelineInfeasible as exc:
-        raise MrspInfeasible() from exc
+        raise PipelineInfeasible(
+            "mrsp", "full load unreachable even with all repairs") from exc
     indicators = formulations.mrsp_set(damaged, model, sol)
     kept = frozenset((kind, cid) for (kind, cid), z in indicators.items()
                      if indicator(z, f"{kind} {cid}") == 1)

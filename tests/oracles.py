@@ -2,7 +2,8 @@
 
 Everything here goes through scipy (HiGHS linprog, dense linear algebra),
 never through the package's own simplex or power-flow code, so agreement is
-meaningful.
+meaningful.  ``model_size`` states the model builders' sizes as counting
+formulas, apart from the builders themselves.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
-from grs.grid import BRANCH, GEN, MultiPeriodCase, Network
+from grs.formulations import DC
+from grs.grid import BRANCH, BUS, GEN, MultiPeriodCase, Network
 
 
 def dc_max_served(net: Network, energized: dict, angle_bound=0.5236) -> float:
@@ -122,3 +124,53 @@ def enumerate_rop_orders(case: MultiPeriodCase) -> tuple[float, list]:
     base_served = score(frozenset())
     rec(frozenset(items), frozenset(), 1, base_served)
     return best
+
+
+def model_size(net: Network, formulation: str, rop: bool, periods: int,
+               damaged: list[tuple[str, int]]) -> tuple[int, int]:
+    """Exact (variables, linear rows) the builders will produce over the
+    live components (``Network.live``) with the given (live) damaged items.
+
+    DC, per period: vars |bus| + |gen| + |branch| (p_fr only) + |dmg|
+    (+|load| + |shunt| for the ordering model); rows |bus| (balance)
+    + |branch| + |dmg branch| (flow law) + 2|branch| (angle) + 2|dmg branch|
+    (activation) + 2|dmg gen| (on/off) + dependency rows + 1 cardinality
+    (periods >= 1); the reference angle is a bound, not a row.  Inter-period:
+    (|dmg| + |load|) * K rows.  SOC counts follow the same structure with the
+    W-space variables and rows.
+    """
+    live = net.live()
+    dmg_set = set(damaged)
+    nb, nbr, ng = len(live.buses), len(live.branches), len(live.gens)
+    nl, ns, nd = len(live.loads), len(live.shunts), len(damaged)
+    dmg_br = sum(1 for k, _ in damaged if k == BRANCH)
+    dmg_g = sum(1 for k, _ in damaged if k == GEN)
+    dmg_bus = sum(1 for k, _ in damaged if k == BUS)
+    rated = sum(1 for i in live.branches if net.branches[i].rate_a > 0.0)
+    rated_dmg = sum(1 for i in live.branches
+                    if net.branches[i].rate_a > 0.0 and (BRANCH, i) in dmg_set)
+    dep = 0
+    for i in live.branches:
+        if (BRANCH, i) in dmg_set:
+            br = net.branches[i]
+            dep += sum(1 for e in (br.f_bus, br.t_bus) if (BUS, e) in dmg_set)
+    for i in live.gens:
+        if (GEN, i) in dmg_set and (BUS, net.gens[i].bus) in dmg_set:
+            dep += 1
+
+    if formulation == DC:
+        vars_pp = nb + ng + nbr + nd + (nl + ns if rop else 0)
+        rows_pp = nb + (nbr + dmg_br) + 2 * nbr + 2 * dmg_br + 2 * dmg_g + dep
+    else:
+        vars_pp = (nb + 2 * ng + 6 * nbr + 2 * dmg_br + 2 * rated + nd
+                   + (nl + 2 * ns if rop else 0))
+        rows_pp = (2 * nb + 6 * nbr + 10 * dmg_br + 2 * rated_dmg
+                   + 2 * dmg_bus + 4 * dmg_g + dep
+                   + (4 * ns if rop else 0))
+    nper = periods + 1 if rop else 1
+    nvars = vars_pp * nper
+    nrows = rows_pp * nper
+    if rop:
+        nrows += periods  # cardinality
+        nrows += (nd + nl) * periods  # monotone energization and service
+    return nvars, nrows

@@ -6,14 +6,14 @@ import pytest
 
 import grs.acvalidate
 from grs import cli, netio
-from grs.acvalidate import (PF_MAX_ITER, PF_TOL, IslandData, NoSlack,
-                            _attempt, _ds_blocks, _pf_state, branch_flows,
+from grs.acvalidate import (PF_MAX_ITER, PF_TOL, IslandData, _attempt,
+                            _ds_blocks, _pf_state, branch_flows,
                             max_load_delivery, newton_pf,
                             power_flow_jacobian, redispatch_plan,
                             residual_injections)
 from grs.formulations import DC, build_rop, decode_plan
-from grs.grid import (BRANCH, GEN, Bus, DamageScenario, Generator, Network,
-                      PlanCaseMismatch, RestorationPlan, replicate)
+from grs.grid import (BRANCH, GEN, Bus, DamageScenario, Generator,
+                      GridError, Network, RestorationPlan, replicate)
 from grs.mip import solve_mip
 from grs.workflows import run_heuristic
 from tests.conftest import CASES, make_two_bus
@@ -50,7 +50,7 @@ def _full_newton_pf(net, isl, pg_set, slack_gen, load_frac, pv_gens,
 
     slack_bus = net.gens[slack_gen].bus
     if slack_bus not in pos:
-        raise NoSlack(f"slack gen {slack_gen} sits outside the island")
+        raise GridError(f"slack gen {slack_gen} sits outside the island")
     pv = [b for b in buses if b in pv_gens and b != slack_bus and b not in q_fixed]
     pq = [b for b in buses if b != slack_bus and b not in pv]
 
@@ -262,7 +262,8 @@ def test_per_load_fractions_monotone(case5, damage5_all):
     fractions = {lid: 0.0 for lid in case5.loads}
     history = {lid: [0.0] for lid in case5.loads}
     for n in range(case.periods + 1):
-        disp = max_load_delivery(case5, plan.energized(n), fractions, period=n)
+        energized = {item: bool(zs[n]) for item, zs in plan.status.items()}
+        disp = max_load_delivery(case5, energized, fractions, period=n)
         fractions = dict(fractions)
         fractions.update(disp.fractions)
         for lid in case5.loads:
@@ -277,7 +278,7 @@ def test_redispatch_mismatch_raises(case5, damage5_all, two_bus_parallel):
     model = build_rop(other, DC)
     sol = solve_mip(model)
     plan = decode_plan(other, model, sol, DC)
-    with pytest.raises(PlanCaseMismatch):
+    with pytest.raises(GridError, match="plan has 2 periods, case 3"):
         redispatch_plan(case, plan)
 
 

@@ -1,20 +1,24 @@
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grs
 import grs.acvalidate
 import grs.workflows
 from grs import netio
 from grs.acvalidate import redispatch_plan
 from grs.cli import main
 from grs.formulations import build_mrsp, build_rop
-from grs.grid import apply_damage, replicate
-from grs.mip import (INFEASIBLE, ITERATION_LIMIT, MipSolution,
+from grs.grid import GridError, apply_damage, replicate
+from grs.mip import (INFEASIBLE, ITERATION_LIMIT, MipError, MipSolution,
                      NumericalFailure)
-from grs.workflows import heuristic_order
+from grs.workflows import PipelineInfeasible, heuristic_order
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 CASE2 = str(CASES / "case2_parallel.m")
@@ -59,6 +63,52 @@ def test_non_finite_period_hours_is_input_error(tmp_path, caplog, hours):
 def test_missing_case_is_input_error(tmp_path):
     rc = main(["parse", "--case", str(tmp_path / "nope.m"), "--out", "-"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag,bad", [
+    ("--case", "dir"), ("--case", "latin-1"), ("--damage", "dir"),
+    ("--damage", "latin-1"), ("--out", "dir"),
+])
+def test_unreadable_file_is_input_error(tmp_path, caplog, flag, bad):
+    path = tmp_path / "bad"
+    if bad == "dir":
+        path.mkdir()
+    else:
+        path.write_bytes("caf\u00e9".encode("latin-1"))  # not UTF-8
+    files = {"--case": CASE2, "--damage": DMG2,
+             "--out": str(tmp_path / "plan.json"), flag: str(path)}
+    argv = ["rop", "--periods", "2"] + [a for kv in files.items() for a in kv]
+    assert main(argv) == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+
+
+def test_parse_logs_skipped_sections(tmp_path, caplog):
+    case = tmp_path / "case.m"
+    case.write_text(Path(CASE2).read_text()
+                    + "mpc.gencost = [\n  2 0 0 3 0.1 20 0;\n];\n")
+    assert main(["parse", "--case", str(case),
+                 "--out", str(tmp_path / "net.json")]) == 0
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert warnings[0].name == "grs.netio"
+    assert "gencost" in warnings[0].getMessage()
+
+
+def test_exception_roots_map_to_exit_codes(monkeypatch):
+    roots = {PipelineInfeasible: 1, GridError: 2, MipError: 3}
+    for info in pkgutil.walk_packages(grs.__path__, "grs."):
+        module = importlib.import_module(info.name)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and issubclass(
+                    cls, BaseException):
+                assert sum(issubclass(cls, root) for root in roots) == 1, cls
+    for root, rc in roots.items():
+        def fail(*args, root=root):
+            raise root("x")
+
+        monkeypatch.setattr(netio, "load_case", fail)
+        assert main(["parse", "--case", CASE2]) == rc
 
 
 def test_gen_damage_deterministic(tmp_path):
@@ -286,6 +336,21 @@ def test_batch_scenarios(tmp_path):
     assert rc == 0
     assert (out_dir / "one.result.json").exists()
     assert (out_dir / "two.result.json").exists()
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["missing", "file"])
+def test_batch_scenarios_not_a_directory_is_input_error(tmp_path, caplog,
+                                                        exists):
+    scenarios = tmp_path / "scenarios"
+    if exists:
+        scenarios.write_text('{"branch": [1]}')
+    out_dir = tmp_path / "results"
+    rc = main(["pipeline", "--case", CASE2, "--periods", "2",
+               "--scenarios", str(scenarios), "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert not out_dir.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(scenarios) in errors[0]
 
 
 @pytest.mark.parametrize("command,damage,plan", [

@@ -7,11 +7,11 @@ from grs import netio
 from grs.cli import main
 from grs.formulations import (DC, SOC, VA_SPAN, bigM_for_branch, build_mrsp,
                               build_rop, dc_flow_cap, decode_plan,
-                              estimated_ens_mwh, model_size, mrsp_set)
+                              estimated_ens_mwh, mrsp_set)
 from grs.grid import BRANCH, Branch, DamageScenario, apply_damage, replicate
 from grs.mip import INFEASIBLE, OPTIMAL, solve_lp, solve_mip
 from tests.conftest import ANG, CASES, make_two_bus
-from tests.oracles import dc_max_served, enumerate_rop_orders
+from tests.oracles import dc_max_served, enumerate_rop_orders, model_size
 
 
 def test_mrsp_no_damage_trivial(case5):

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grs.grid import (BRANCH, DamageScenario, GridError, Load,
-                      NonIntegralIndicator, PlanCaseMismatch, RestorationPlan,
-                      Shunt, UnknownComponent, apply_damage,
-                      connected_islands, indicator, replicate, update_status)
+                      RestorationPlan, Shunt, apply_damage, connected_islands,
+                      indicator, replicate, update_status)
 from tests.conftest import make_two_bus
 
 
@@ -26,8 +25,14 @@ def test_apply_damage_full_scenario(case5, damage5_all):
     assert len(net.damaged_items()) == 11
 
 
+def test_unknown_shunt_bus_names_shunt_and_bus():
+    net = replace(make_two_bus(), shunts={7: Shunt(7, 9, 0.0, 0.1)})
+    with pytest.raises(GridError, match="shunt 7 bus 9 unknown"):
+        net.validate()
+
+
 def test_apply_damage_unknown(case5):
-    with pytest.raises(UnknownComponent):
+    with pytest.raises(GridError, match="branch 99 not in network"):
         apply_damage(case5, DamageScenario.of(branches=[99]))
 
 
@@ -86,7 +91,7 @@ def test_live_components(case5):
 def test_indicator_rounding():
     assert [indicator(v, "x") for v in (0.0, 1e-7, 1.0 - 1e-7, 1.0)] == \
         [0, 0, 1, 1]
-    with pytest.raises(NonIntegralIndicator, match="gen 3@1: indicator 0.5"):
+    with pytest.raises(GridError, match="gen 3@1: indicator 0.5"):
         indicator(0.5, "gen 3@1")
 
 
@@ -126,7 +131,7 @@ def test_update_status_non_integral(case5, damage5_all):
     net = apply_damage(case5, damage5_all)
     ind = {item: 1.0 for item in net.damaged_items()}
     ind[(BRANCH, 1)] = 0.4999
-    with pytest.raises(NonIntegralIndicator):
+    with pytest.raises(GridError, match="indicator 0.4999"):
         update_status(net, ind)
 
 
@@ -211,6 +216,5 @@ def test_plan_validation_against_case(periods, status, match):
     case = replicate(make_two_bus(), DamageScenario.of(branches=[1, 2]), 2)
     plan = RestorationPlan(periods, 1.0, status,
                            {2: [0.0] * periods + [1.0]}, 0.0, "dc")
-    with pytest.raises(PlanCaseMismatch if "0/1" not in match else GridError,
-                       match=match):
+    with pytest.raises(GridError, match=match):
         plan.validate(case)

@@ -1,4 +1,5 @@
-"""Each study script imports cleanly, so a renamed grs function fails here."""
+"""Each study script imports cleanly, and each grs name the benchmark's
+tracer patches exists, so a renamed or deleted grs function fails here."""
 
 import importlib.util
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
@@ -16,3 +18,13 @@ def test_script_imports(path, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # main() sits behind __name__ == "__main__"
     assert callable(module.main)
+
+
+def test_perfbench_span_targets_exist():
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)  # imports grs modules only
+    missing = [name for name, module, attr, _ in spans.TARGETS
+               if not hasattr(module, attr)]
+    assert not missing

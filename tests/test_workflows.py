@@ -5,7 +5,7 @@ import pytest
 from grs.formulations import DC, SOC, build_rop
 from grs.grid import BRANCH, GEN, DamageScenario, replicate
 from grs.mip import SolveLimits, solve_mip
-from grs.workflows import (MrspInfeasible, capability, heuristic_order,
+from grs.workflows import (PipelineInfeasible, capability, heuristic_order,
                            pipeline_result_to_dict, run_mrsp_then_rop,
                            run_rop_then_redispatch, score_plan_dc)
 from tests.conftest import make_two_bus
@@ -40,7 +40,8 @@ def test_mrsp_then_rop_radial_no_reduction(case10):
 
 def test_mrsp_infeasible_raises():
     net = make_two_bus(load_pu=1.0, rate=0.3)
-    with pytest.raises(MrspInfeasible):
+    with pytest.raises(PipelineInfeasible,
+                       match="mrsp: full load unreachable even with all repairs"):
         run_mrsp_then_rop(net, DamageScenario.of(branches=[1, 2]), 2, DC)
 
 
