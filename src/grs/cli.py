@@ -41,8 +41,7 @@ def _limits_from(args) -> SolveLimits:
 
 
 def _read_damage(path):
-    with open(path, encoding="utf-8") as f:
-        return netio.damage_from_dict(json.load(f))
+    return netio.damage_from_dict(json.loads(netio.read_text(path)))
 
 
 def _load_inputs(args, need_damage=True):
@@ -156,8 +155,7 @@ def cmd_rop(args):
 def cmd_redispatch(args):
     net, dmg = _load_inputs(args)
     case = replicate(net, dmg, args.periods, args.period_hours)
-    with open(args.plan, encoding="utf-8") as f:
-        plan = netio.plan_from_dict(json.load(f))
+    plan = netio.plan_from_dict(json.loads(netio.read_text(args.plan)))
     report = acvalidate.redispatch_plan(case, plan, args.count_initial_period)
     _dump_json(args.out, netio.report_to_dict(report))
     if args.csv:
@@ -182,7 +180,7 @@ def cmd_pipeline(args):
     net, dmg = _load_inputs(args, need_damage=not args.scenarios)
     if args.scenarios:
         outdir = Path(args.out_dir or ".")
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir.mkdir(exist_ok=True)
         for path in sorted(Path(args.scenarios).glob("*.json")):
             result = _run_pipeline(args, net, _read_damage(path))
             _dump_json(outdir / f"{path.stem}.result.json",
@@ -215,6 +213,28 @@ def cmd_heuristic(args):
     if args.csv:
         _write(args.csv, netio.write_report(report))
     return EXIT_OK
+
+
+def _unwritable_output(args) -> str | None:
+    """Why the first output path of ``args`` cannot be written, or None.
+
+    A file path needs a directory as its parent and must not be a
+    directory; ``--out-dir`` needs a directory as its parent and must not
+    be a file.  ``-`` is standard output.
+    """
+    for name in ("out", "csv", "timings", "dump_lp", "out_dir"):
+        value = getattr(args, name, None)
+        if value is None or value == "-":
+            continue
+        path = Path(value)
+        flag = "--" + name.replace("_", "-")
+        if not path.parent.is_dir():
+            return f"{flag} {value}: {path.parent} is not a directory"
+        if name == "out_dir" and path.exists() and not path.is_dir():
+            return f"{flag} {value}: not a directory"
+        if name != "out_dir" and path.is_dir():
+            return f"{flag} {value}: is a directory"
+    return None
 
 
 def _add_common_solver_args(p):
@@ -351,9 +371,12 @@ def main(argv=None) -> int:
         if args.command == "pipeline" and args.damage is None and not args.scenarios:
             log.error("pipeline needs --damage or --scenarios")
             return EXIT_INPUT
+        bad = _unwritable_output(args)
+        if bad:
+            log.error("output path: %s", bad)
+            return EXIT_INPUT
         return args.func(args)
-    except (GridError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (GridError, OSError, json.JSONDecodeError) as exc:
         log.error("input error: %s", exc)
         return EXIT_INPUT
     except workflows.PipelineInfeasible as exc:

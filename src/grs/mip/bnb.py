@@ -1,17 +1,23 @@
 """Branch and bound over the bounded-variable simplex, with cone cuts.
 
 Node selection is best bound (ties broken by node id), branching picks the
-most fractional binary (ties by lowest variable index), and children warm
-start from the parent basis.  Rotated-cone rows x^2 + y^2 <= u*v are enforced
-by outer approximation: whenever a node LP solution violates a cone by more
-than cone_tol, the equivalent standard-cone function
-f = sqrt(x^2 + y^2 + ((u-v)/2)^2) - (u+v)/2 is linearized at that point and
-the gradient cut is added globally (cuts are valid for the whole tree).
-The pool only grows: each round's new cuts are appended to the standard
-form as rows with their own slacks, and the form is never rebuilt.
+fractional binary with the highest pseudocost product score (ties by lowest
+variable index), and children warm start from the parent basis.  A child
+whose LP ends optimal records its objective gain per unit of bound change
+for its (variable, direction); a direction never seen for a variable takes
+the mean over all observations of that direction (1.0 before any).
+
+Rotated-cone rows x^2 + y^2 <= u*v are enforced by outer approximation:
+whenever a node LP solution violates a cone by more than cone_tol, the
+equivalent standard-cone function f = sqrt(x^2 + y^2 + ((u-v)/2)^2) - (u+v)/2
+is linearized at that point and the gradient cut is added globally (cuts are
+valid for the whole tree).  The pool only grows: each round's new cuts are
+appended to the standard form as rows with their own slacks, and the form is
+never rebuilt.
 
 A deterministic fix-and-round dive runs at the root and every DIVE_EVERY
-processed nodes to supply incumbents early; it changes neither the node
+processed nodes to supply incumbents early; it fixes the most fractional
+binary at each step, records no pseudocost, and changes neither the node
 order nor any bound, only the incumbent.
 """
 
@@ -149,12 +155,41 @@ def _most_fractional(frac_idx: list[int], x: np.ndarray) -> int:
     return best
 
 
+class _Pseudocosts:
+    """Objective gain per unit of bound change, summed per (binary, direction).
+
+    Direction 0 is the down child (distance x_j), 1 the up child (1 - x_j).
+    """
+
+    def __init__(self):
+        self.sums: tuple[dict, dict] = ({}, {})
+        self.counts: tuple[dict, dict] = ({}, {})
+
+    def record(self, j: int, direction: int, distance: float, gain: float):
+        s, c = self.sums[direction], self.counts[direction]
+        s[j] = s.get(j, 0.0) + max(gain, 0.0) / distance
+        c[j] = c.get(j, 0) + 1
+
+    def select(self, frac_idx: list[int], x: np.ndarray) -> int:
+        """The highest product score; ties go to the first (lowest) index."""
+        means = [sum(s.values()) / sum(c.values()) if c else 1.0
+                 for s, c in zip(self.sums, self.counts)]
+
+        def pc(d, j):
+            c = self.counts[d].get(j)
+            return self.sums[d][j] / c if c else means[d]
+
+        return max(frac_idx, key=lambda j: max(pc(0, j) * x[j], 1e-6)
+                   * max(pc(1, j) * (1.0 - x[j]), 1e-6))
+
+
 @dataclass(order=True)
 class _Node:
     bound: float
     nid: int
     fixes: dict = field(compare=False)
     basis: Basis | None = field(compare=False, default=None)
+    branch: tuple | None = field(compare=False, default=None)  # (j, dir, dist)
 
 
 def solve_lp(model: MipModel) -> MipSolution:
@@ -206,6 +241,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
     incumbent_obj = INF  # internal scale
     next_id = 0
     heap: list[_Node] = []
+    pseudo = _Pseudocosts()
 
     def rel_gap():
         if incumbent_x is None:
@@ -299,6 +335,9 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
                 raise NumericalFailure(res.message or "node LP failed")
 
         node_obj = res.obj
+        if node.branch is not None:
+            pseudo.record(*node.branch, node_obj - node.bound)
+            stats.branch_obs += 1
         if incumbent_x is not None and node_obj >= incumbent_obj - 1e-12:
             continue
 
@@ -314,11 +353,13 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
         if processed == 1 or processed % DIVE_EVERY == 0:
             dive(res.x, node.fixes, res.basis)
 
-        j = _most_fractional(frac, res.x)
-        for v in (0.0, 1.0):  # down child first, then up
+        j = pseudo.select(frac, res.x)
+        xj = float(res.x[j])
+        for v, dist in ((0.0, xj), (1.0, 1.0 - xj)):  # down child first
             fixes = dict(node.fixes)
             fixes[j] = (v, v)
-            child = _Node(node_obj, next_id, fixes, res.basis)
+            child = _Node(node_obj, next_id, fixes, res.basis,
+                          (j, int(v), dist))
             next_id += 1
             heapq.heappush(heap, child)
 

@@ -162,6 +162,7 @@ class SolveStats:
     basis_restarts: int = 0  # slack-basis restarts after a singular factor
     cuts: int = 0  # cone cuts added to the global pool
     cut_rounds: int = 0  # standard-form extensions by a round of cone cuts
+    branch_obs: int = 0  # pseudocost observations recorded by B&B children
     wall_s: float = 0.0  # perf_counter seconds of the whole solve
     # simplex kernel seconds: factorization, ftran, btran, pricing, ratio test
     factor_s: float = 0.0

@@ -174,11 +174,21 @@ def to_network(raw: RawCase) -> Network:
     ).validate()
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 input file; a file that does not decode is a
+    ``GridError`` that names it."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise GridError(f"{path}: not UTF-8 ({exc.reason} at byte "
+                            f"{exc.start})") from exc
+
+
 def load_case(path) -> Network:
     """Read a case file; each section the reader skipped is logged at
     WARNING."""
-    with open(path, encoding="utf-8") as f:
-        raw = parse_matpower(f.read())
+    raw = parse_matpower(read_text(path))
     for warning in raw.warnings:
         log.warning("%s: %s", path, warning)
     return to_network(raw)

@@ -1,20 +1,23 @@
 """Independent reference computations used to cross-check the solvers.
 
-Everything here goes through scipy (HiGHS linprog, dense linear algebra),
-never through the package's own simplex or power-flow code, so agreement is
-meaningful.  ``model_size`` states the model builders' sizes as counting
+Everything here goes through scipy (HiGHS linprog and milp, dense linear
+algebra), never through the package's own simplex or power-flow code, so
+agreement is meaningful.  ``model_size`` states the model builders' sizes as counting
 formulas, apart from the builders themselves.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.sparse as sp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from grs.formulations import DC
 from grs.grid import BRANCH, BUS, GEN, MultiPeriodCase, Network
+from grs.mip import BINARY, EQ, GE, LE, MipModel
 
 
 def dc_max_served(net: Network, energized: dict, angle_bound=0.5236) -> float:
@@ -77,6 +80,42 @@ def dc_max_served(net: Network, energized: dict, angle_bound=0.5236) -> float:
     if res.status != 0:
         return float("nan")
     return -res.fun
+
+
+def highs_milp(model: MipModel) -> float:
+    """Optimum of a model without cone rows under HiGHS
+    (``scipy.optimize.milp``), built from the ``MipModel`` fields alone.
+
+    The value is in the model's own sense and includes ``obj_const``; it
+    is nan when HiGHS reports no optimum.
+    """
+    if model.cone_rows:
+        raise ValueError("highs_milp takes linear models only")
+    n, m = len(model.vars), len(model.lin_rows)
+    rows, cols, vals = [], [], []
+    lo, hi = np.full(m, -np.inf), np.full(m, np.inf)
+    for k, row in enumerate(model.lin_rows):
+        for j, a in row.coeffs.items():
+            rows.append(k)
+            cols.append(j)
+            vals.append(a)
+        if row.sense in (LE, EQ):
+            hi[k] = row.rhs
+        if row.sense in (GE, EQ):
+            lo[k] = row.rhs
+    sgn = 1.0 if model.sense == "min" else -1.0
+    c = np.zeros(n)
+    for j, a in model.obj.items():
+        c[j] = sgn * a
+    res = milp(c,
+               constraints=LinearConstraint(
+                   sp.csr_matrix((vals, (rows, cols)), shape=(m, n)), lo, hi),
+               bounds=Bounds([v.lb for v in model.vars],
+                             [v.ub for v in model.vars]),
+               integrality=[v.integrality == BINARY for v in model.vars])
+    if res.status != 0:
+        return math.nan
+    return sgn * res.fun + model.obj_const
 
 
 def enumerate_rop_orders(case: MultiPeriodCase) -> tuple[float, list]:

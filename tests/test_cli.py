@@ -67,7 +67,7 @@ def test_missing_case_is_input_error(tmp_path):
 
 @pytest.mark.parametrize("flag,bad", [
     ("--case", "dir"), ("--case", "latin-1"), ("--damage", "dir"),
-    ("--damage", "latin-1"), ("--out", "dir"),
+    ("--damage", "latin-1"), ("--plan", "latin-1"), ("--out", "dir"),
 ])
 def test_unreadable_file_is_input_error(tmp_path, caplog, flag, bad):
     path = tmp_path / "bad"
@@ -77,10 +77,42 @@ def test_unreadable_file_is_input_error(tmp_path, caplog, flag, bad):
         path.write_bytes("caf\u00e9".encode("latin-1"))  # not UTF-8
     files = {"--case": CASE2, "--damage": DMG2,
              "--out": str(tmp_path / "plan.json"), flag: str(path)}
-    argv = ["rop", "--periods", "2"] + [a for kv in files.items() for a in kv]
+    command = "redispatch" if flag == "--plan" else "rop"
+    argv = [command, "--periods", "2"] + [a for kv in files.items() for a in kv]
     assert main(argv) == 2
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1
+    assert str(path) in errors[0]
+    if bad == "latin-1":
+        assert f"{path}: not UTF-8" in errors[0]
+
+
+@pytest.mark.parametrize("argv,flag,bad", [
+    (["rop"], "--out", "dir"),
+    (["rop"], "--dump-lp", "no-parent"),
+    (["rop"], "--out", "parent-is-file"),
+    (["redispatch", "--plan", "plan.json"], "--csv", "dir"),
+    (["pipeline"], "--timings", "dir"),
+    (["pipeline", "--scenarios", "."], "--out-dir", "file"),
+    (["pipeline", "--scenarios", "."], "--out-dir", "no-parent"),
+])
+def test_unwritable_output_fails_before_any_work(tmp_path, caplog,
+                                                 monkeypatch, argv, flag, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("input read before the output paths were checked")
+
+    monkeypatch.setattr(netio, "load_case", no_work)
+    (tmp_path / "file").write_text("")
+    path = {"dir": tmp_path, "file": tmp_path / "file",
+            "no-parent": tmp_path / "missing" / "x",
+            "parent-is-file": tmp_path / "file" / "x"}[bad]
+    rc = main(argv + ["--case", CASE5, "--damage", DMG5, "--periods", "3",
+                      flag, str(path)])
+    assert rc == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert flag in errors[0] and str(path) in errors[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_parse_logs_skipped_sections(tmp_path, caplog):

@@ -836,7 +836,7 @@ def test_solves_log_one_summary_of_their_lp_totals(monkeypatch, caplog):
     assert sol.status == relaxed.status == OPTIMAL and len(results) > 1
     st = sol.stats
     # the solve-level counters; an LP's record fills every other field
-    solve_level = {"nodes", "cuts", "cut_rounds", "wall_s"}
+    solve_level = {"nodes", "cuts", "cut_rounds", "branch_obs", "wall_s"}
     for f in fields(SolveStats):
         lp_values = [getattr(r.stats, f.name) for r in results]
         if f.name in solve_level:
@@ -880,3 +880,60 @@ def test_cut_rounds_count_standard_form_extensions(monkeypatch):
     assert sol.stats.cut_rounds == len(calls) - 1
     assert calls == [False] + [True] * sol.stats.cut_rounds
     assert sol.stats.basis_restarts == 0
+
+
+def test_pseudocost_selection_rule():
+    from grs.mip.bnb import _Pseudocosts
+    pc = _Pseudocosts()
+    x = np.array([0.5, 0.5, 0.3])
+    # no observation: every direction scores 1.0, so the product is
+    # f(1 - f); the two balanced binaries tie and the lower index wins
+    assert pc.select([0, 1, 2], x) == 0
+    assert pc.select([1, 2], x) == 1
+    # binary 1 seen down at 4.0 per unit: binary 0's unseen down takes the
+    # mean (4.0), not 1.0, so the two still tie
+    pc.record(1, 0, 0.5, 2.0)
+    assert pc.select([0, 1, 2], x) == 0
+    # a negative gain counts as 0; the score is floored at 1e-6 per side
+    pc.record(0, 1, 0.5, -3.0)
+    assert pc.counts[1][0] == 1 and pc.sums[1][0] == 0.0
+    assert pc.select([0, 1, 2], x) == 0  # 2e-6, 2e-6, 1.2e-6
+    # binary 2 seen up at 2.0: the up mean becomes 1.0, so binary 1 scores
+    # (4 * 0.5) * (1 * 0.5) = 1.0 and binary 2 (4 * 0.3) * (2 * 0.7) = 1.68
+    pc.record(2, 1, 0.7, 1.4)
+    assert pc.select([0, 1, 2], x) == 2
+    assert pc.select([0, 1], x) == 1
+
+
+def test_infeasible_children_record_no_pseudocost(monkeypatch):
+    import grs.mip.bnb
+    calls = []
+    real = grs.mip.bnb._Pseudocosts.record
+
+    def recorded(self, j, direction, distance, gain):
+        calls.append((j, direction))
+        return real(self, j, direction, distance, gain)
+
+    monkeypatch.setattr(grs.mip.bnb._Pseudocosts, "record", recorded)
+    m = MipModel()  # each down child is infeasible: a + b >= 1.5
+    a, b = (m.add_var(k, 0, 1, BINARY) for k in "ab")
+    m.add_row({a: 1, b: 1}, GE, 1.5)
+    m.set_objective("min", {a: 1, b: 1})
+    sol = solve_mip(m)
+    assert sol.status == OPTIMAL and sol.objective == pytest.approx(2.0)
+    assert sol.stats.nodes == 5  # the root and four children
+    assert sorted(calls) == [(a, 1), (b, 1)]
+    assert sol.stats.branch_obs == 2
+
+
+def test_pseudocost_branching_node_count(case5, damage5_all):
+    from grs.formulations import DC, build_rop
+    from grs.grid import replicate
+    from tests.oracles import highs_milp
+    model = build_rop(replicate(case5, damage5_all, 5), DC)
+    sol = solve_mip(model)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(highs_milp(model), rel=1e-6)
+    # most-fractional branching processed 83 nodes on this model
+    assert sol.stats.nodes < 83
+    assert 0 < sol.stats.branch_obs < sol.stats.nodes
