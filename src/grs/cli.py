@@ -371,6 +371,14 @@ def main(argv=None) -> int:
         if args.command == "pipeline" and args.damage is None and not args.scenarios:
             log.error("pipeline needs --damage or --scenarios")
             return EXIT_INPUT
+        if args.command == "pipeline" and args.scenarios:
+            for flag, given in (("--out", args.out != "-"),
+                                ("--csv", args.csv), ("--timings", args.timings)):
+                if given:
+                    log.error("%s cannot be used with --scenarios: each "
+                              "scenario writes only its result to --out-dir",
+                              flag)
+                    return EXIT_INPUT
         bad = _unwritable_output(args)
         if bad:
             log.error("output path: %s", bad)

@@ -21,10 +21,11 @@ periods with energization monotonicity, a repair cardinality budget, and
 non-decreasing served-load fractions; period 0 is pinned fully damaged and
 period K fully restored through variable bounds.
 
-Columns and rows are labelled ``name[cid]@n`` (``var_name``).  The labels
-exist for the LP dump (``--dump-lp``) and for callers that look a column up
-with ``MipModel.var_index``; the builder itself finds its columns in a table
-keyed by (name, cid, n), and builds each bus's balance row from per-bus
+Columns and rows are labelled ``name[cid]@n`` (``var_name``).  Column
+labels name the columns of the LP dump (``--dump-lp``, whose rows are
+``r<k>``) and let callers look a column up with ``MipModel.var_index``;
+only tests read the row labels.  The builder itself finds its columns in a
+table keyed by (name, cid, n), and builds each bus's balance row from per-bus
 incidence lists, so a build is linear in the network size per period.
 """
 

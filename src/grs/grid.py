@@ -267,8 +267,8 @@ class RestorationPlan:
         has a status.
         Each status is K+1 values of 0 or 1 that never decrease, from 0 to 1
         for a damaged item; no period repairs more than the budget; load
-        fractions cover exactly the live loads, lie in [0, 1] and never
-        decrease.
+        fractions cover exactly the live loads, lie in [0, 1] (so none is
+        NaN) and never decrease.
         """
         k = self.periods
         if k != case.periods:
@@ -305,7 +305,7 @@ class RestorationPlan:
                 raise GridError(f"load {lid}: wrong fraction length")
             if any(b < a - 1e-7 for a, b in zip(fr, fr[1:])):
                 raise GridError(f"load {lid}: served fraction decreases")
-            if min(fr) < -1e-9 or max(fr) > 1.0 + 1e-9:
+            if not all(-1e-9 <= f <= 1.0 + 1e-9 for f in fr):  # NaN fails
                 raise GridError(f"load {lid}: fraction outside [0,1]")
         return self
 

@@ -16,9 +16,9 @@ appended to the standard form as rows with their own slacks, and the form is
 never rebuilt.
 
 A deterministic fix-and-round dive runs at the root and every DIVE_EVERY
-processed nodes to supply incumbents early; it fixes the most fractional
-binary at each step, records no pseudocost, and changes neither the node
-order nor any bound, only the incumbent.
+nodes to supply incumbents early; it fixes the most fractional binary
+at each step, records no pseudocost, and changes neither the node order
+nor any bound, only the incumbent.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ INT_TOL = 1e-6
 CONE_TOL = 1e-6
 MAX_CONE_ROUNDS = 60  # cut rounds per node LP
 CONE_CUT_BUDGET = 6000  # cuts in the global pool
-DIVE_EVERY = 25  # processed nodes between dives
+DIVE_EVERY = 25  # nodes between dives
 
 log = logging.getLogger("grs.mip")
 
@@ -275,35 +275,33 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
             incumbent_x = x.copy()
             incumbent_obj = obj
 
-    def dive(x0, fixes0, basis0):
-        fixes = dict(fixes0)
-        x, bas = x0, basis0
+    def dive(res, fixes):
+        fixes = dict(fixes)
         for _ in range(len(binaries) + 2):
-            frac = _fractional(binaries, x)
+            frac = _fractional(binaries, res.x)
             if not frac:
-                ok = all(cone_violation(c, x) <= limits.cone_tol
+                ok = all(cone_violation(c, res.x) <= limits.cone_tol
                          for c in model.cone_rows)
                 if ok:
-                    try_incumbent(x, _internal_obj(ctx, x))
+                    try_incumbent(res.x, res.obj)
                 return
-            j = _most_fractional(frac, x)
-            v = float(round(x[j]))
+            j = _most_fractional(frac, res.x)
+            v = float(round(res.x[j]))
             fixes[j] = (v, v)
-            res, cone_ok = _solve_with_cones(ctx, fixes, bas, limits, stats)
+            res, cone_ok = _solve_with_cones(ctx, fixes, res.basis, limits,
+                                             stats)
             if res.status != OPTIMAL or not cone_ok:
                 return
-            x, bas = res.x, res.basis
 
     # root
     root = _Node(-INF, next_id, {}, None)
     next_id += 1
     heapq.heappush(heap, root)
-    processed = 0
 
     while heap:
         if limits.time_s is not None and time.perf_counter() - t0 > limits.time_s:
             return finish(ITERATION_LIMIT)
-        if limits.nodes is not None and processed >= limits.nodes:
+        if limits.nodes is not None and stats.nodes >= limits.nodes:
             return finish(ITERATION_LIMIT)
         if incumbent_x is not None:
             g = rel_gap()
@@ -313,14 +311,8 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
                 return finish(GAP_LIMIT)
 
         node = heapq.heappop(heap)
-        if incumbent_x is not None and node.bound >= incumbent_obj - 1e-12:
-            # best-first: every remaining node is at least as bad
-            heap.clear()
-            break
-
         res, cone_ok = _solve_with_cones(ctx, node.fixes, node.basis, limits, stats)
-        processed += 1
-        stats.nodes = processed
+        stats.nodes += 1
 
         if res.status == INFEASIBLE:
             continue
@@ -350,8 +342,8 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
             # the region cannot be certified, give up honestly
             return finish(ITERATION_LIMIT)
 
-        if processed == 1 or processed % DIVE_EVERY == 0:
-            dive(res.x, node.fixes, res.basis)
+        if stats.nodes == 1 or stats.nodes % DIVE_EVERY == 0:
+            dive(res, node.fixes)
 
         j = pseudo.select(frac, res.x)
         xj = float(res.x[j])
@@ -366,7 +358,3 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
     if incumbent_x is None:
         return finish(INFEASIBLE)
     return finish(OPTIMAL)
-
-
-def _internal_obj(ctx: _LpContext, x: np.ndarray) -> float:
-    return float(ctx.lp.c[: len(x)] @ x)

@@ -30,10 +30,11 @@ infinite reduced costs, steps and basic values are never chosen and
 never block.
 
 A start basis taken before rows were appended gets a basic slack for
-each new row.  A singular factor restarts from the slack basis.  Each
-LpResult carries a SolveStats that counts those restarts, the periodic
-refactors, the phase-1 iterations and the phase switches, and times the
-kernels with perf_counter.
+each new row.  One site at the top of the loop makes the first
+factorization and every refactor; a singular factor restarts from the
+slack basis.  The loop keeps its counters in the SolveStats its LpResult
+returns: iterations, phase-1 iterations, phase switches, periodic
+refactors and restarts, and the kernels' perf_counter times.
 """
 
 from __future__ import annotations
@@ -263,75 +264,52 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
     max_iters = 20000 + 40 * (m + ncols)
     clock = time.perf_counter
 
+    st = SolveStats()
     bas = default_basis(lp) if start is None else _extended(start, lp)
     fixed = lp.lb == lp.ub
     psign, free = _pricing_weights(bas.vstat, fixed)
-    iters = refactors = restarts = phase1_iters = phase_switches = 0
-    factor_s = ftran_s = btran_s = price_s = ratio_s = 0.0
-
-    def factor():
-        nonlocal bas, psign, free, restarts, factor_s
-        t0 = clock()
-        try:
-            fact = _Factors(lp.A, bas.basis)
-        except RuntimeError:
-            # numerically singular basis: restart from the slack basis
-            restarts += 1
-            log.debug("singular basis factor after %d iterations: "
-                      "restarting from the slack basis", iters)
-            bas = default_basis(lp)
-            psign, free = _pricing_weights(bas.vstat, fixed)
-            fact = _Factors(lp.A, bas.basis)
-        factor_s += clock() - t0
-        return fact
-
-    def result(status, obj=None, message=""):
-        return LpResult(status, _full_x(lp, bas, x_b),
-                        _struct_obj(lp, bas, x_b) if obj is None else obj,
-                        bas, message, SolveStats(
-                            lp_iters=iters, phase1_iters=phase1_iters,
-                            phase_switches=phase_switches,
-                            refactors=refactors, basis_restarts=restarts,
-                            factor_s=factor_s, ftran_s=ftran_s,
-                            btran_s=btran_s, price_s=price_s,
-                            ratio_s=ratio_s))
-
-    def basic_bounds():
-        # the basics' bounds and their FEAS_TOL bands, kept per pivot
-        lb_b, ub_b = lp.lb[bas.basis], lp.ub[bas.basis]
-        return lb_b, ub_b, lb_b - FEAS_TOL, ub_b + FEAS_TOL
-
-    fact = factor()
-
-    def compute_xb():
-        xn = _nonbasic_vector(lp, bas)
-        return fact.ftran(lp.b - lp.A @ xn)
-
-    x_b = compute_xb()
-    lb_b, ub_b, lo_b, hi_b = basic_bounds()
-
+    fact = None
     degen_count = 0
     bland_threshold = 10 * (m + ncols)
     pivots_since_refactor = 0
     was_phase1 = None
 
+    def result(status, obj=None, message=""):
+        return LpResult(status, _full_x(lp, bas, x_b),
+                        _struct_obj(lp, bas, x_b) if obj is None else obj,
+                        bas, message, st)
+
     while True:
-        if iters >= max_iters:
+        if st.lp_iters >= max_iters:
             return result(ITERATION_LIMIT, message="simplex iteration limit")
-        iters += 1
-        if pivots_since_refactor >= REFACTOR_EVERY:
-            refactors += 1
-            fact = None  # free the old LU and etas before SuperLU's workspace
-            fact = factor()
-            x_b = compute_xb()
-            lb_b, ub_b, lo_b, hi_b = basic_bounds()
+        if fact is None or pivots_since_refactor >= REFACTOR_EVERY:
+            if fact is not None:
+                st.refactors += 1
+                fact = None  # free the old LU and etas before SuperLU's workspace
+            t0 = clock()
+            try:
+                fact = _Factors(lp.A, bas.basis)
+            except RuntimeError:
+                # numerically singular basis: restart from the slack basis
+                st.basis_restarts += 1
+                log.debug("singular basis factor after %d iterations: "
+                          "restarting from the slack basis", st.lp_iters)
+                bas = default_basis(lp)
+                psign, free = _pricing_weights(bas.vstat, fixed)
+                fact = _Factors(lp.A, bas.basis)
+            st.factor_s += clock() - t0
+            x_b = fact.ftran(lp.b - lp.A @ _nonbasic_vector(lp, bas))
+            # the basics' bounds and their FEAS_TOL bands, kept per pivot
+            lb_b, ub_b = lp.lb[bas.basis], lp.ub[bas.basis]
+            lo_b, hi_b = lb_b - FEAS_TOL, ub_b + FEAS_TOL
             pivots_since_refactor = 0
+        st.lp_iters += 1
 
         below = x_b < lo_b
         above = x_b > hi_b
         phase1 = bool(below.any() or above.any())
-        phase1_iters += phase1
-        phase_switches += was_phase1 is not None and phase1 != was_phase1
+        st.phase1_iters += phase1
+        st.phase_switches += was_phase1 is not None and phase1 != was_phase1
         was_phase1 = phase1
         t0 = clock()
         if phase1:
@@ -346,8 +324,8 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
             np.subtract(lp.c, red, out=red)
         j = _price(red, psign, free, degen_count > bland_threshold)
         t2 = clock()
-        btran_s += t1 - t0
-        price_s += t2 - t1
+        st.btran_s += t1 - t0
+        st.price_s += t2 - t1
         if j < 0:
             if phase1:
                 return result(INFEASIBLE, message="phase 1 optimum is infeasible")
@@ -359,8 +337,8 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
         t3 = clock()
         t, blocking, block_bound = _ratio_test(delta, x_b, lb_b, ub_b,
                                                below, above)
-        ftran_s += t3 - t2
-        ratio_s += clock() - t3
+        st.ftran_s += t3 - t2
+        st.ratio_s += clock() - t3
 
         t_flip = INF
         if lp.lb[j] > -INF and lp.ub[j] < INF:

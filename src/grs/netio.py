@@ -214,6 +214,12 @@ def damage_to_dict(dmg: DamageScenario) -> dict:
             "bus": dmg.ids("bus")}
 
 
+def _whole(v) -> bool:
+    """A JSON whole number: an int that is not a bool, or an integral float."""
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and v.is_integer())
+
+
 def damage_from_dict(d: dict) -> DamageScenario:
     """An object whose only keys are branch, gen and bus, each (if present)
     a list of whole-number ids."""
@@ -222,9 +228,7 @@ def damage_from_dict(d: dict) -> DamageScenario:
     for kind, ids in d.items():
         if kind not in ("branch", "gen", "bus"):
             raise GridError(f"unknown damage key {kind!r}")
-        if not isinstance(ids, list) or not all(
-                isinstance(i, int) and not isinstance(i, bool)
-                or isinstance(i, float) and i.is_integer() for i in ids):
+        if not isinstance(ids, list) or not all(_whole(i) for i in ids):
             raise GridError(f"damage {kind!r} must be a list of "
                             f"whole-number ids, not {ids!r}")
     return DamageScenario.of(branches=d.get("branch", ()),
@@ -250,11 +254,18 @@ def plan_to_dict(plan: RestorationPlan) -> dict:
 
 
 def plan_from_dict(d: dict) -> RestorationPlan:
+    """A plan object; its statuses and period count are whole numbers."""
     try:
         status = {}
         for kind, items in d.get("status", {}).items():
             for cid, zs in items.items():
+                if not all(_whole(z) for z in zs):
+                    raise GridError(f"plan status of {kind} {cid} must be "
+                                    f"whole numbers, not {zs!r}")
                 status[(kind, int(cid))] = [int(z) for z in zs]
+        if not _whole(d["periods"]):
+            raise GridError(f"plan periods must be a whole number, "
+                            f"not {d['periods']!r}")
         return RestorationPlan(
             periods=int(d["periods"]),
             period_hours=float(d["period_hours"]),

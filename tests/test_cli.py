@@ -370,6 +370,25 @@ def test_batch_scenarios(tmp_path):
     assert (out_dir / "two.result.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv", "--timings"])
+def test_batch_scenarios_reject_single_run_outputs(tmp_path, caplog,
+                                                   monkeypatch, flag):
+    def no_work(*args, **kwargs):
+        raise AssertionError("input read before the flags were checked")
+
+    monkeypatch.setattr(netio, "load_case", no_work)
+    scen_dir = tmp_path / "scenarios"
+    scen_dir.mkdir()
+    (scen_dir / "one.json").write_text('{"branch": [1]}')
+    rc = main(["pipeline", "--case", CASE2, "--periods", "2",
+               "--scenarios", str(scen_dir), "--out-dir",
+               str(tmp_path / "results"), flag, str(tmp_path / "single")])
+    assert rc == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith(f"{flag} ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenarios"]
+
+
 @pytest.mark.parametrize("exists", [False, True], ids=["missing", "file"])
 def test_batch_scenarios_not_a_directory_is_input_error(tmp_path, caplog,
                                                         exists):
@@ -538,51 +557,69 @@ def test_dead_load_is_shed_in_both_figures(tmp_path, command):
     assert list(doc["plan"]["load_fraction"]) == ["3", "4"]
 
 
+def _redispatch_edited_plan(tmp_path, caplog, edit):
+    """Plan case2 with rop, apply ``edit`` to the plan JSON and redispatch
+    it; assert exit 2 with no report, and return the one ERROR line."""
+    plan = tmp_path / "plan.json"
+    args = ["--case", CASE2, "--damage", DMG2, "--periods", "2"]
+    assert main(["rop", *args, "--out", str(plan)]) == 0
+    doc = json.loads(plan.read_text())
+    edit(doc)
+    plan.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["redispatch", *args, "--plan", str(plan),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    return errors[0]
+
+
 @pytest.mark.parametrize("loads", [["2", "99"], []], ids=["unknown", "none"])
 def test_redispatch_rejects_plan_loads_other_than_live(tmp_path, caplog,
                                                        loads):
-    plan = tmp_path / "plan.json"
-    args = ["--case", CASE2, "--damage", DMG2, "--periods", "2"]
-    assert main(["rop", *args, "--out", str(plan)]) == 0
-    doc = json.loads(plan.read_text())
-    fraction = doc["load_fraction"]["2"]
-    doc["load_fraction"] = {lid: fraction for lid in loads}
-    plan.write_text(json.dumps(doc))
-    out = tmp_path / "report.json"
-    assert main(["redispatch", *args, "--plan", str(plan),
-                 "--out", str(out)]) == 2
-    assert not out.exists()
-    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and "live loads" in errors[0]
+    def edit(doc):
+        fraction = doc["load_fraction"]["2"]
+        doc["load_fraction"] = {lid: fraction for lid in loads}
+
+    assert "live loads" in _redispatch_edited_plan(tmp_path, caplog, edit)
 
 
 def test_redispatch_rejects_non_binary_status(tmp_path, caplog):
-    plan = tmp_path / "plan.json"
-    args = ["--case", CASE2, "--damage", DMG2, "--periods", "2"]
-    assert main(["rop", *args, "--out", str(plan)]) == 0
-    doc = json.loads(plan.read_text())
-    doc["status"]["branch"]["1"] = [0, 7, 0]
-    plan.write_text(json.dumps(doc))
-    out = tmp_path / "report.json"
-    assert main(["redispatch", *args, "--plan", str(plan),
-                 "--out", str(out)]) == 2
-    assert not out.exists()
-    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and "not 0/1" in errors[0]
+    def edit(doc):
+        doc["status"]["branch"]["1"] = [0, 7, 0]
+
+    assert "not 0/1" in _redispatch_edited_plan(tmp_path, caplog, edit)
 
 
 @pytest.mark.parametrize("hours", [2.0, math.nan], ids=["other", "nan"])
 def test_redispatch_rejects_plan_of_other_period_hours(tmp_path, caplog,
                                                        hours):
-    plan = tmp_path / "plan.json"
-    args = ["--case", CASE2, "--damage", DMG2, "--periods", "2"]
-    assert main(["rop", *args, "--out", str(plan)]) == 0
-    doc = json.loads(plan.read_text())
-    doc["period_hours"] = hours
-    plan.write_text(json.dumps(doc))
-    out = tmp_path / "report.json"
-    assert main(["redispatch", *args, "--plan", str(plan),
-                 "--out", str(out)]) == 2
+    def edit(doc):
+        doc["period_hours"] = hours
+
+    assert "h periods" in _redispatch_edited_plan(tmp_path, caplog, edit)
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (lambda doc: doc["load_fraction"]["2"].__setitem__(1, math.nan),
+     "outside [0,1]"),
+    (lambda doc: doc["status"]["branch"].__setitem__("1", [0, 1.9, 1]),
+     "whole numbers"),
+    (lambda doc: doc["status"]["branch"].__setitem__("1", [0, "1", 1]),
+     "whole numbers"),
+    (lambda doc: doc.__setitem__("periods", 2.9), "whole number"),
+], ids=["nan-fraction", "fractional-status", "string-status",
+        "fractional-periods"])
+def test_redispatch_rejects_plan_numbers_it_would_truncate_or_ignore(
+        tmp_path, caplog, edit, reason):
+    assert reason in _redispatch_edited_plan(tmp_path, caplog, edit)
+
+
+def test_rop_node_limit_is_solver_limit(tmp_path, caplog):
+    out = tmp_path / "plan.json"
+    assert main(["rop", "--case", CASE5, "--damage", DMG5, "--periods", "5",
+                 "--node-limit", "5", "--out", str(out)]) == 3
     assert not out.exists()
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and "h periods" in errors[0]
+    assert len(errors) == 1 and errors[0].startswith("solver: ")

@@ -7,9 +7,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from grs.mip import (BINARY, EQ, GE, LE, INFEASIBLE, OPTIMAL, UNBOUNDED,
-                     MipModel, SolveStats, cone_violation, solve_lp,
-                     solve_mip)
+from grs.mip import (BINARY, EQ, GE, LE, INFEASIBLE, ITERATION_LIMIT,
+                     OPTIMAL, UNBOUNDED, MipModel, SolveLimits, SolveStats,
+                     cone_violation, solve_lp, solve_mip)
 
 
 def test_lp_box_cap():
@@ -937,3 +937,13 @@ def test_pseudocost_branching_node_count(case5, damage5_all):
     # most-fractional branching processed 83 nodes on this model
     assert sol.stats.nodes < 83
     assert 0 < sol.stats.branch_obs < sol.stats.nodes
+
+
+def test_node_limit_stops_at_that_many_nodes(case5, damage5_all):
+    from grs.formulations import DC, build_rop
+    from grs.grid import replicate
+    model = build_rop(replicate(case5, damage5_all, 5), DC)
+    sol = solve_mip(model, SolveLimits(nodes=5))
+    assert sol.status == ITERATION_LIMIT and sol.stats.nodes == 5
+    # a maximization stopped early: the bound lies above the incumbent
+    assert sol.bound >= sol.objective

@@ -28,3 +28,6 @@ def test_perfbench_span_targets_exist():
     missing = [name for name, module, attr, _ in spans.TARGETS
                if not hasattr(module, attr)]
     assert not missing
+    # the factorization span wraps simplex.spla.splu, outside TARGETS
+    import grs.mip.simplex
+    assert hasattr(grs.mip.simplex.spla, "splu")
