@@ -10,15 +10,33 @@ uniform load scale is found by binary search with Newton-Raphson feasibility
 checks (voltage bounds, branch MVA ratings, generator P/Q limits with
 PV-to-PQ switching).
 
-Each energized island's data (``IslandData``: Ybus, branch admittance
-arrays, per-bus load lists) is built once per island per
-``max_load_delivery`` call; ``newton_pf`` solves a given ``IslandData``, so
-the call's bisection and PV-to-PQ solves share it, and each solve still
-starts flat.  Each solve is a chord Newton iteration: it factors the
-Jacobian (LAPACK ``dgetrf``) and reuses the factors for later steps until
-the largest mismatch falls by less than ``CHORD_RATE`` in one step, then
-rebuilds and refactors.  ``PfState.iterations`` counts the steps and
-``PfState.factorizations`` the Jacobians factored.
+What one validation does not change is built once per ``plan_dispatches``
+call, as ``NetworkData``: the live-component lists, the statuses of the
+undamaged components, every live branch's four admittances, and the bus
+voltage and branch rating limits.  Each period's ``max_load_delivery``
+takes it through its ``network=`` keyword (called alone, it builds its
+own).  Each energized island with loads and generation gets an
+``IslandData`` once per ``max_load_delivery`` call: bus positions, branch
+ends, the Ybus (one ``np.add.at`` over the branch entries in branch order,
+then the shunts), per-bus load lists and the island's limits.  What the
+island's solves derive from it is computed on first use and kept in the
+``IslandData`` (``IslandData.once``): the dispatch rule and PV limits of its
+generators, the slack split, the per-bus generator groups and Q shares, the
+load positions, and the Ybus without the slack row and column.  Nothing
+outlives the call.
+
+``newton_pf`` solves a given ``IslandData``, so the call's bisection and
+PV-to-PQ solves share it, and each solve still starts flat.  Each solve is a
+chord Newton iteration: it writes the Jacobian blocks into one
+Fortran-ordered array, factors it in place (LAPACK ``dgetrf``) and reuses
+the factors for later steps until the largest mismatch falls by less than
+``CHORD_RATE`` in one step, then rebuilds and refactors.
+``PfState.iterations`` counts the steps and ``PfState.factorizations`` the
+Jacobians factored.  Every array sum adds its terms left to right in
+component order, as a scalar loop does (and as Python's ``sum`` of floats
+does through CPython 3.11), so results equal the scalar references in the
+tests bit for bit; where ``np.abs`` could differ from ``abs`` in the last
+bit, it only screens, and ``abs`` decides.
 
 Because the dispatch is a deterministic procedure rather than a nonlinear
 optimum, the reported true ENS is an upper bound on what a full multi-period
@@ -29,14 +47,16 @@ conservative bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import formulations
-from .grid import (BRANCH, BUS, GEN, EnsReport, GridError, MultiPeriodCase,
-                   Network, RestorationPlan, connected_islands)
+from .grid import (BRANCH, BUS, GEN, EnsReport, GridError, Live,
+                   MultiPeriodCase, Network, RestorationPlan,
+                   connected_islands)
 
 PF_TOL = 1e-8
 PF_MAX_ITER = 30
@@ -90,20 +110,20 @@ def _branch_admittances(br):
     return yff, yft, ytf, ytt
 
 
-def _ybus(net: Network, pos: dict[int, int], branches: list[int],
+def _ybus(net: Network, pos: dict[int, int], f: np.ndarray, t: np.ndarray,
           adm: np.ndarray) -> np.ndarray:
-    """Bus admittance matrix over the buses of pos (bus -> row); adm holds
-    each branch's (yff, yft, ytf, ytt) row as ``_branch_admittances``
-    computes it."""
+    """Bus admittance matrix over the buses of pos (bus -> row).
+
+    Branch k runs from row f[k] to row t[k], and adm[k] holds its (yff, yft,
+    ytf, ytt) as ``_branch_admittances`` computes them.  One ``np.add.at``
+    adds the (ff, ft, tf, tt) entries branch by branch, then the shunts are
+    added in case order: the additions of a scalar loop, in its order.
+    """
     n = len(pos)
     Y = np.zeros((n, n), dtype=complex)
-    for bid, (yff, yft, ytf, ytt) in zip(branches, adm.tolist()):
-        br = net.branches[bid]
-        f, t = pos[br.f_bus], pos[br.t_bus]
-        Y[f, f] += yff
-        Y[f, t] += yft
-        Y[t, f] += ytf
-        Y[t, t] += ytt
+    np.add.at(Y.reshape(-1), np.stack([f * n + f, f * n + t, t * n + f,
+                                       t * n + t], axis=1).ravel(),
+              adm.ravel())
     for s in net.shunts.values():
         if s.bus in pos:
             Y[pos[s.bus], pos[s.bus]] += complex(s.gs, s.bs)
@@ -111,11 +131,60 @@ def _ybus(net: Network, pos: dict[int, int], branches: list[int],
 
 
 @dataclass
+class NetworkData:
+    """What one validation computes once for its network.
+
+    ``plan_dispatches`` builds it and passes it to every period's
+    ``max_load_delivery``; it is dropped when the validation returns.
+    Arrays run over the live buses or the live branches, in id order.
+    """
+    live: Live
+    status: dict[tuple[str, int], bool]  # every component: not damaged
+    branch_ends: list[tuple[int, int, int]]  # (id, f_bus, t_bus)
+    gen_buses: list[tuple[int, int]]  # (id, bus) of each live generator
+    load_buses: list[tuple[int, int]]  # (id, bus) of each live load
+    bus_row: dict[int, int]  # live bus -> its row of vlo and vhi
+    vlo: np.ndarray  # vmin - LIMIT_TOL
+    vhi: np.ndarray  # vmax + LIMIT_TOL
+    branch_row: dict[int, int]  # live branch -> its row of the arrays below
+    ends: np.ndarray  # rows of the branch's from and to buses
+    adm: np.ndarray  # (yff, yft, ytf, ytt) as _branch_admittances gives them
+    smax: np.ndarray  # rate_a + LIMIT_TOL; inf where unrated
+
+    @classmethod
+    def build(cls, net: Network) -> NetworkData:
+        live = net.live()
+        buses = [net.buses[b] for b in live.buses]
+        brs = [net.branches[i] for i in live.branches]
+        bus_row = {b: k for k, b in enumerate(live.buses)}
+        return cls(
+            live,
+            {(kind, cid): not c.damaged
+             for kind, comps in ((BUS, net.buses), (BRANCH, net.branches),
+                                 (GEN, net.gens))
+             for cid, c in comps.items()},
+            [(i, br.f_bus, br.t_bus) for i, br in zip(live.branches, brs)],
+            [(i, net.gens[i].bus) for i in live.gens],
+            [(i, net.loads[i].bus) for i in live.loads],
+            bus_row,
+            np.array([bus.vmin - LIMIT_TOL for bus in buses], dtype=float),
+            np.array([bus.vmax + LIMIT_TOL for bus in buses], dtype=float),
+            {i: k for k, i in enumerate(live.branches)},
+            np.array([(bus_row[br.f_bus], bus_row[br.t_bus]) for br in brs],
+                     dtype=int).reshape(-1, 2),
+            np.array([_branch_admittances(br) for br in brs],
+                     dtype=complex).reshape(-1, 4),
+            np.array([br.rate_a + LIMIT_TOL if br.rate_a > 0.0 else math.inf
+                      for br in brs], dtype=float))
+
+
+@dataclass
 class IslandData:
     """Power-flow data of one island: what every solve on it shares.
 
     ``max_load_delivery`` builds it once per island and passes it to each
-    ``newton_pf`` of that island's bisection and PV-to-PQ rounds.
+    ``newton_pf`` of that island's bisection and PV-to-PQ rounds; ``once``
+    keeps what those solves derive from it.
     """
     buses: list[int]  # sorted; bus i of the arrays below is buses[i]
     pos: dict[int, int]
@@ -128,24 +197,42 @@ class IslandData:
     ytf: np.ndarray
     ytt: np.ndarray
     loads_at: dict[int, list[int]]  # bus -> its loads, in case order
+    vlo: np.ndarray  # per bus: vmin - LIMIT_TOL
+    vhi: np.ndarray  # vmax + LIMIT_TOL
+    smax: np.ndarray  # per branch: rate_a + LIMIT_TOL, inf where unrated
+    memo: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def build(cls, net: Network, buses: list[int],
-              branches: list[int]) -> IslandData:
+    def build(cls, net: Network, buses: list[int], branches: list[int],
+              network: NetworkData | None = None) -> IslandData:
+        """The island over live buses and branches of net; network, when
+        given, is net's ``NetworkData``."""
+        network = network or NetworkData.build(net)
         buses = sorted(buses)
         pos = {b: i for i, b in enumerate(buses)}
-        brs = [net.branches[k] for k in branches]
-        adm = np.array([_branch_admittances(br) for br in brs],
-                       dtype=complex).reshape(-1, 4)
+        rows = [network.branch_row[k] for k in branches]
+        bus_rows = [network.bus_row[b] for b in buses]
+        at = np.full(len(network.bus_row), -1)
+        at[bus_rows] = np.arange(len(buses))
+        ends = at[network.ends[rows]]
+        if (ends < 0).any():
+            raise GridError("a branch of the island ends outside it")
+        f, t = ends.T
+        adm = network.adm[rows]
         loads_at: dict[int, list[int]] = {}
         for lid, ld in net.loads.items():
             if ld.bus in pos:
                 loads_at.setdefault(ld.bus, []).append(lid)
-        return cls(buses, pos, list(branches),
-                   _ybus(net, pos, branches, adm),
-                   np.array([pos[br.f_bus] for br in brs], dtype=int),
-                   np.array([pos[br.t_bus] for br in brs], dtype=int),
-                   *adm.T, loads_at)
+        return cls(buses, pos, list(branches), _ybus(net, pos, f, t, adm),
+                   f, t, *adm.T, loads_at, network.vlo[bus_rows],
+                   network.vhi[bus_rows], network.smax[rows])
+
+    def once(self, key, make):
+        """make(), computed on the first call with key and kept for the
+        island's later solves."""
+        if key not in self.memo:
+            self.memo[key] = make()
+        return self.memo[key]
 
 
 def branch_flows(net: Network, bid: int, vf: complex, vt: complex):
@@ -202,6 +289,70 @@ def _ds_blocks(Y, v, ibus, vm_cols):
     return dva, dvm
 
 
+def _without_slack(isl: IslandData, s: int):
+    """The positions other than s, and Y cut to their rows and columns."""
+    pvpq = np.arange(len(isl.buses) - 1)
+    pvpq[s:] += 1
+    return pvpq, isl.Y.take(pvpq, axis=0).take(pvpq, axis=1)
+
+
+def _load_rows(net: Network, isl: IslandData, lids):
+    """Of the loads lids: which ones sit on isl (indices into lids), their
+    bus positions, and their pd and qd."""
+    keep = [k for k, lid in enumerate(lids) if net.loads[lid].bus in isl.pos]
+    lds = [net.loads[lids[k]] for k in keep]
+    return (np.array(keep, dtype=int),
+            np.array([isl.pos[ld.bus] for ld in lds], dtype=int),
+            np.array([ld.pd for ld in lds], dtype=float),
+            np.array([ld.qd for ld in lds], dtype=float))
+
+
+class _GenSplit(NamedTuple):
+    """How a solve's generator set points and bus injections become each
+    generator's output (``_gen_split``)."""
+    at: np.ndarray  # bus position of each set-point generator, in order
+    groups: np.ndarray  # position of each bus with generation
+    gens: list[int]  # the generators by group, sorted within a group
+    group_of: np.ndarray  # group of each of gens
+    shares: np.ndarray  # each of gens' share of its bus's reactive output
+    lids: list[int]  # the loads on the groups' buses, by group
+    load_group: np.ndarray  # group of each of lids
+    pd: np.ndarray  # pd and qd of each of lids
+    qd: np.ndarray
+    slack_group: int
+    others: list[int]  # the set-point generators on the slack bus
+
+
+def _gen_split(net: Network, isl: IslandData, pg_keys, slack_gen: int):
+    """The split of a solve whose set-point generators are pg_keys; groups
+    run in order of first appearance, the slack's bus last if new."""
+    by_bus: dict[int, list[int]] = {}
+    for g in pg_keys:
+        by_bus.setdefault(net.gens[g].bus, []).append(g)
+    sb = net.gens[slack_gen].bus
+    if slack_gen not in pg_keys:
+        by_bus.setdefault(sb, []).append(slack_gen)
+    gens, group_of, shares, lids, load_group = [], [], [], [], []
+    for k, (b, gids) in enumerate(by_bus.items()):
+        qr = [max(net.gens[g].qmax - net.gens[g].qmin, 0.0)
+              for g in sorted(gids)]
+        tot = sum(qr)
+        at_bus = isl.loads_at.get(b, [])
+        gens += sorted(gids)
+        group_of += [k] * len(gids)
+        shares += [r / tot if tot > 0 else 1.0 / len(gids) for r in qr]
+        lids += at_bus
+        load_group += [k] * len(at_bus)
+    return _GenSplit(
+        np.array([isl.pos[net.gens[g].bus] for g in pg_keys], dtype=int),
+        np.array([isl.pos[b] for b in by_bus], dtype=int),
+        gens, np.array(group_of, dtype=int), np.array(shares, dtype=float),
+        lids, np.array(load_group, dtype=int),
+        np.array([net.loads[lid].pd for lid in lids], dtype=float),
+        np.array([net.loads[lid].qd for lid in lids], dtype=float),
+        list(by_bus).index(sb), [g for g in by_bus[sb] if g != slack_gen])
+
+
 def newton_pf(net: Network, isl: IslandData, pg_set: dict[int, float],
               slack_gen: int, load_frac: dict[int, float],
               pv_gens: dict[int, list[int]],
@@ -220,39 +371,46 @@ def newton_pf(net: Network, isl: IslandData, pg_set: dict[int, float],
     at once, not converged.
     """
     q_fixed = q_fixed or {}
-    buses, pos, Y = isl.buses, isl.pos, isl.Y
-    n = len(buses)
+    pos, Y = isl.pos, isl.Y
+    n = len(isl.buses)
 
     slack_bus = net.gens[slack_gen].bus
     if slack_bus not in pos:
         raise GridError(f"slack gen {slack_gen} sits outside the island")
-    pv = [b for b in buses if b in pv_gens and b != slack_bus and b not in q_fixed]
-    pq = [b for b in buses if b != slack_bus and b not in pv]
+    s = pos[slack_bus]
+    pvpq, y_pvpq = isl.once(("slack", s), lambda: _without_slack(isl, s))
+    is_pq = np.ones(n, dtype=bool)
+    is_pq[[pos[b] for b in pv_gens if b not in q_fixed]] = False
+    is_pq[s] = False
+    pq_i = is_pq.nonzero()[0]
+    pq_at = np.searchsorted(pvpq, pq_i)  # rows of the pq buses within pvpq
+    nva = len(pvpq)
 
+    # the additions of one scalar loop over the generators, then the loads,
+    # then the pinned reactive injections, in its order
     p_spec = np.zeros(n)
     q_spec = np.zeros(n)
-    for g, p in pg_set.items():
-        p_spec[pos[net.gens[g].bus]] += p
-    for lid, frac in load_frac.items():
-        ld = net.loads[lid]
-        if ld.bus in pos:
-            p_spec[pos[ld.bus]] -= frac * ld.pd
-            q_spec[pos[ld.bus]] -= frac * ld.qd
+    split = isl.once(("gens", slack_gen, *pg_set),
+                     lambda: _gen_split(net, isl, list(pg_set), slack_gen))
+    np.add.at(p_spec, split.at, np.fromiter(pg_set.values(), float,
+                                            len(pg_set)))
+    keep, at, pd, qd = isl.once(("loads", *load_frac),
+                                lambda: _load_rows(net, isl, list(load_frac)))
+    fr = np.fromiter(load_frac.values(), float, len(load_frac))[keep]
+    np.subtract.at(p_spec, at, fr * pd)
+    np.subtract.at(q_spec, at, fr * qd)
     for b, qv in q_fixed.items():
         q_spec[pos[b]] += qv
+    p_spec, q_spec = p_spec[pvpq], q_spec[pq_i]
 
     vm = np.ones(n)
     va = np.zeros(n)
     for b, gids in pv_gens.items():
         vm[pos[b]] = net.gens[gids[0]].vg
-    vm[pos[slack_bus]] = net.gens[slack_gen].vg
+    vm[s] = net.gens[slack_gen].vg
 
-    pvpq = np.array([pos[b] for b in buses if b != slack_bus], dtype=int)
-    pq_i = np.array([pos[b] for b in pq], dtype=int)
-    pq_at = np.searchsorted(pvpq, pq_i)  # rows of the pq buses within pvpq
-    y_pvpq = Y[np.ix_(pvpq, pvpq)]
-    nva = len(pvpq)
-
+    f = np.empty(nva + len(pq_i))
+    jac = np.empty((f.size, f.size), order="F")  # dgetrf factors it in place
     mismatch = prev = math.inf
     lu = piv = None
     factorizations = it = 0
@@ -260,16 +418,17 @@ def newton_pf(net: Network, isl: IslandData, pg_set: dict[int, float],
         v = vm * np.exp(1j * va)
         ibus = Y @ v
         s_calc = v * ibus.conjugate()
-        dp = p_spec - s_calc.real
-        dq = q_spec - s_calc.imag
-        f = np.concatenate([dp[pvpq], dq[pq_i]])
-        mismatch = float(np.max(np.abs(f))) if f.size else 0.0
+        np.subtract(p_spec, s_calc.real[pvpq], out=f[:nva])
+        np.subtract(q_spec, s_calc.imag[pq_i], out=f[nva:])
+        mismatch = float(np.abs(f).max()) if f.size else 0.0
         if mismatch <= PF_TOL or it == PF_MAX_ITER or not math.isfinite(mismatch):
             break
         if lu is None or mismatch * CHORD_RATE > prev:
             ds_dva, ds_dvm = _ds_blocks(y_pvpq, v[pvpq], ibus[pvpq], pq_at)
-            jac = np.block([[ds_dva.real, ds_dvm.real],
-                            [ds_dva.imag[pq_at], ds_dvm.imag[pq_at]]])
+            jac[:nva, :nva] = ds_dva.real
+            jac[:nva, nva:] = ds_dvm.real
+            jac[nva:, :nva] = ds_dva.imag[pq_at]
+            jac[nva:, nva:] = ds_dvm.imag[pq_at]
             lu, piv, info = dgetrf(jac, overwrite_a=True)
             factorizations += 1
             if info > 0:  # singular Jacobian
@@ -290,31 +449,22 @@ def _pf_state(net, isl: IslandData, vm, va, pg_set, slack_gen, load_frac,
               converged, iterations, factorizations, mismatch) -> PfState:
     v = vm * np.exp(1j * va)
     s_calc = v * (isl.Y @ v).conjugate()
+    split = isl.once(("gens", slack_gen, *pg_set),
+                     lambda: _gen_split(net, isl, list(pg_set), slack_gen))
+    # each bus's load, summed load by load as a scalar loop would
+    fr = np.array([load_frac.get(lid, 0.0) for lid in split.lids],
+                  dtype=float)
+    pd = np.zeros(len(split.groups))
+    qd = np.zeros(len(split.groups))
+    np.add.at(pd, split.load_group, fr * split.pd)
+    np.add.at(qd, split.load_group, fr * split.qd)
     gen_p = dict(pg_set)
-    gen_q: dict[int, float] = {}
-
-    by_bus: dict[int, list[int]] = {}
-    for g, p in pg_set.items():
-        by_bus.setdefault(net.gens[g].bus, []).append(g)
-    sb = net.gens[slack_gen].bus
-    if slack_gen not in pg_set:
-        by_bus.setdefault(sb, []).append(slack_gen)
-
-    for b, gids in by_bus.items():
-        i = isl.pos[b]
-        lids = isl.loads_at.get(b, [])
-        pd = sum(load_frac.get(lid, 0.0) * net.loads[lid].pd for lid in lids)
-        qd = sum(load_frac.get(lid, 0.0) * net.loads[lid].qd for lid in lids)
-        p_gen_bus = s_calc.real[i] + pd
-        q_gen_bus = s_calc.imag[i] + qd
-        if b == sb:
-            others = sum(pg_set.get(g, 0.0) for g in gids if g != slack_gen)
-            gen_p[slack_gen] = p_gen_bus - others
-        qr = [max(net.gens[g].qmax - net.gens[g].qmin, 0.0) for g in sorted(gids)]
-        tot = sum(qr)
-        for g, r in zip(sorted(gids), qr):
-            share = r / tot if tot > 0 else 1.0 / len(gids)
-            gen_q[g] = q_gen_bus * share
+    k = split.slack_group
+    gen_p[slack_gen] = (s_calc.real[split.groups[k]] + pd[k]
+                        - sum(pg_set.get(g, 0.0) for g in split.others))
+    q_bus = s_calc.imag[split.groups] + qd
+    gen_q = dict(zip(split.gens,
+                     (q_bus[split.group_of] * split.shares).tolist()))
 
     vf, vt = v[isl.f], v[isl.t]
     s_fr = vf * (isl.yff * vf + isl.yft * vt).conjugate()
@@ -327,67 +477,110 @@ def _pf_state(net, isl: IslandData, vm, va, pg_set, slack_gen, load_frac,
                    dict(zip(isl.branches, s_to.tolist())))
 
 
-def _attempt(net, isl: IslandData, gens, loads, fractions, binding):
-    """One PV/PQ-switched power-flow solve; returns (PfState|None, ok)."""
+class _Rule(NamedTuple):
+    """An island's dispatch rule and reactive limits for one generator set."""
+    slack: int
+    slack_bus: int
+    pmin: float  # summed over the generators
+    rng: float  # summed pmax - pmin
+    ramp: list[tuple[int, float, float]]  # (gen, pmin, pmax - pmin), no slack
+    pv_gens: dict[int, list[int]]  # bus -> its generators
+    pv_buses: list[int]  # sorted, without the slack's bus
+    pv_of: list[int]  # their generators, bus by bus
+    pv_group: np.ndarray  # the pv_buses index of each of pv_of
+    qmin: list[float]  # per pv bus: its generators' summed limits
+    qmax: list[float]
+    q_lo: np.ndarray  # qmin - LIMIT_TOL
+    q_hi: np.ndarray  # qmax + LIMIT_TOL
+    slack_q: tuple[float, float]  # the slack bus's summed qmin, qmax
+
+
+def _rule(net: Network, gens: list[int]) -> _Rule:
     slack = max(gens, key=lambda g: (net.gens[g].pmax, -g))
     slack_bus = net.gens[slack].bus
-
-    target = sum(fractions[lid] * net.loads[lid].pd for lid in loads)
-    pmin = sum(net.gens[g].pmin for g in gens)
-    rng = sum(net.gens[g].pmax - net.gens[g].pmin for g in gens)
-    beta = 0.0 if rng <= 0 else min(1.0, max(0.0, (target - pmin) / rng))
-    pg_set = {g: net.gens[g].pmin + beta * (net.gens[g].pmax - net.gens[g].pmin)
-              for g in gens if g != slack}
-
     pv_gens: dict[int, list[int]] = {}
     for g in gens:
         pv_gens.setdefault(net.gens[g].bus, []).append(g)
+    q_sums = {b: (sum([net.gens[g].qmin for g in gids]),
+                  sum([net.gens[g].qmax for g in gids]))
+              for b, gids in pv_gens.items()}
+    pv_buses = sorted(b for b in pv_gens if b != slack_bus)
+    qmin = [q_sums[b][0] for b in pv_buses]
+    qmax = [q_sums[b][1] for b in pv_buses]
+    return _Rule(
+        slack, slack_bus,
+        sum(net.gens[g].pmin for g in gens),
+        sum(net.gens[g].pmax - net.gens[g].pmin for g in gens),
+        [(g, net.gens[g].pmin, net.gens[g].pmax - net.gens[g].pmin)
+         for g in gens if g != slack],
+        pv_gens, pv_buses, [g for b in pv_buses for g in pv_gens[b]],
+        np.array([k for k, b in enumerate(pv_buses) for _ in pv_gens[b]],
+                 dtype=int),
+        qmin, qmax,
+        np.array([q - LIMIT_TOL for q in qmin], dtype=float),
+        np.array([q + LIMIT_TOL for q in qmax], dtype=float),
+        q_sums[slack_bus])
+
+
+def _attempt(net, isl: IslandData, gens, loads, fractions, binding):
+    """One PV/PQ-switched power-flow solve; returns (PfState|None, ok)."""
+    rule = isl.once(("rule", *gens), lambda: _rule(net, gens))
+    slack, slack_bus = rule.slack, rule.slack_bus
+
+    target = sum(fractions[lid] * net.loads[lid].pd for lid in loads)
+    beta = (0.0 if rule.rng <= 0
+            else min(1.0, max(0.0, (target - rule.pmin) / rule.rng)))
+    pg_set = {g: pmin + beta * span for g, pmin, span in rule.ramp}
 
     q_fixed: dict[int, float] = {}
+    fixed = np.zeros(len(rule.pv_buses), dtype=bool)  # pv buses in q_fixed
     frac_map = {lid: fractions[lid] for lid in loads}
     pf = None
     for _ in range(QLIM_ROUNDS):
-        pf = newton_pf(net, isl, pg_set, slack, frac_map, pv_gens, q_fixed)
+        pf = newton_pf(net, isl, pg_set, slack, frac_map, rule.pv_gens,
+                       q_fixed)
         if not pf.converged:
             binding.append("non-convergence")
             return pf, False
-        switched = False
-        for b, gids in sorted(pv_gens.items()):
-            if b in q_fixed or b == slack_bus:
-                continue  # slack bus voltage stays pinned; checked below
-            qmin = sum(net.gens[g].qmin for g in gids)
-            qmax = sum(net.gens[g].qmax for g in gids)
-            qbus = sum(pf.gen_q.get(g, 0.0) for g in gids)
-            if qbus > qmax + LIMIT_TOL:
-                q_fixed[b] = qmax
-                switched = True
-            elif qbus < qmin - LIMIT_TOL:
-                q_fixed[b] = qmin
-                switched = True
-        if not switched:
+        # each PV bus's reactive output, summed generator by generator; a
+        # bus past a limit is pinned there (the slack's bus stays PV)
+        qbus = np.zeros(len(rule.pv_buses))
+        np.add.at(qbus, rule.pv_group,
+                  [pf.gen_q.get(g, 0.0) for g in rule.pv_of])
+        over = qbus > rule.q_hi
+        switch = ((over | (qbus < rule.q_lo)) & ~fixed).nonzero()[0]
+        if not switch.size:
             break
+        for k in switch.tolist():
+            q_fixed[rule.pv_buses[k]] = (rule.qmax[k] if over[k]
+                                         else rule.qmin[k])
+        fixed[switch] = True
 
     ok = True
-    for b in isl.buses:
-        bus = net.buses[b]
-        if pf.vm[b] < bus.vmin - LIMIT_TOL or pf.vm[b] > bus.vmax + LIMIT_TOL:
-            binding.append(f"voltage bus {b}")
+    vm = np.array([pf.vm[b] for b in isl.buses], dtype=float)
+    for k in ((vm < isl.vlo) | (vm > isl.vhi)).nonzero()[0].tolist():
+        binding.append(f"voltage bus {isl.buses[k]}")
+        ok = False
+    # np.abs may differ from abs() in the last bit: the array screen keeps
+    # a margin, and abs() on the screened branches decides
+    rated = (isl.smax < math.inf).nonzero()[0]
+    cut = isl.smax[rated] * (1.0 - 1e-9)
+    s_fr = np.array([pf.flow_fr[isl.branches[k]] for k in rated],
+                    dtype=complex)
+    s_to = np.array([pf.flow_to[isl.branches[k]] for k in rated],
+                    dtype=complex)
+    for k in rated[(np.abs(s_fr) > cut) | (np.abs(s_to) > cut)].tolist():
+        bid, lim = isl.branches[k], isl.smax[k]
+        if abs(pf.flow_fr[bid]) > lim or abs(pf.flow_to[bid]) > lim:
+            binding.append(f"thermal branch {bid}")
             ok = False
-    for bid in isl.branches:
-        rate = net.branches[bid].rate_a
-        if rate > 0.0:
-            if (abs(pf.flow_fr[bid]) > rate + LIMIT_TOL
-                    or abs(pf.flow_to[bid]) > rate + LIMIT_TOL):
-                binding.append(f"thermal branch {bid}")
-                ok = False
     sp = pf.gen_p[slack]
     if sp < net.gens[slack].pmin - LIMIT_TOL or sp > net.gens[slack].pmax + LIMIT_TOL:
         binding.append(f"p-limit slack gen {slack}")
         ok = False
-    sbq_gens = pv_gens[slack_bus]
-    qbus = sum(pf.gen_q.get(g, 0.0) for g in sbq_gens)
-    if (qbus > sum(net.gens[g].qmax for g in sbq_gens) + LIMIT_TOL
-            or qbus < sum(net.gens[g].qmin for g in sbq_gens) - LIMIT_TOL):
+    qbus = sum(pf.gen_q.get(g, 0.0) for g in rule.pv_gens[slack_bus])
+    qmin, qmax = rule.slack_q
+    if qbus > qmax + LIMIT_TOL or qbus < qmin - LIMIT_TOL:
         binding.append(f"q-limit slack bus {slack_bus}")
         ok = False
     return pf, ok
@@ -395,48 +588,59 @@ def _attempt(net, isl: IslandData, gens, loads, fractions, binding):
 
 def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
                       prev_fractions: dict[int, float] | None = None,
-                      period: int = 0) -> PeriodDispatch:
+                      period: int = 0,
+                      network: NetworkData | None = None) -> PeriodDispatch:
     """Largest AC-feasible uniform load scale per energized island.
 
     Served fraction of load d is max(lambda, floor_d) where floor_d is the
     fraction served in the previous period; islands without generation serve
-    nothing (with a warning if that breaks a floor).
+    nothing (with a warning if that breaks a floor).  network is the
+    validation's ``NetworkData`` for net; without it the call builds one.
     """
+    network = network or NetworkData.build(net)
     prev = prev_fractions or {}
-    status = {(kind, cid): not c.damaged
-              for kind, comps in ((BUS, net.buses), (BRANCH, net.branches),
-                                  (GEN, net.gens))
-              for cid, c in comps.items()}
+    status = dict(network.status)
     status.update(energized)
-    live = net.live()
-    islands = connected_islands(net, status)
+    islands = [sorted(island) for island in
+               connected_islands(net, status, network.live)]
+
+    # each energized branch, generator and live load, by island
+    at = {b: k for k, island in enumerate(islands) for b in island}
+    branches_in: list[list[int]] = [[] for _ in islands]
+    gens_in: list[list[int]] = [[] for _ in islands]
+    loads_in: list[list[int]] = [[] for _ in islands]
+    for i, f, t in network.branch_ends:
+        k = at.get(f)
+        if k is not None and at.get(t) == k and status[BRANCH, i]:
+            branches_in[k].append(i)
+    for i, b in network.gen_buses:
+        if b in at and status[GEN, i]:
+            gens_in[at[b]].append(i)
+    for i, b in network.load_buses:
+        if b in at:
+            loads_in[at[b]].append(i)
 
     results: list[IslandResult] = []
     fractions: dict[int, float] = {}
     warnings = 0
-    for island in islands:
-        branches = [i for i in live.branches if status[BRANCH, i]
-                    and net.branches[i].f_bus in island
-                    and net.branches[i].t_bus in island]
-        gens = [i for i in live.gens
-                if status[GEN, i] and net.gens[i].bus in island]
-        loads = [i for i in live.loads if net.loads[i].bus in island]
+    for island, branches, gens, loads in zip(islands, branches_in, gens_in,
+                                             loads_in):
         floors = {lid: min(1.0, max(0.0, prev.get(lid, 0.0))) for lid in loads}
         if not loads:
-            results.append(IslandResult(sorted(island), 1.0, 0.0, [], False, None))
+            results.append(IslandResult(island, 1.0, 0.0, [], False, None))
             continue
         if not gens:
             warn = any(f > 0.0 for f in floors.values())
             warnings += int(warn)
             for lid in loads:
                 fractions[lid] = 0.0
-            results.append(IslandResult(sorted(island), 0.0, 0.0,
+            results.append(IslandResult(island, 0.0, 0.0,
                                         ["no generation"], warn, None))
             continue
 
         lam_floor = min(floors.values())
         binding: list[str] = []
-        isl = IslandData.build(net, sorted(island), branches)
+        isl = IslandData.build(net, island, branches, network)
 
         def feasible(lam):
             fr = {lid: max(lam, floors[lid]) for lid in loads}
@@ -459,7 +663,7 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
         served = sum(max(lam, floors[lid]) * net.loads[lid].pd for lid in loads)
         for lid in loads:
             fractions[lid] = max(lam, floors[lid])
-        results.append(IslandResult(sorted(island), lam,
+        results.append(IslandResult(island, lam,
                                     round(served * net.base_mva, 3),
                                     sorted(set(binding)), not ok, pf))
 
@@ -472,13 +676,16 @@ def plan_dispatches(net: Network, status: dict[tuple[str, int], list[int]],
     """Maximal AC load delivery in each period 0..periods of a status schedule.
 
     Each period's served fractions are the next period's floors; returns every
-    period's dispatch with the per-load fractions in force after it.
+    period's dispatch with the per-load fractions in force after it.  The
+    network's ``NetworkData`` is built once and shared by every period.
     """
+    network = NetworkData.build(net)
     out = []
     fractions: dict[int, float] = {lid: 0.0 for lid in net.loads}
     for n in range(periods + 1):
         energized = {item: bool(zs[n]) for item, zs in status.items()}
-        dispatch = max_load_delivery(net, energized, fractions, period=n)
+        dispatch = max_load_delivery(net, energized, fractions, period=n,
+                                     network=network)
         fractions = dict(fractions)
         fractions.update(dispatch.fractions)
         out.append((dispatch, fractions))

@@ -263,8 +263,9 @@ class RestorationPlan:
     def validate(self, case: MultiPeriodCase):
         """Check the plan against its invariants on case.
 
-        The period count and length are the case's and every damaged item
-        has a status.
+        The period count and length are the case's, every damaged item has
+        a status, and every status names a bus, branch or generator of the
+        case's network.
         Each status is K+1 values of 0 or 1 that never decrease, from 0 to 1
         for a damaged item; no period repairs more than the budget; load
         fractions cover exactly the live loads, lie in [0, 1] (so none is
@@ -284,6 +285,10 @@ class RestorationPlan:
             raise GridError(f"plan lists loads {loads}, the case's "
                                    f"live loads are {live_loads}")
         for (kind, cid), zs in sorted(self.status.items()):
+            if kind not in (BUS, BRANCH, GEN):
+                raise GridError(f"plan status of {kind} {cid}: {kind!r} is "
+                                "not bus, branch or gen")
+            case.base.component(kind, cid)
             if len(zs) != k + 1:
                 raise GridError(f"{kind} {cid}: wrong status length")
             if any(z not in (0, 1) for z in zs):
@@ -432,14 +437,15 @@ def update_status(net: Network,
 
 
 def connected_islands(net: Network,
-                      energized: dict[tuple[str, int], bool]) -> list[set[int]]:
+                      energized: dict[tuple[str, int], bool],
+                      live: Live | None = None) -> list[set[int]]:
     """Partition energized buses by connectivity over energized branches.
 
-    Only live components (``Network.live``) take part; the status map must
-    cover every live branch.  Islands are returned ordered by their minimum
-    bus id.
+    Only live components (``Network.live``, or live when given) take part;
+    the status map must cover every live branch.  Islands are returned
+    ordered by their minimum bus id.
     """
-    live = net.live()
+    live = live or net.live()
     alive = [b for b in live.buses if energized.get((BUS, b), True)]
     parent = {b: b for b in alive}
 

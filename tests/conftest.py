@@ -1,9 +1,16 @@
-import math
-from pathlib import Path
+import os
 
-import pytest
+# single-threaded BLAS, as the grs launcher sets it, before numpy loads; a
+# value set in the environment wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from grs.grid import Branch, Bus, DamageScenario, Generator, Load, Network
+import math  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import pytest  # noqa: E402
+
+from grs.grid import Branch, Bus, DamageScenario, Generator, Load, Network  # noqa: E402
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 

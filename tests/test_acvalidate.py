@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dgetrf
 
 import grs.acvalidate
 from grs import cli, netio
@@ -16,6 +18,8 @@ from grs.grid import (BRANCH, GEN, Bus, DamageScenario, Generator,
                       GridError, Network, RestorationPlan, replicate)
 from grs.mip import solve_mip
 from grs.workflows import run_heuristic
+from grs.acvalidate import NetworkData, _branch_admittances, plan_dispatches
+from grs.workflows import heuristic_order
 from tests.conftest import CASES, make_two_bus
 
 
@@ -465,3 +469,124 @@ def test_heuristic_factors_fewer_jacobians_than_full_newton(area1_scenario,
                          for pf, ref, _ in pairs)
     factorizations = sum(pf.factorizations for pf, _, _ in pairs)
     assert factorizations < sum(ref.iterations for _, ref, _ in pairs)
+
+
+def _ybus_loop(net, pos, branches, adm):
+    """The scalar loop _ybus ran before its np.add.at: four additions per
+    branch in branch order, then the shunts.  Frozen here as the reference."""
+    n = len(pos)
+    Y = np.zeros((n, n), dtype=complex)
+    for bid, (yff, yft, ytf, ytt) in zip(branches, adm.tolist()):
+        br = net.branches[bid]
+        f, t = pos[br.f_bus], pos[br.t_bus]
+        Y[f, f] += yff
+        Y[f, t] += yft
+        Y[t, f] += ytf
+        Y[t, t] += ytt
+    for s in net.shunts.values():
+        if s.bus in pos:
+            Y[pos[s.bus], pos[s.bus]] += complex(s.gs, s.bs)
+    return Y
+
+
+def _block_jacobian(ds_dva, ds_dvm, pq_at):
+    """The np.block Jacobian newton_pf assembled before it wrote the blocks
+    into one Fortran-ordered array.  Frozen here as the reference."""
+    return np.block([[ds_dva.real, ds_dvm.real],
+                     [ds_dva.imag[pq_at], ds_dvm.imag[pq_at]]])
+
+
+def _assert_bit_identical(net, energized):
+    """Each solved island's Ybus equals the scalar loop's, and each Jacobian
+    newton_pf factors equals np.block of its blocks, as do its LU factors."""
+    blocks, factored = [], []
+    ds_blocks = grs.acvalidate._ds_blocks
+
+    def record_blocks(y, v, ibus, vm_cols):
+        out = ds_blocks(y, v, ibus, vm_cols)
+        blocks.append((*out, vm_cols))
+        return out
+
+    def record_factors(a, overwrite_a=False):
+        given_a = a.copy()
+        lu, piv, info = dgetrf(a, overwrite_a=overwrite_a)
+        factored.append((given_a, lu.copy(), piv.copy()))
+        return lu, piv, info
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(grs.acvalidate, "_ds_blocks", record_blocks)
+        m.setattr(grs.acvalidate, "dgetrf", record_factors)
+        disp = max_load_delivery(net, energized)
+    solved = [i for i in disp.islands if i.pf is not None]
+    for res in solved:
+        branches = sorted(res.pf.flow_fr)
+        isl = IslandData.build(net, res.buses, branches)
+        adm = np.array([_branch_admittances(net.branches[k])
+                        for k in branches], dtype=complex).reshape(-1, 4)
+        assert np.array_equal(isl.Y, _ybus_loop(net, isl.pos, branches, adm))
+    assert len(blocks) == len(factored)
+    for (dva, dvm, pq_at), (jac, lu, piv) in zip(blocks, factored):
+        ref = _block_jacobian(dva, dvm, pq_at)
+        assert np.array_equal(jac, ref)
+        ref_lu, ref_piv, _ = dgetrf(ref)
+        assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+    return len(factored)
+
+
+CASE5_ITEMS = [(BRANCH, i) for i in range(1, 7)] + [(GEN, i) for i in range(1, 6)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sets(st.sampled_from(CASE5_ITEMS)))
+def test_ybus_and_jacobian_bit_identical_case5(case5, off):
+    _assert_bit_identical(case5, {item: False for item in off})
+
+
+@pytest.fixture(scope="module")
+def area1_items(area1_scenario):
+    """The branches and generators inside case118's area 1, sorted."""
+    net, _ = area1_scenario
+    area = set(range(1, 24)) | set(range(25, 33)) | {113, 114, 115, 117}
+    return net, ([(BRANCH, k) for k, br in sorted(net.branches.items())
+                  if br.f_bus in area and br.t_bus in area]
+                 + [(GEN, k) for k, g in sorted(net.gens.items())
+                    if g.bus in area])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_ybus_and_jacobian_bit_identical_case118_area1(area1_items, data):
+    net, items = area1_items
+    off = data.draw(st.lists(st.sampled_from(items), unique=True,
+                             max_size=len(items) // 3))
+    assert _assert_bit_identical(net, {item: False for item in off}) > 0
+
+
+def test_validation_built_once_matches_each_period_alone(area1_scenario,
+                                                         monkeypatch):
+    net, dmg = area1_scenario
+    case = replicate(net, dmg, 10)
+    plan = heuristic_order(net, dmg, 10)
+    builds = []
+    build = NetworkData.build.__func__
+
+    def counted(cls, net):
+        builds.append(net)
+        return build(cls, net)
+
+    monkeypatch.setattr(NetworkData, "build", classmethod(counted))
+    dispatches = plan_dispatches(case.base, plan.status, case.periods)
+    assert len(builds) == 1
+    fractions = {lid: 0.0 for lid in case.base.loads}
+    for n, (dispatch, after) in enumerate(dispatches):
+        energized = {item: bool(zs[n]) for item, zs in plan.status.items()}
+        alone = max_load_delivery(case.base, energized, fractions, period=n)
+        assert alone == dispatch
+        fractions = after
+    assert len(builds) == 1 + len(dispatches)  # each call alone built its own
+
+
+def test_island_branch_outside_island_rejected(case5):
+    br = case5.branches[1]
+    with pytest.raises(GridError, match="ends outside"):
+        IslandData.build(case5, [br.f_bus], [1])

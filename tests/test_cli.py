@@ -2,7 +2,10 @@ import importlib
 import inspect
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,29 @@ CASE2 = str(CASES / "case2_parallel.m")
 CASE5 = str(CASES / "case5_restoration.m")
 DMG2 = str(CASES / "damage2_both.json")
 DMG5 = str(CASES / "damage5_all.json")
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_launcher_sets_one_blas_thread_unless_set():
+    # one subprocess runs the launcher with a stand-in grs.cli, so numpy never
+    # loads there and no thread pool starts
+    code = f"""
+import os, runpy, sys, types
+cli = types.ModuleType("grs.cli")
+cli.main = lambda argv: print(*map(os.environ.get, {BLAS_THREADS!r}),
+                              "numpy" in sys.modules)
+sys.modules["grs.cli"] = cli
+runpy.run_module("grs", run_name="__main__")
+"""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["OPENBLAS_NUM_THREADS"] = "3"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(grs.__file__).parent.parent), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["3", "1", "1", "False"]
 
 
 def test_help_exits_zero(capsys):
@@ -590,6 +616,19 @@ def test_redispatch_rejects_non_binary_status(tmp_path, caplog):
         doc["status"]["branch"]["1"] = [0, 7, 0]
 
     assert "not 0/1" in _redispatch_edited_plan(tmp_path, caplog, edit)
+
+
+@pytest.mark.parametrize("kind,cid,reason", [
+    ("foo", "7", "'foo' is not bus, branch or gen"),
+    ("branch", "999", "branch 999 not in network"),
+    ("gen", "999", "gen 999 not in network"),
+], ids=["unknown-kind", "unknown-branch", "unknown-gen"])
+def test_redispatch_rejects_status_of_no_component(tmp_path, caplog, kind,
+                                                   cid, reason):
+    def edit(doc):
+        doc["status"].setdefault(kind, {})[cid] = [0, 0, 1]
+
+    assert reason in _redispatch_edited_plan(tmp_path, caplog, edit)
 
 
 @pytest.mark.parametrize("hours", [2.0, math.nan], ids=["other", "nan"])
