@@ -16,17 +16,16 @@ undamaged components, every live branch's four admittances, and the bus
 voltage and branch rating limits.  Each period's ``max_load_delivery``
 takes it through its ``network=`` keyword (called alone, it builds its
 own).  Each energized island with loads and generation gets an
-``IslandData`` once per ``max_load_delivery`` call: bus positions, branch
-ends, the Ybus (one ``np.add.at`` over the branch entries in branch order,
-then the shunts), per-bus load lists and the island's limits.  What the
-island's solves derive from it is computed on first use and kept in the
-``IslandData`` (``IslandData.once``): the dispatch rule and PV limits of its
-generators, the slack split, the per-bus generator groups and Q shares, the
-load positions, and the Ybus without the slack row and column.  Nothing
+``IslandData`` once per ``max_load_delivery`` call, built eagerly with all
+that the island's solves share: bus positions, branch ends, the Ybus (one
+``np.add.at`` over the branch entries in branch order, then the shunts) and
+its cut without the slack's row and column, the limits, the loads, the
+dispatch rule, and one table of the generators grouped by bus.  Nothing
 outlives the call.
 
-``newton_pf`` solves a given ``IslandData``, so the call's bisection and
-PV-to-PQ solves share it, and each solve still starts flat.  Each solve is a
+``newton_pf`` solves a given ``IslandData`` from the ramp generators' set
+points and the loads' fractions alone, so the call's bisection and PV-to-PQ
+solves share the island, and each solve still starts flat.  Each solve is a
 chord Newton iteration: it writes the Jacobian blocks into one
 Fortran-ordered array, factors it in place (LAPACK ``dgetrf``) and reuses
 the factors for later steps until the largest mismatch falls by less than
@@ -47,8 +46,7 @@ conservative bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -183,10 +181,15 @@ class IslandData:
     """Power-flow data of one island: what every solve on it shares.
 
     ``max_load_delivery`` builds it once per island and passes it to each
-    ``newton_pf`` of that island's bisection and PV-to-PQ rounds; ``once``
-    keeps what those solves derive from it.
+    ``newton_pf`` of that island's bisection and PV-to-PQ rounds.  Buses,
+    generators and loads run in id order.  The slack generator takes up the
+    losses; the others (the ramp) run at pmin + beta (pmax - pmin), with one
+    beta per solve.  The generators are grouped by bus once, groups in order
+    of their first generator: the one table behind the PV buses, their
+    voltage set points and summed Q limits, and the split of each bus's
+    reactive output among its generators.
     """
-    buses: list[int]  # sorted; bus i of the arrays below is buses[i]
+    buses: list[int]  # bus i of the arrays below is buses[i]
     pos: dict[int, int]
     branches: list[int]
     Y: np.ndarray
@@ -196,19 +199,41 @@ class IslandData:
     yft: np.ndarray
     ytf: np.ndarray
     ytt: np.ndarray
-    loads_at: dict[int, list[int]]  # bus -> its loads, in case order
     vlo: np.ndarray  # per bus: vmin - LIMIT_TOL
     vhi: np.ndarray  # vmax + LIMIT_TOL
     smax: np.ndarray  # per branch: rate_a + LIMIT_TOL, inf where unrated
-    memo: dict = field(default_factory=dict, repr=False)
+    loads: list[int]
+    load_at: np.ndarray  # per load: its bus position
+    pd: np.ndarray
+    qd: np.ndarray
+    slack: int  # largest pmax, ties by lowest id; absorbs the losses
+    pvpq: np.ndarray  # the positions other than the slack's bus
+    y_pvpq: np.ndarray  # Y cut to their rows and columns
+    ramp: list[int]  # the other generators, which follow the dispatch rule
+    ramp_at: np.ndarray  # per ramp generator: its bus position
+    ramp_pmin: np.ndarray
+    ramp_span: np.ndarray  # pmax - pmin
+    pmin: float  # summed over all the generators
+    rng: float  # summed pmax - pmin
+    gens: list[int]  # all the generators, group by group
+    group_of: np.ndarray  # group of each of gens
+    shares: np.ndarray  # each of gens' share of its group's reactive output
+    groups: np.ndarray  # per group: its bus position
+    vg: np.ndarray  # voltage set point: the slack's, else the first gen's
+    qmin: np.ndarray  # the group's summed limits
+    qmax: np.ndarray
+    slack_group: int
+    others: list[int]  # ramp indices of the other gens on the slack's bus
 
     @classmethod
     def build(cls, net: Network, buses: list[int], branches: list[int],
+              gens: list[int], loads: list[int],
               network: NetworkData | None = None) -> IslandData:
-        """The island over live buses and branches of net; network, when
-        given, is net's ``NetworkData``."""
+        """The island over live buses and branches of net, with the
+        generators gens (one at least) and the loads loads on its buses;
+        network, when given, is net's ``NetworkData``."""
         network = network or NetworkData.build(net)
-        buses = sorted(buses)
+        buses, gens, loads = sorted(buses), sorted(gens), sorted(loads)
         pos = {b: i for i, b in enumerate(buses)}
         rows = [network.branch_row[k] for k in branches]
         bus_rows = [network.bus_row[b] for b in buses]
@@ -217,22 +242,51 @@ class IslandData:
         ends = at[network.ends[rows]]
         if (ends < 0).any():
             raise GridError("a branch of the island ends outside it")
+        gen, lds = net.gens, [net.loads[i] for i in loads]
         f, t = ends.T
         adm = network.adm[rows]
-        loads_at: dict[int, list[int]] = {}
-        for lid, ld in net.loads.items():
-            if ld.bus in pos:
-                loads_at.setdefault(ld.bus, []).append(lid)
-        return cls(buses, pos, list(branches), _ybus(net, pos, f, t, adm),
-                   f, t, *adm.T, loads_at, network.vlo[bus_rows],
-                   network.vhi[bus_rows], network.smax[rows])
+        Y = _ybus(net, pos, f, t, adm)
 
-    def once(self, key, make):
-        """make(), computed on the first call with key and kept for the
-        island's later solves."""
-        if key not in self.memo:
-            self.memo[key] = make()
-        return self.memo[key]
+        slack = max(gens, key=lambda g: (gen[g].pmax, -g))
+        slack_bus = gen[slack].bus
+        pvpq = np.arange(len(buses) - 1)
+        pvpq[pos[slack_bus]:] += 1
+        ramp = [g for g in gens if g != slack]
+        by_bus: dict[int, list[int]] = {}
+        for g in gens:
+            by_bus.setdefault(gen[g].bus, []).append(g)
+        members = list(by_bus.values())
+        slack_group = list(by_bus).index(slack_bus)
+        shares, vg, qmin, qmax = [], [], [], []
+        for gids in members:
+            gs = [gen[g] for g in gids]
+            qr = [max(g.qmax - g.qmin, 0.0) for g in gs]
+            tot = sum(qr)
+            shares += [r / tot if tot > 0 else 1.0 / len(gs) for r in qr]
+            vg.append(gs[0].vg)
+            qmin.append(sum([g.qmin for g in gs]))
+            qmax.append(sum([g.qmax for g in gs]))
+        vg[slack_group] = gen[slack].vg
+        return cls(
+            buses, pos, list(branches), Y, f, t, *adm.T,
+            network.vlo[bus_rows], network.vhi[bus_rows], network.smax[rows],
+            loads, np.array([pos[ld.bus] for ld in lds], dtype=int),
+            np.array([ld.pd for ld in lds], dtype=float),
+            np.array([ld.qd for ld in lds], dtype=float),
+            slack, pvpq, Y.take(pvpq, axis=0).take(pvpq, axis=1), ramp,
+            np.array([pos[gen[g].bus] for g in ramp], dtype=int),
+            np.array([gen[g].pmin for g in ramp], dtype=float),
+            np.array([gen[g].pmax - gen[g].pmin for g in ramp], dtype=float),
+            sum(gen[g].pmin for g in gens),
+            sum(gen[g].pmax - gen[g].pmin for g in gens),
+            [g for gids in members for g in gids],
+            np.array([k for k, gids in enumerate(members) for _ in gids],
+                     dtype=int),
+            np.array(shares, dtype=float),
+            np.array([pos[b] for b in by_bus], dtype=int),
+            np.array(vg, dtype=float), np.array(qmin, dtype=float),
+            np.array(qmax, dtype=float), slack_group,
+            [k for k, g in enumerate(ramp) if gen[g].bus == slack_bus])
 
 
 def branch_flows(net: Network, bid: int, vf: complex, vt: complex):
@@ -289,99 +343,33 @@ def _ds_blocks(Y, v, ibus, vm_cols):
     return dva, dvm
 
 
-def _without_slack(isl: IslandData, s: int):
-    """The positions other than s, and Y cut to their rows and columns."""
-    pvpq = np.arange(len(isl.buses) - 1)
-    pvpq[s:] += 1
-    return pvpq, isl.Y.take(pvpq, axis=0).take(pvpq, axis=1)
-
-
-def _load_rows(net: Network, isl: IslandData, lids):
-    """Of the loads lids: which ones sit on isl (indices into lids), their
-    bus positions, and their pd and qd."""
-    keep = [k for k, lid in enumerate(lids) if net.loads[lid].bus in isl.pos]
-    lds = [net.loads[lids[k]] for k in keep]
-    return (np.array(keep, dtype=int),
-            np.array([isl.pos[ld.bus] for ld in lds], dtype=int),
-            np.array([ld.pd for ld in lds], dtype=float),
-            np.array([ld.qd for ld in lds], dtype=float))
-
-
-class _GenSplit(NamedTuple):
-    """How a solve's generator set points and bus injections become each
-    generator's output (``_gen_split``)."""
-    at: np.ndarray  # bus position of each set-point generator, in order
-    groups: np.ndarray  # position of each bus with generation
-    gens: list[int]  # the generators by group, sorted within a group
-    group_of: np.ndarray  # group of each of gens
-    shares: np.ndarray  # each of gens' share of its bus's reactive output
-    lids: list[int]  # the loads on the groups' buses, by group
-    load_group: np.ndarray  # group of each of lids
-    pd: np.ndarray  # pd and qd of each of lids
-    qd: np.ndarray
-    slack_group: int
-    others: list[int]  # the set-point generators on the slack bus
-
-
-def _gen_split(net: Network, isl: IslandData, pg_keys, slack_gen: int):
-    """The split of a solve whose set-point generators are pg_keys; groups
-    run in order of first appearance, the slack's bus last if new."""
-    by_bus: dict[int, list[int]] = {}
-    for g in pg_keys:
-        by_bus.setdefault(net.gens[g].bus, []).append(g)
-    sb = net.gens[slack_gen].bus
-    if slack_gen not in pg_keys:
-        by_bus.setdefault(sb, []).append(slack_gen)
-    gens, group_of, shares, lids, load_group = [], [], [], [], []
-    for k, (b, gids) in enumerate(by_bus.items()):
-        qr = [max(net.gens[g].qmax - net.gens[g].qmin, 0.0)
-              for g in sorted(gids)]
-        tot = sum(qr)
-        at_bus = isl.loads_at.get(b, [])
-        gens += sorted(gids)
-        group_of += [k] * len(gids)
-        shares += [r / tot if tot > 0 else 1.0 / len(gids) for r in qr]
-        lids += at_bus
-        load_group += [k] * len(at_bus)
-    return _GenSplit(
-        np.array([isl.pos[net.gens[g].bus] for g in pg_keys], dtype=int),
-        np.array([isl.pos[b] for b in by_bus], dtype=int),
-        gens, np.array(group_of, dtype=int), np.array(shares, dtype=float),
-        lids, np.array(load_group, dtype=int),
-        np.array([net.loads[lid].pd for lid in lids], dtype=float),
-        np.array([net.loads[lid].qd for lid in lids], dtype=float),
-        list(by_bus).index(sb), [g for g in by_bus[sb] if g != slack_gen])
-
-
-def newton_pf(net: Network, isl: IslandData, pg_set: dict[int, float],
-              slack_gen: int, load_frac: dict[int, float],
-              pv_gens: dict[int, list[int]],
+def newton_pf(net: Network, isl: IslandData, pg, fr,
               q_fixed: dict[int, float] | None = None) -> PfState:
     """Chord Newton-Raphson polar power flow on the island isl.
 
-    pv_gens maps PV bus id -> energized generator ids there (voltage held at
-    the setpoint); q_fixed marks former PV buses pinned at a reactive limit
-    (treated as PQ with that generation).  Flat start: V = 1 / PV setpoints,
-    angles zero.  The Jacobian is built and LU-factored on the first
-    iteration and whenever the largest mismatch fell by less than a factor
-    of CHORD_RATE since the previous one; other steps reuse the last
-    factors.  The result counts both (``iterations``, ``factorizations``).
-    Stops once the largest mismatch is at most PF_TOL, or after PF_MAX_ITER
-    iterations; a non-finite mismatch or a singular Jacobian ends the solve
-    at once, not converged.
+    pg holds the set points of ``isl.ramp`` and fr the served fractions of
+    ``isl.loads``, in their order; the slack generator takes up the rest.
+    Every generator bus is PV (voltage held at its set point) except those
+    in q_fixed: former PV buses pinned at a reactive limit, treated as PQ
+    with that generation.  Flat start: V = 1 / PV setpoints, angles zero.
+    The Jacobian is built and LU-factored on the first iteration and
+    whenever the largest mismatch fell by less than a factor of CHORD_RATE
+    since the previous one; other steps reuse the last factors.  The result
+    counts both (``iterations``, ``factorizations``).  Stops once the
+    largest mismatch is at most PF_TOL, or after PF_MAX_ITER iterations; a
+    non-finite mismatch or a singular Jacobian ends the solve at once, not
+    converged.
     """
     q_fixed = q_fixed or {}
-    pos, Y = isl.pos, isl.Y
+    pos, Y, pvpq = isl.pos, isl.Y, isl.pvpq
     n = len(isl.buses)
+    pg = np.asarray(pg, dtype=float)
+    fr = np.asarray(fr, dtype=float)
 
-    slack_bus = net.gens[slack_gen].bus
-    if slack_bus not in pos:
-        raise GridError(f"slack gen {slack_gen} sits outside the island")
-    s = pos[slack_bus]
-    pvpq, y_pvpq = isl.once(("slack", s), lambda: _without_slack(isl, s))
     is_pq = np.ones(n, dtype=bool)
-    is_pq[[pos[b] for b in pv_gens if b not in q_fixed]] = False
-    is_pq[s] = False
+    is_pq[isl.groups] = False
+    is_pq[[pos[b] for b in q_fixed]] = True
+    is_pq[isl.groups[isl.slack_group]] = False
     pq_i = is_pq.nonzero()[0]
     pq_at = np.searchsorted(pvpq, pq_i)  # rows of the pq buses within pvpq
     nva = len(pvpq)
@@ -390,24 +378,16 @@ def newton_pf(net: Network, isl: IslandData, pg_set: dict[int, float],
     # then the pinned reactive injections, in its order
     p_spec = np.zeros(n)
     q_spec = np.zeros(n)
-    split = isl.once(("gens", slack_gen, *pg_set),
-                     lambda: _gen_split(net, isl, list(pg_set), slack_gen))
-    np.add.at(p_spec, split.at, np.fromiter(pg_set.values(), float,
-                                            len(pg_set)))
-    keep, at, pd, qd = isl.once(("loads", *load_frac),
-                                lambda: _load_rows(net, isl, list(load_frac)))
-    fr = np.fromiter(load_frac.values(), float, len(load_frac))[keep]
-    np.subtract.at(p_spec, at, fr * pd)
-    np.subtract.at(q_spec, at, fr * qd)
+    np.add.at(p_spec, isl.ramp_at, pg)
+    np.subtract.at(p_spec, isl.load_at, fr * isl.pd)
+    np.subtract.at(q_spec, isl.load_at, fr * isl.qd)
     for b, qv in q_fixed.items():
         q_spec[pos[b]] += qv
     p_spec, q_spec = p_spec[pvpq], q_spec[pq_i]
 
     vm = np.ones(n)
     va = np.zeros(n)
-    for b, gids in pv_gens.items():
-        vm[pos[b]] = net.gens[gids[0]].vg
-    vm[s] = net.gens[slack_gen].vg
+    vm[isl.groups] = isl.vg
 
     f = np.empty(nva + len(pq_i))
     jac = np.empty((f.size, f.size), order="F")  # dgetrf factors it in place
@@ -424,7 +404,7 @@ def newton_pf(net: Network, isl: IslandData, pg_set: dict[int, float],
         if mismatch <= PF_TOL or it == PF_MAX_ITER or not math.isfinite(mismatch):
             break
         if lu is None or mismatch * CHORD_RATE > prev:
-            ds_dva, ds_dvm = _ds_blocks(y_pvpq, v[pvpq], ibus[pvpq], pq_at)
+            ds_dva, ds_dvm = _ds_blocks(isl.y_pvpq, v[pvpq], ibus[pvpq], pq_at)
             jac[:nva, :nva] = ds_dva.real
             jac[:nva, nva:] = ds_dvm.real
             jac[nva:, :nva] = ds_dva.imag[pq_at]
@@ -432,39 +412,33 @@ def newton_pf(net: Network, isl: IslandData, pg_set: dict[int, float],
             lu, piv, info = dgetrf(jac, overwrite_a=True)
             factorizations += 1
             if info > 0:  # singular Jacobian
-                return _pf_state(net, isl, vm, va, pg_set, slack_gen,
-                                 load_frac, False, it, factorizations,
-                                 mismatch)
+                return _pf_state(isl, vm, va, pg, fr, False, it,
+                                 factorizations, mismatch)
         dx, _ = dgetrs(lu, piv, f)
         prev = mismatch
         va[pvpq] += dx[:nva]
         vm[pq_i] += dx[nva:]
 
     converged = mismatch <= PF_TOL
-    return _pf_state(net, isl, vm, va, pg_set, slack_gen, load_frac,
-                     converged, it, factorizations, mismatch)
+    return _pf_state(isl, vm, va, pg, fr, converged, it, factorizations,
+                     mismatch)
 
 
-def _pf_state(net, isl: IslandData, vm, va, pg_set, slack_gen, load_frac,
-              converged, iterations, factorizations, mismatch) -> PfState:
+def _pf_state(isl: IslandData, vm, va, pg, fr, converged, iterations,
+              factorizations, mismatch) -> PfState:
     v = vm * np.exp(1j * va)
     s_calc = v * (isl.Y @ v).conjugate()
-    split = isl.once(("gens", slack_gen, *pg_set),
-                     lambda: _gen_split(net, isl, list(pg_set), slack_gen))
     # each bus's load, summed load by load as a scalar loop would
-    fr = np.array([load_frac.get(lid, 0.0) for lid in split.lids],
-                  dtype=float)
-    pd = np.zeros(len(split.groups))
-    qd = np.zeros(len(split.groups))
-    np.add.at(pd, split.load_group, fr * split.pd)
-    np.add.at(qd, split.load_group, fr * split.qd)
-    gen_p = dict(pg_set)
-    k = split.slack_group
-    gen_p[slack_gen] = (s_calc.real[split.groups[k]] + pd[k]
-                        - sum(pg_set.get(g, 0.0) for g in split.others))
-    q_bus = s_calc.imag[split.groups] + qd
-    gen_q = dict(zip(split.gens,
-                     (q_bus[split.group_of] * split.shares).tolist()))
+    pd = np.zeros(len(isl.buses))
+    qd = np.zeros(len(isl.buses))
+    np.add.at(pd, isl.load_at, fr * isl.pd)
+    np.add.at(qd, isl.load_at, fr * isl.qd)
+    pg = pg.tolist()
+    gen_p = dict(zip(isl.ramp, pg))
+    s = isl.groups[isl.slack_group]
+    gen_p[isl.slack] = s_calc.real[s] + pd[s] - sum(pg[k] for k in isl.others)
+    q_bus = s_calc.imag[isl.groups] + qd[isl.groups]
+    gen_q = dict(zip(isl.gens, (q_bus[isl.group_of] * isl.shares).tolist()))
 
     vf, vt = v[isl.f], v[isl.t]
     s_fr = vf * (isl.yff * vf + isl.yft * vt).conjugate()
@@ -477,84 +451,36 @@ def _pf_state(net, isl: IslandData, vm, va, pg_set, slack_gen, load_frac,
                    dict(zip(isl.branches, s_to.tolist())))
 
 
-class _Rule(NamedTuple):
-    """An island's dispatch rule and reactive limits for one generator set."""
-    slack: int
-    slack_bus: int
-    pmin: float  # summed over the generators
-    rng: float  # summed pmax - pmin
-    ramp: list[tuple[int, float, float]]  # (gen, pmin, pmax - pmin), no slack
-    pv_gens: dict[int, list[int]]  # bus -> its generators
-    pv_buses: list[int]  # sorted, without the slack's bus
-    pv_of: list[int]  # their generators, bus by bus
-    pv_group: np.ndarray  # the pv_buses index of each of pv_of
-    qmin: list[float]  # per pv bus: its generators' summed limits
-    qmax: list[float]
-    q_lo: np.ndarray  # qmin - LIMIT_TOL
-    q_hi: np.ndarray  # qmax + LIMIT_TOL
-    slack_q: tuple[float, float]  # the slack bus's summed qmin, qmax
-
-
-def _rule(net: Network, gens: list[int]) -> _Rule:
-    slack = max(gens, key=lambda g: (net.gens[g].pmax, -g))
-    slack_bus = net.gens[slack].bus
-    pv_gens: dict[int, list[int]] = {}
-    for g in gens:
-        pv_gens.setdefault(net.gens[g].bus, []).append(g)
-    q_sums = {b: (sum([net.gens[g].qmin for g in gids]),
-                  sum([net.gens[g].qmax for g in gids]))
-              for b, gids in pv_gens.items()}
-    pv_buses = sorted(b for b in pv_gens if b != slack_bus)
-    qmin = [q_sums[b][0] for b in pv_buses]
-    qmax = [q_sums[b][1] for b in pv_buses]
-    return _Rule(
-        slack, slack_bus,
-        sum(net.gens[g].pmin for g in gens),
-        sum(net.gens[g].pmax - net.gens[g].pmin for g in gens),
-        [(g, net.gens[g].pmin, net.gens[g].pmax - net.gens[g].pmin)
-         for g in gens if g != slack],
-        pv_gens, pv_buses, [g for b in pv_buses for g in pv_gens[b]],
-        np.array([k for k, b in enumerate(pv_buses) for _ in pv_gens[b]],
-                 dtype=int),
-        qmin, qmax,
-        np.array([q - LIMIT_TOL for q in qmin], dtype=float),
-        np.array([q + LIMIT_TOL for q in qmax], dtype=float),
-        q_sums[slack_bus])
-
-
-def _attempt(net, isl: IslandData, gens, loads, fractions, binding):
-    """One PV/PQ-switched power-flow solve; returns (PfState|None, ok)."""
-    rule = isl.once(("rule", *gens), lambda: _rule(net, gens))
-    slack, slack_bus = rule.slack, rule.slack_bus
-
-    target = sum(fractions[lid] * net.loads[lid].pd for lid in loads)
-    beta = (0.0 if rule.rng <= 0
-            else min(1.0, max(0.0, (target - rule.pmin) / rule.rng)))
-    pg_set = {g: pmin + beta * span for g, pmin, span in rule.ramp}
+def _attempt(net, isl: IslandData, fr, binding):
+    """One PV/PQ-switched power-flow solve with the loads of isl served at
+    the fractions fr, in their order; returns (PfState, ok)."""
+    fr = np.asarray(fr, dtype=float)
+    target = sum((fr * isl.pd).tolist())
+    beta = (0.0 if isl.rng <= 0
+            else min(1.0, max(0.0, (target - isl.pmin) / isl.rng)))
+    pg = isl.ramp_pmin + beta * isl.ramp_span
 
     q_fixed: dict[int, float] = {}
-    fixed = np.zeros(len(rule.pv_buses), dtype=bool)  # pv buses in q_fixed
-    frac_map = {lid: fractions[lid] for lid in loads}
-    pf = None
+    held = np.zeros(len(isl.groups), dtype=bool)  # not to be pinned again
+    held[isl.slack_group] = True  # the slack's bus stays PV
     for _ in range(QLIM_ROUNDS):
-        pf = newton_pf(net, isl, pg_set, slack, frac_map, rule.pv_gens,
-                       q_fixed)
+        pf = newton_pf(net, isl, pg, fr, q_fixed)
         if not pf.converged:
             binding.append("non-convergence")
             return pf, False
-        # each PV bus's reactive output, summed generator by generator; a
-        # bus past a limit is pinned there (the slack's bus stays PV)
-        qbus = np.zeros(len(rule.pv_buses))
-        np.add.at(qbus, rule.pv_group,
-                  [pf.gen_q.get(g, 0.0) for g in rule.pv_of])
-        over = qbus > rule.q_hi
-        switch = ((over | (qbus < rule.q_lo)) & ~fixed).nonzero()[0]
+        # each generator bus's reactive output, summed generator by
+        # generator; a PV bus past a limit is pinned there
+        qbus = np.zeros(len(isl.groups))
+        np.add.at(qbus, isl.group_of, [pf.gen_q[g] for g in isl.gens])
+        over = qbus > isl.qmax + LIMIT_TOL
+        under = qbus < isl.qmin - LIMIT_TOL
+        switch = ((over | under) & ~held).nonzero()[0]
         if not switch.size:
             break
         for k in switch.tolist():
-            q_fixed[rule.pv_buses[k]] = (rule.qmax[k] if over[k]
-                                         else rule.qmin[k])
-        fixed[switch] = True
+            q_fixed[isl.buses[isl.groups[k]]] = (isl.qmax[k] if over[k]
+                                                 else isl.qmin[k])
+        held[switch] = True
 
     ok = True
     vm = np.array([pf.vm[b] for b in isl.buses], dtype=float)
@@ -574,14 +500,14 @@ def _attempt(net, isl: IslandData, gens, loads, fractions, binding):
         if abs(pf.flow_fr[bid]) > lim or abs(pf.flow_to[bid]) > lim:
             binding.append(f"thermal branch {bid}")
             ok = False
-    sp = pf.gen_p[slack]
-    if sp < net.gens[slack].pmin - LIMIT_TOL or sp > net.gens[slack].pmax + LIMIT_TOL:
-        binding.append(f"p-limit slack gen {slack}")
+    slack = net.gens[isl.slack]
+    sp = pf.gen_p[isl.slack]
+    if sp < slack.pmin - LIMIT_TOL or sp > slack.pmax + LIMIT_TOL:
+        binding.append(f"p-limit slack gen {isl.slack}")
         ok = False
-    qbus = sum(pf.gen_q.get(g, 0.0) for g in rule.pv_gens[slack_bus])
-    qmin, qmax = rule.slack_q
-    if qbus > qmax + LIMIT_TOL or qbus < qmin - LIMIT_TOL:
-        binding.append(f"q-limit slack bus {slack_bus}")
+    k = isl.slack_group
+    if over[k] or under[k]:
+        binding.append(f"q-limit slack bus {slack.bus}")
         ok = False
     return pf, ok
 
@@ -594,8 +520,10 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
 
     Served fraction of load d is max(lambda, floor_d) where floor_d is the
     fraction served in the previous period; islands without generation serve
-    nothing (with a warning if that breaks a floor).  network is the
-    validation's ``NetworkData`` for net; without it the call builds one.
+    nothing (with a warning if that breaks a floor).  An island whose solve
+    at its floors fails keeps them, with a warning, even when they are 0.
+    network is the validation's ``NetworkData`` for net; without it the
+    call builds one.
     """
     network = network or NetworkData.build(net)
     prev = prev_fractions or {}
@@ -640,11 +568,11 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
 
         lam_floor = min(floors.values())
         binding: list[str] = []
-        isl = IslandData.build(net, island, branches, network)
+        isl = IslandData.build(net, island, branches, gens, loads, network)
 
         def feasible(lam):
-            fr = {lid: max(lam, floors[lid]) for lid in loads}
-            return _attempt(net, isl, gens, loads, fr, binding)
+            return _attempt(net, isl, [max(lam, floors[lid])
+                                       for lid in isl.loads], binding)
 
         lam = 1.0
         pf, ok = feasible(lam)

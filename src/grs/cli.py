@@ -78,8 +78,10 @@ def _parse_bus_list(spec: str) -> set[int]:
         if not part:
             continue
         if "-" in part:
-            a, b = part.split("-", 1)
-            out.update(range(int(a), int(b) + 1))
+            a, b = (int(x) for x in part.split("-", 1))
+            if a > b:
+                raise ValueError(f"range {part} runs backwards")
+            out.update(range(a, b + 1))
         else:
             out.add(int(part))
     return out
@@ -93,7 +95,11 @@ def cmd_gen_damage(args):
     try:
         area = _parse_bus_list(args.area) if args.area else set(net.buses)
     except ValueError:
-        log.error("--area %r is not a list of bus ids and ranges", args.area)
+        log.error("--area %r is not a list of bus ids and ascending ranges",
+                  args.area)
+        return EXIT_INPUT
+    if not area & net.buses.keys():
+        log.error("--area %r names no bus of the case", args.area)
         return EXIT_INPUT
     kinds = {k.strip() for k in args.kinds.split(",") if k.strip()}
     bad = kinds - {"branch", "gen"}
@@ -363,6 +369,16 @@ def main(argv=None) -> int:
             return EXIT_INPUT
         if not 0 < getattr(args, "period_hours", 1.0) < math.inf:
             log.error("--period-hours must be a finite number > 0")
+            return EXIT_INPUT
+        if not getattr(args, "gap", 0.0) >= 0.0:  # NaN fails too
+            log.error("--gap must be a number >= 0")
+            return EXIT_INPUT
+        time_limit = getattr(args, "time_limit", None)
+        if time_limit is not None and not time_limit > 0.0:
+            log.error("--time-limit must be a number > 0")
+            return EXIT_INPUT
+        if getattr(args, "node_limit", None) is not None and args.node_limit < 1:
+            log.error("--node-limit must be >= 1")
             return EXIT_INPUT
         if getattr(args, "damage", None) is None and args.command in (
                 "mrsp", "rop", "redispatch", "heuristic"):

@@ -330,8 +330,11 @@ class EnsReport:
     true_ens_mwh comes from the AC redispatch; estimated_ens_mwh from the
     optimization objective.  When count_initial_period is False the totals
     skip period 0 (the pre-restoration state); rows always list it.
-    validation_warnings counts islands where the redispatch could not even
-    hold the previous period's service (zero on the bundled fixtures).
+    validation_warnings counts, period by period, the energized islands
+    that cannot serve their loads at their floors (the fractions served
+    before): one without generation whose loads had service, or one with
+    generation whose AC solve at the floor fails, even at a zero floor.
+    Each keeps its floors (``acvalidate.max_load_delivery``).
     served_mw_total and shed_mw_total (filled by ``from_served``) sum the
     counted periods unrounded and are rounded once, like true_ens_mwh.
     """

@@ -141,7 +141,8 @@ def test_criterion_3_power_flow_verification():
     net = load_case5()
     buses = sorted(net.buses)
     branches = sorted(net.branches)
-    Y = IslandData.build(net, buses, branches).Y
+    Y = IslandData.build(net, buses, branches, sorted(net.gens),
+                         sorted(net.loads)).Y
     rng = np.random.default_rng(314)
     h = 1e-6
     worst = 0.0
@@ -186,8 +187,8 @@ def test_criterion_3_power_flow_verification():
     assert max_resid <= 1e-7
 
     two = make_two_bus(load_pu=0.5, rate=0.0, n_branches=1, condenser_at_2=True)
-    pf2 = newton_pf(two, IslandData.build(two, [1, 2], [1]), {2: 0.0}, 1,
-                    {2: 1.0}, {1: [1], 2: [2]})
+    pf2 = newton_pf(two, IslandData.build(two, [1, 2], [1], [1, 2], [2]),
+                    [0.0], [1.0])
     theta = pf2.va[1] - pf2.va[2]
     assert theta == pytest.approx(math.asin(0.05), abs=1e-6)
     report(3, f"Jacobian FD rel err {worst:.2e} < 1e-5; residual {max_resid:.2e}"

@@ -18,7 +18,8 @@ from grs.grid import (BRANCH, GEN, Bus, DamageScenario, Generator,
                       GridError, Network, RestorationPlan, replicate)
 from grs.mip import solve_mip
 from grs.workflows import run_heuristic
-from grs.acvalidate import NetworkData, _branch_admittances, plan_dispatches
+from grs.acvalidate import (NetworkData, _branch_admittances, ens_report,
+                            plan_dispatches)
 from grs.workflows import heuristic_order
 from tests.conftest import CASES, make_two_bus
 
@@ -44,11 +45,17 @@ def case118_area1(area1_scenario):
     return net, {item: False for item in dmg.sorted_items()}
 
 
-def _full_newton_pf(net, isl, pg_set, slack_gen, load_frac, pv_gens,
-                    q_fixed=None):
+def _full_newton_pf(net, isl, pg, fr, q_fixed=None):
     """The full Newton loop newton_pf ran before the chord: one Jacobian
     built and solved per iteration.  Frozen here as the reference."""
     q_fixed = q_fixed or {}
+    pg, fr = np.asarray(pg, dtype=float), np.asarray(fr, dtype=float)
+    slack_gen = isl.slack
+    pg_set = dict(zip(isl.ramp, pg))
+    load_frac = dict(zip(isl.loads, fr))
+    pv_gens = {}
+    for g in isl.gens:
+        pv_gens.setdefault(net.gens[g].bus, []).append(g)
     buses, pos, Y = isl.buses, isl.pos, isl.Y
     n = len(buses)
 
@@ -102,21 +109,20 @@ def _full_newton_pf(net, isl, pg_set, slack_gen, load_frac, pv_gens,
         try:
             dx = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
-            return _pf_state(net, isl, vm, va, pg_set, slack_gen, load_frac,
-                             False, it, it + 1, mismatch)
+            return _pf_state(isl, vm, va, pg, fr, False, it, it + 1,
+                             mismatch)
         va[pvpq] += dx[:nva]
         vm[pq_i] += dx[nva:]
 
     converged = mismatch <= PF_TOL
-    return _pf_state(net, isl, vm, va, pg_set, slack_gen, load_frac,
-                     converged, it, it, mismatch)
+    return _pf_state(isl, vm, va, pg, fr, converged, it, it, mismatch)
 
 
 def test_single_bus_trivial():
     net = Network(100.0, {1: Bus(1, 3, 0.9, 1.1)}, {},
                   {1: Generator(1, 1, 0.0, 1.0, -1.0, 1.0, 1.0)}, {}, {},
                   frozenset([1])).validate()
-    pf = newton_pf(net, IslandData.build(net, [1], []), {}, 1, {}, {1: [1]})
+    pf = newton_pf(net, IslandData.build(net, [1], [], [1], []), [], [])
     assert pf.converged
     assert pf.vm[1] == 1.0 and pf.va[1] == 0.0
     assert pf.iterations == 0 and pf.factorizations == 0
@@ -126,8 +132,8 @@ def test_two_bus_lossless_arcsin():
     # both ends held at 1.0 pu (condenser at the load bus), so the flow is
     # exactly sin(theta)/x and theta = arcsin(p*x)
     net = make_two_bus(load_pu=0.5, rate=0.0, n_branches=1, condenser_at_2=True)
-    pf = newton_pf(net, IslandData.build(net, [1, 2], [1]), {2: 0.0}, 1,
-                   {2: 1.0}, {1: [1], 2: [2]})
+    pf = newton_pf(net, IslandData.build(net, [1, 2], [1], [1, 2], [2]),
+                   [0.0], [1.0])
     assert pf.converged and pf.mismatch <= 1e-8
     theta = pf.va[1] - pf.va[2]
     assert theta == pytest.approx(math.asin(0.05), abs=1e-6)
@@ -147,7 +153,8 @@ def test_jacobian_matches_finite_differences(case5):
     rng = np.random.default_rng(11)
     buses = sorted(case5.buses)
     branches = sorted(case5.branches)
-    Y = IslandData.build(case5, buses, branches).Y
+    Y = IslandData.build(case5, buses, branches, sorted(case5.gens),
+                         sorted(case5.loads)).Y
     h = 1e-6
     for _ in range(5):
         vm = 1.0 + 0.05 * rng.standard_normal(len(buses))
@@ -316,7 +323,8 @@ def test_jacobian_matches_diag_products_case118(case118_area1):
     disp = max_load_delivery(net, energized)
     isl = max(disp.islands, key=lambda i: len(i.buses))
     buses = isl.buses
-    Y = IslandData.build(net, buses, sorted(isl.pf.flow_fr)).Y
+    Y = IslandData.build(net, buses, sorted(isl.pf.flow_fr),
+                         sorted(isl.pf.gen_p), []).Y
     rng = np.random.default_rng(5)
     vm = 1.0 + 0.05 * rng.standard_normal(len(buses))
     va = 0.2 * rng.standard_normal(len(buses))
@@ -402,10 +410,11 @@ def _served_islands(net, energized):
     for res in max_load_delivery(net, energized).islands:
         if res.pf is None:
             continue
-        isl = IslandData.build(net, res.buses, sorted(res.pf.flow_fr))
-        gens = [g for g in live.gens if net.gens[g].bus in isl.pos
+        gens = [g for g in live.gens if net.gens[g].bus in res.buses
                 and energized.get((GEN, g), True)]
-        loads = [lid for lid in live.loads if net.loads[lid].bus in isl.pos]
+        loads = [lid for lid in live.loads if net.loads[lid].bus in res.buses]
+        isl = IslandData.build(net, res.buses, sorted(res.pf.flow_fr), gens,
+                               loads)
         out.append((isl, gens, loads))
     return out
 
@@ -415,18 +424,16 @@ def test_chord_matches_full_newton(case5, case118_area1, monkeypatch, lam):
     pinned = 0
     for net, energized in ((case5, {}), case118_area1):
         for isl, gens, loads in _served_islands(net, energized):
-            fractions = {lid: lam for lid in loads}
+            fractions = [lam] * len(loads)
             pairs = []
             with monkeypatch.context() as m:
                 _paired(m, pairs)
                 chord_binding = []
-                _, ok = _attempt(net, isl, gens, loads, fractions,
-                                 chord_binding)
+                _, ok = _attempt(net, isl, fractions, chord_binding)
             ref_binding = []
             with monkeypatch.context() as m:
                 m.setattr(grs.acvalidate, "newton_pf", _full_newton_pf)
-                _, ref_ok = _attempt(net, isl, gens, loads, fractions,
-                                     ref_binding)
+                _, ref_ok = _attempt(net, isl, fractions, ref_binding)
             assert (ok, chord_binding) == (ref_ok, ref_binding)
             for pf, ref, q_fixed in pairs:
                 pinned += bool(q_fixed)
@@ -439,14 +446,10 @@ def test_chord_matches_full_newton(case5, case118_area1, monkeypatch, lam):
 
 
 def test_nan_load_stops_at_once(case5):
-    isl = IslandData.build(case5, sorted(case5.buses), sorted(case5.branches))
-    fractions = {lid: 1.0 for lid in case5.loads}
-    fractions[min(fractions)] = math.nan
-    pv_gens = {}
-    for g in sorted(case5.gens):
-        pv_gens.setdefault(case5.gens[g].bus, []).append(g)
-    slack = max(case5.gens, key=lambda g: (case5.gens[g].pmax, -g))
-    pf = newton_pf(case5, isl, {}, slack, fractions, pv_gens)
+    isl = IslandData.build(case5, sorted(case5.buses), sorted(case5.branches),
+                           sorted(case5.gens), sorted(case5.loads))
+    fractions = [math.nan] + [1.0] * (len(isl.loads) - 1)
+    pf = newton_pf(case5, isl, [0.0] * len(isl.ramp), fractions)
     assert not pf.converged
     assert pf.iterations == 0 and pf.factorizations == 0
 
@@ -454,8 +457,8 @@ def test_nan_load_stops_at_once(case5):
 def test_singular_jacobian_ends_unconverged():
     # bus 2 has no branch in the island: its rows of the Jacobian are zero
     net = make_two_bus(load_pu=0.5)
-    pf = newton_pf(net, IslandData.build(net, [1, 2], []), {}, 1, {2: 1.0},
-                   {1: [1]})
+    pf = newton_pf(net, IslandData.build(net, [1, 2], [], [1], [2]), [],
+                   [1.0])
     assert not pf.converged
     assert pf.iterations == 0 and pf.factorizations == 1
 
@@ -520,7 +523,8 @@ def _assert_bit_identical(net, energized):
     solved = [i for i in disp.islands if i.pf is not None]
     for res in solved:
         branches = sorted(res.pf.flow_fr)
-        isl = IslandData.build(net, res.buses, branches)
+        isl = IslandData.build(net, res.buses, branches, sorted(res.pf.gen_p),
+                               [])
         adm = np.array([_branch_admittances(net.branches[k])
                         for k in branches], dtype=complex).reshape(-1, 4)
         assert np.array_equal(isl.Y, _ybus_loop(net, isl.pos, branches, adm))
@@ -589,4 +593,23 @@ def test_validation_built_once_matches_each_period_alone(area1_scenario,
 def test_island_branch_outside_island_rejected(case5):
     br = case5.branches[1]
     with pytest.raises(GridError, match="ends outside"):
-        IslandData.build(case5, [br.f_bus], [1])
+        IslandData.build(case5, [br.f_bus], [1], [], [])
+
+
+def test_island_failing_at_a_zero_floor_warns(tmp_path):
+    """An island whose solve at its floor fails warns even at a zero floor:
+    gen-damage seed 45 on case118's area 1 leaves buses 2-4 at period 0
+    with only gen 2, a synchronous condenser of pmax 0."""
+    out = tmp_path / "seed45.json"
+    assert cli.main(["gen-damage", "--case", str(CASES / "case118_smoke.m"),
+                     "--fraction", "0.35", "--area", "1-23,25-32,113-115,117",
+                     "--seed", "45", "--out", str(out)]) == 0
+    net = netio.load_case(CASES / "case118_smoke.m")
+    dmg = netio.damage_from_dict(json.loads(out.read_text()))
+    case = replicate(net, dmg, 10)
+    plan = heuristic_order(net, dmg, 10)
+    dispatches = plan_dispatches(case.base, plan.status, case.periods)
+    warned = [(d.period, i.buses, i.binding, i.lam, i.served_mw)
+              for d, _ in dispatches for i in d.islands if i.warning]
+    assert warned == [(0, [2, 3, 4], ["p-limit slack gen 2"], 0.0, 0.0)]
+    assert ens_report(case, plan, dispatches).validation_warnings == 1

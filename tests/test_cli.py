@@ -194,7 +194,11 @@ def test_gen_damage_kinds_filter(tmp_path):
     ["--fraction", "0.35", "--area", "1-x"],
     ["--fraction", "nan"],
     ["--fraction", "inf"],
-], ids=["area", "nan-fraction", "inf-fraction"])
+    ["--fraction", "0.35", "--area", "5-3"],
+    ["--fraction", "0.35", "--area", ","],
+    ["--fraction", "0.35", "--area", "999"],
+], ids=["area", "nan-fraction", "inf-fraction", "inverted-area",
+        "empty-area", "area-outside-case"])
 def test_gen_damage_bad_area_or_fraction_is_input_error(tmp_path, caplog,
                                                         args):
     out = tmp_path / "damage.json"
@@ -203,6 +207,30 @@ def test_gen_damage_bad_area_or_fraction_is_input_error(tmp_path, caplog,
     assert not out.exists()
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1
+
+
+def test_gen_damage_area_partly_outside_case_is_kept(tmp_path):
+    out = tmp_path / "damage.json"
+    rc = main(["gen-damage", "--case", CASE5, "--fraction", "1", "--area",
+               "3-999", "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    scenario = json.loads(out.read_text())
+    assert scenario["branch"] or scenario["gen"]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--gap", "nan"), ("--gap", "-1"), ("--time-limit", "nan"),
+    ("--time-limit", "-1"), ("--time-limit", "0"), ("--node-limit", "-3"),
+    ("--node-limit", "0"),
+])
+def test_bad_solver_limit_is_input_error(tmp_path, caplog, flag, value):
+    out = tmp_path / "plan.json"
+    rc = main(["rop", "--case", CASE2, "--damage", DMG2, "--periods", "2",
+               flag, value, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith(flag + " ")
 
 
 def test_rop_then_redispatch_commands(tmp_path):
