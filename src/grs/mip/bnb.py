@@ -19,6 +19,13 @@ A deterministic fix-and-round dive runs at the root and every DIVE_EVERY
 nodes to supply incumbents early; it fixes the most fractional binary
 at each step, records no pseudocost, and changes neither the node order
 nor any bound, only the incumbent.
+
+An LP solved without a start (the root, a cold retry, ``solve_lp``)
+starts from ``simplex.initial_basis`` when the model has no cone rows, and
+from the slack basis otherwise.  Each loop first checks the gap, then the
+limits, so a gap met when a limit is reached ends as a success.  The time
+limit is a deadline that every LP also reads; a node whose LP stops at it
+goes back on the heap, so the reported bound stays valid.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import heapq
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -35,7 +42,7 @@ import numpy as np
 from .model import (GAP_LIMIT, INF, INFEASIBLE, ITERATION_LIMIT, LE,
                     OPTIMAL, UNBOUNDED, ConeRow, LinRow, MipModel,
                     MipSolution, NumericalFailure, SolveStats, cone_violation)
-from .simplex import Basis, build_lp_data, solve_lp_core
+from .simplex import Basis, build_lp_data, initial_basis, solve_lp_core
 
 INT_TOL = 1e-6
 CONE_TOL = 1e-6
@@ -102,17 +109,34 @@ class _LpContext:
         return lb, ub
 
 
+def _cold_start(model: MipModel, lp, stats: SolveStats) -> Basis | None:
+    """The start of an LP solved without one: a crash basis from
+    ``initial_basis`` on a model without cone rows, its columns counted;
+    None (the slack basis) when there is no crash."""
+    if model.cone_rows:
+        return None
+    bas = initial_basis(lp)
+    crash = int(np.count_nonzero(bas.basis < lp.nstruct))
+    stats.crash_cols += crash
+    return bas if crash else None
+
+
 def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
-                      limits: SolveLimits, stats: SolveStats):
+                      limits: SolveLimits, stats: SolveStats,
+                      deadline: float | None = None):
     """Solve the LP relaxation, adding cone cuts until tight or budget-bound.
 
     Returns (LpResult, cone_ok); the result's objective is a valid relaxation
-    bound even when cone_ok is False (outer approximation).
+    bound even when cone_ok is False (outer approximation).  Every LP gets
+    ``deadline`` (see ``solve_lp_core``).
     """
     bas = start
     for _ in range(MAX_CONE_ROUNDS + 1):
         lb, ub = ctx.bounds_with(fixes)
-        res = solve_lp_core(ctx.lp.with_bounds(lb, ub), start=bas)
+        lp = ctx.lp.with_bounds(lb, ub)
+        if bas is None:
+            bas = _cold_start(ctx.model, lp, stats)
+        res = solve_lp_core(lp, start=bas, deadline=deadline)
         stats.add(res.stats)
         if res.status != OPTIMAL:
             return res, True
@@ -195,8 +219,11 @@ class _Node:
 def solve_lp(model: MipModel) -> MipSolution:
     """Solve the LP relaxation: binaries relaxed, cone rows ignored."""
     t0 = time.perf_counter()
-    res = solve_lp_core(build_lp_data(model))
-    stats = replace(res.stats, wall_s=time.perf_counter() - t0)
+    lp = build_lp_data(model)
+    stats = SolveStats()
+    res = solve_lp_core(lp, start=_cold_start(model, lp, stats))
+    stats.add(res.stats)
+    stats.wall_s = time.perf_counter() - t0
     _log_summary("solve_lp", res.status, stats)
     return _lp_to_solution(model, res, stats)
 
@@ -228,6 +255,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
     """Branch and bound; see module docstring for the search rules."""
     limits = limits or SolveLimits()
     t0 = time.perf_counter()
+    deadline = None if limits.time_s is None else t0 + limits.time_s
     stats = SolveStats()
     ctx = _LpContext(model)
     sgn = 1.0 if model.sense == "min" else -1.0
@@ -289,7 +317,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
             v = float(round(res.x[j]))
             fixes[j] = (v, v)
             res, cone_ok = _solve_with_cones(ctx, fixes, res.basis, limits,
-                                             stats)
+                                             stats, deadline)
             if res.status != OPTIMAL or not cone_ok:
                 return
 
@@ -298,20 +326,29 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
     next_id += 1
     heapq.heappush(heap, root)
 
+    def out_of_time():
+        return deadline is not None and time.perf_counter() > deadline
+
     while heap:
-        if limits.time_s is not None and time.perf_counter() - t0 > limits.time_s:
-            return finish(ITERATION_LIMIT)
-        if limits.nodes is not None and stats.nodes >= limits.nodes:
-            return finish(ITERATION_LIMIT)
+        # a met gap wins over a limit reached at the same time
         if incumbent_x is not None:
             g = rel_gap()
             if g <= 1e-6:
                 return finish(OPTIMAL)
             if g <= limits.gap:
                 return finish(GAP_LIMIT)
+        if out_of_time():
+            return finish(ITERATION_LIMIT)
+        if limits.nodes is not None and stats.nodes >= limits.nodes:
+            return finish(ITERATION_LIMIT)
 
         node = heapq.heappop(heap)
-        res, cone_ok = _solve_with_cones(ctx, node.fixes, node.basis, limits, stats)
+        res, cone_ok = _solve_with_cones(ctx, node.fixes, node.basis, limits,
+                                         stats, deadline)
+        if res.status == ITERATION_LIMIT and out_of_time():
+            # stopped at the deadline: the node stays open for the bound
+            heapq.heappush(heap, node)
+            return finish(ITERATION_LIMIT)
         stats.nodes += 1
 
         if res.status == INFEASIBLE:
@@ -320,7 +357,11 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
             return finish(UNBOUNDED)
         if res.status != OPTIMAL:
             # retry cold once before giving up
-            res, cone_ok = _solve_with_cones(ctx, node.fixes, None, limits, stats)
+            res, cone_ok = _solve_with_cones(ctx, node.fixes, None, limits,
+                                             stats, deadline)
+            if res.status == ITERATION_LIMIT and out_of_time():
+                heapq.heappush(heap, node)
+                return finish(ITERATION_LIMIT)
             if res.status == INFEASIBLE:
                 continue
             if res.status != OPTIMAL:

@@ -160,6 +160,7 @@ class SolveStats:
     phase_switches: int = 0  # phase changes between consecutive iterations
     refactors: int = 0  # periodic basis refactorizations
     basis_restarts: int = 0  # slack-basis restarts after a singular factor
+    crash_cols: int = 0  # structural columns crash bases put in cold starts
     cuts: int = 0  # cone cuts added to the global pool
     cut_rounds: int = 0  # standard-form extensions by a round of cone cuts
     branch_obs: int = 0  # pseudocost observations recorded by B&B children

@@ -29,12 +29,27 @@ restart, final basis and solution is bit-for-bit the same.  NaN or
 infinite reduced costs, steps and basic values are never chosen and
 never block.
 
+The start basis.  ``solve_lp_core`` starts from the all-slack basis
+unless given one.  ``initial_basis(lp)`` chooses the start of a cold LP:
+it counts the rows whose slack at the all-slack start (b - A x_N, one
+mat-vec) lies outside its bounds by more than FEAS_TOL, and when there
+are at least CRASH_MIN_BAD_ROWS of them it returns ``crash_basis(lp)``, a
+lower-triangular basis that puts structural columns in equality rows
+(Bixby 1992; Maros 2003, ch. 9), and otherwise the slack basis itself.
+Small models therefore keep their pivots exactly, while a large DC model
+skips most of phase 1: the case118 DC ordering model at K=2 has 2 504
+rows, 311 or more of them infeasible at the slack start, against at most
+134 on the case5 and case10 models.  ``grs.mip.bnb`` asks for it only on
+models without cone rows.
+
 A start basis taken before rows were appended gets a basic slack for
 each new row.  One site at the top of the loop makes the first
 factorization and every refactor; a singular factor restarts from the
-slack basis.  The loop keeps its counters in the SolveStats its LpResult
-returns: iterations, phase-1 iterations, phase switches, periodic
-refactors and restarts, and the kernels' perf_counter times.
+slack basis.  The refactor site also reads the caller's deadline, if
+any: an LP past it stops there with ITERATION_LIMIT.  The loop keeps its
+counters in the SolveStats its LpResult returns: iterations, phase-1
+iterations, phase switches, periodic refactors and restarts, and the
+kernels' perf_counter times.
 """
 
 from __future__ import annotations
@@ -56,6 +71,7 @@ OPT_TOL = 1e-7
 PIV_TOL = 1e-9  # working ratio-test threshold; < 1e-10 counts as no pivot
 DEGEN_TOL = 1e-9
 REFACTOR_EVERY = 50
+CRASH_MIN_BAD_ROWS = 200  # rows out of bounds at the slack start that crash
 
 log = logging.getLogger("grs.mip")
 
@@ -248,6 +264,54 @@ def default_basis(lp: LpData) -> Basis:
     return Basis(basis, vstat)
 
 
+def initial_basis(lp: LpData) -> Basis:
+    """The start basis of a cold LP: ``crash_basis(lp)`` when the slack
+    start leaves at least CRASH_MIN_BAD_ROWS rows outside their slack
+    bounds (with FEAS_TOL), else ``default_basis(lp)``."""
+    bas = default_basis(lp)
+    s = lp.b - lp.A @ _nonbasic_vector(lp, bas)  # the slacks' start values
+    lo, hi = lp.lb[lp.nstruct:] - FEAS_TOL, lp.ub[lp.nstruct:] + FEAS_TOL
+    if np.count_nonzero((s < lo) | (s > hi)) >= CRASH_MIN_BAD_ROWS:
+        return crash_basis(lp)
+    return bas
+
+
+def crash_basis(lp: LpData) -> Basis:
+    """A lower-triangular start basis of structural columns in equality rows.
+
+    The non-fixed structural columns are ranked free first, then those with
+    one infinite bound, then by the widest box, ties to the lower index.  A
+    column is taken when none of its nonzeros lies in a row already pivoted
+    and it has an entry in an equality row within 0.9 of its largest |a|.
+    It goes basic in the equality row of its largest such entry, whose
+    fixed slack goes nonbasic AT_LB; the other slacks stay basic.  Each
+    taken column is zero in every row pivoted before it, so the basis is
+    triangular with a nonzero diagonal: nonsingular.
+    """
+    bas = default_basis(lp)
+    n, A = lp.nstruct, lp.A
+    lb, ub = lp.lb[:n], lp.ub[:n]
+    width = ub - lb
+    infinite = np.isinf(lb).astype(int) + np.isinf(ub)
+    cand = np.flatnonzero(width > 0.0)
+    order = cand[np.lexsort((cand, -width[cand], -infinite[cand]))]
+    eq = lp.lb[n:] == lp.ub[n:]
+    pivoted = np.zeros(lp.m, dtype=bool)
+    for j in order:
+        rows = A.indices[A.indptr[j]:A.indptr[j + 1]]
+        if not len(rows) or pivoted[rows].any():
+            continue
+        mag = np.abs(A.data[A.indptr[j]:A.indptr[j + 1]])
+        ok = eq[rows] & (mag >= 0.9 * mag.max())
+        if ok.any():
+            r = rows[np.argmax(np.where(ok, mag, -1.0))]
+            pivoted[r] = True
+            bas.basis[r] = j
+            bas.vstat[j] = BASIC
+            bas.vstat[n + r] = AT_LB
+    return bas
+
+
 def _extended(start: Basis, lp: LpData) -> Basis:
     """A copy of start, taken before lp's last rows were appended, with
     each new row's slack (a column at the end) basic."""
@@ -257,7 +321,13 @@ def _extended(start: Basis, lp: LpData) -> Basis:
         np.concatenate([start.vstat, np.full(lp.m - have, BASIC, np.int8)]))
 
 
-def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
+def solve_lp_core(lp: LpData, start: Basis | None = None,
+                  deadline: float | None = None) -> LpResult:
+    """Solve lp from start (the slack basis when None).
+
+    ``deadline`` is a ``time.perf_counter()`` value; it is read at each
+    periodic refactor, and an LP past it stops there with ITERATION_LIMIT.
+    """
     m, ncols = lp.m, lp.ncols
     if m == 0:
         return _solve_unconstrained(lp)
@@ -284,6 +354,8 @@ def solve_lp_core(lp: LpData, start: Basis | None = None) -> LpResult:
             return result(ITERATION_LIMIT, message="simplex iteration limit")
         if fact is None or pivots_since_refactor >= REFACTOR_EVERY:
             if fact is not None:
+                if deadline is not None and clock() > deadline:
+                    return result(ITERATION_LIMIT, message="time limit")
                 st.refactors += 1
                 fact = None  # free the old LU and etas before SuperLU's workspace
             t0 = clock()

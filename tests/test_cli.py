@@ -690,3 +690,18 @@ def test_rop_node_limit_is_solver_limit(tmp_path, caplog):
     assert not out.exists()
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].startswith("solver: ")
+
+
+def test_gap_met_at_the_root_is_not_a_node_limit_stop(tmp_path, caplog):
+    # case118 area 1, gen-damage seed 42, K=2: the root's dive closes the gap
+    case118 = str(CASES / "case118_smoke.m")
+    dmg = tmp_path / "damage.json"
+    assert main(["gen-damage", "--case", case118, "--fraction", "0.35",
+                 "--area", "1-23,25-32,113-115,117", "--seed", "42",
+                 "--out", str(dmg)]) == 0
+    out = tmp_path / "plan.json"
+    assert main(["rop", "--case", case118, "--damage", str(dmg), "--periods",
+                 "2", "--gap", "0.01", "--node-limit", "1",
+                 "--out", str(out)]) == 0
+    assert out.exists()
+    assert not [r for r in caplog.records if r.levelname == "ERROR"]

@@ -7,9 +7,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from grs.mip import (BINARY, EQ, GE, LE, INFEASIBLE, ITERATION_LIMIT,
-                     OPTIMAL, UNBOUNDED, MipModel, SolveLimits, SolveStats,
-                     cone_violation, solve_lp, solve_mip)
+from grs.mip import (BINARY, EQ, GAP_LIMIT, GE, LE, INFEASIBLE,
+                     ITERATION_LIMIT, OPTIMAL, UNBOUNDED, MipModel,
+                     SolveLimits, SolveStats, cone_violation, solve_lp,
+                     solve_mip)
 
 
 def test_lp_box_cap():
@@ -302,11 +303,16 @@ def test_lp_random_agrees_with_highs(seed):
     if Aeq:
         kw["A_eq"] = np.array(Aeq); kw["b_eq"] = np.array(beq)
     ref = linprog(c, bounds=list(zip(lbs, ubs)), method="highs", **kw)
+    # the same LP from its crash basis, whatever the gate would choose
+    from grs.mip.simplex import build_lp_data, crash_basis, solve_lp_core
+    lp = build_lp_data(m)
+    crashed = solve_lp_core(lp, start=crash_basis(lp))
     if ref.status == 0:
-        assert res.status == OPTIMAL
+        assert res.status == crashed.status == OPTIMAL
         assert res.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+        assert crashed.obj == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
     elif ref.status == 2:
-        assert res.status == INFEASIBLE
+        assert res.status == crashed.status == INFEASIBLE
 
 
 # --- standard form, ratio test and pricing against the earlier code ------
@@ -732,7 +738,8 @@ def _checked_lps(monkeypatch, cut_rounds=None):
 
     seen = []
 
-    def checked(lp, start=None):
+    def checked(lp, start=None, deadline=None):
+        assert deadline is None  # the frozen loop has no deadline
         if cut_rounds is not None and lp.m not in seen \
                 and len(set(seen)) > cut_rounds:
             raise Enough
@@ -821,8 +828,8 @@ def test_solves_log_one_summary_of_their_lp_totals(monkeypatch, caplog):
     results = []
     real = grs.mip.bnb.solve_lp_core
 
-    def recorded(lp, start=None):
-        results.append(real(lp, start=start))
+    def recorded(lp, start=None, deadline=None):
+        results.append(real(lp, start=start, deadline=deadline))
         return results[-1]
 
     monkeypatch.setattr(grs.mip.bnb, "solve_lp_core", recorded)
@@ -836,7 +843,8 @@ def test_solves_log_one_summary_of_their_lp_totals(monkeypatch, caplog):
     assert sol.status == relaxed.status == OPTIMAL and len(results) > 1
     st = sol.stats
     # the solve-level counters; an LP's record fills every other field
-    solve_level = {"nodes", "cuts", "cut_rounds", "branch_obs", "wall_s"}
+    solve_level = {"nodes", "crash_cols", "cuts", "cut_rounds", "branch_obs",
+                   "wall_s"}
     for f in fields(SolveStats):
         lp_values = [getattr(r.stats, f.name) for r in results]
         if f.name in solve_level:
@@ -947,3 +955,132 @@ def test_node_limit_stops_at_that_many_nodes(case5, damage5_all):
     assert sol.status == ITERATION_LIMIT and sol.stats.nodes == 5
     # a maximization stopped early: the bound lies above the incumbent
     assert sol.bound >= sol.objective
+
+
+# --- the crash start of large cold LPs -------------------------------------
+
+def _crash_lp():
+    """Free x0, x1 >= 0, boxes x2 (width 1), x4 (10), x5 (3), fixed x3."""
+    m = MipModel()
+    x0 = m.add_var("x0", -math.inf, math.inf)
+    x1 = m.add_var("x1", 0.0, math.inf)
+    x2 = m.add_var("x2", 0.0, 1.0)
+    x3 = m.add_var("x3", 2.0, 2.0)
+    x4 = m.add_var("x4", 0.0, 10.0)
+    x5 = m.add_var("x5", 0.0, 3.0)
+    m.add_row({x0: 1.0, x1: 1.0}, EQ, 1.0)
+    m.add_row({x1: 1.0, x2: 2.0}, EQ, 1.5)
+    m.add_row({x3: 1.0, x4: 1.05, x5: 2.0}, LE, 9.0)
+    m.add_row({x2: 1.0, x4: 0.95, x5: 1.0}, EQ, 4.0)
+    m.add_row({x3: 1.0, x4: 1.0}, EQ, 5.0)
+    m.set_objective("min", {x0: 1.0, x1: 2.0, x5: -1.0})
+    return m
+
+
+def test_crash_basis_is_triangular_on_equality_rows():
+    from grs.mip.simplex import (AT_LB, BASIC, _Factors, build_lp_data,
+                                 crash_basis, default_basis, solve_lp_core)
+    lp = build_lp_data(_crash_lp())
+    n = lp.nstruct
+    bas = crash_basis(lp)
+    # x0 (free) takes row 0; x1 (one infinite bound) only meets row 0; x4
+    # (widest box) goes to row 4, its largest equality entry within 0.9 of
+    # its max 1.05; x5's equality entry is below 0.9 * 2.0, so it stays out;
+    # x2 takes row 1, its largest entry; the fixed x3 never enters
+    assert bas.basis.tolist() == [0, 2, n + 2, n + 3, 4]
+    assert bas.vstat[:n].tolist() == [BASIC, AT_LB, BASIC, AT_LB, BASIC, AT_LB]
+    assert bas.vstat[n:].tolist() == [AT_LB, AT_LB, BASIC, BASIC, AT_LB]
+    again = crash_basis(lp)
+    assert np.array_equal(again.basis, bas.basis)
+    assert np.array_equal(again.vstat, bas.vstat)
+    _Factors(lp.A, bas.basis)  # nonsingular: splu raises on a singular B
+    crashed = solve_lp_core(lp, start=bas)
+    cold = solve_lp_core(lp)
+    assert crashed.stats.basis_restarts == 0
+    assert crashed.status == cold.status == OPTIMAL
+    assert crashed.obj == pytest.approx(cold.obj, abs=1e-9)
+    # the crash leaves the slack basis untouched where it takes nothing
+    none = build_lp_data(_two_row_lp())
+    assert np.array_equal(crash_basis(none).basis, default_basis(none).basis)
+
+
+def _same_basis(a, b):
+    return np.array_equal(a.basis, b.basis) and np.array_equal(a.vstat,
+                                                               b.vstat)
+
+
+@pytest.mark.parametrize("case_name", ["case5", "case10"])
+def test_small_dc_models_keep_the_slack_start(request, case_name):
+    from grs.formulations import DC, build_mrsp, build_rop
+    from grs.grid import DamageScenario, apply_damage, replicate
+    from grs.mip.simplex import build_lp_data, default_basis, initial_basis
+    from grs.workflows import solve_mrsp, update_status
+    net = request.getfixturevalue(case_name)
+    live = net.live()
+    dmg = DamageScenario.of(branches=list(live.branches), gens=list(live.gens))
+    damaged = apply_damage(net, dmg)
+    mrsp = build_mrsp(damaged, DC)
+    indicators, kept = solve_mrsp(damaged, mrsp)
+    reduced = update_status(damaged, indicators)
+    models = [mrsp]
+    for k in range(2, 12):  # the plain ROP and the ROP after MRSP
+        models.append(build_rop(replicate(net, dmg, k), DC))
+        models.append(build_rop(replicate(reduced, kept, k), DC))
+    for model in models:
+        lp = build_lp_data(model)
+        assert _same_basis(initial_basis(lp), default_basis(lp))
+
+
+def test_deadline_stops_an_lp_at_its_first_refactor(case5, damage5_all):
+    import time
+    from grs.formulations import DC, build_rop
+    from grs.grid import replicate
+    from grs.mip.simplex import REFACTOR_EVERY, build_lp_data, solve_lp_core
+    lp = build_lp_data(build_rop(replicate(case5, damage5_all, 5), DC))
+    free = solve_lp_core(lp)
+    assert free.status == OPTIMAL and free.iters > REFACTOR_EVERY
+    late = solve_lp_core(lp, deadline=time.perf_counter())
+    assert late.status == ITERATION_LIMIT and late.message == "time limit"
+    assert late.iters == REFACTOR_EVERY and late.stats.refactors == 0
+    # a deadline not reached changes no pivot
+    ample = solve_lp_core(lp, deadline=time.perf_counter() + 3600.0)
+    assert (ample.status, ample.iters) == (free.status, free.iters)
+    assert np.array_equal(ample.x, free.x)
+    assert np.array_equal(ample.basis.basis, free.basis.basis)
+
+
+def test_time_limit_stops_solve_mip_inside_an_lp(monkeypatch, case5,
+                                                 damage5_all):
+    import time
+    import grs.mip.bnb
+    from grs.formulations import DC, build_rop
+    from grs.grid import replicate
+    from grs.mip.simplex import REFACTOR_EVERY
+    real = grs.mip.bnb.solve_lp_core
+    results = []
+
+    def late(lp, start=None, deadline=None):
+        # wait out the deadline, so the LP starts past it on any host
+        time.sleep(max(0.0, deadline - time.perf_counter()) + 1e-3)
+        results.append(real(lp, start=start, deadline=deadline))
+        return results[-1]
+
+    monkeypatch.setattr(grs.mip.bnb, "solve_lp_core", late)
+    model = build_rop(replicate(case5, damage5_all, 5), DC)
+    sol = solve_mip(model, SolveLimits(time_s=0.5))
+    # the root LP stops at its first refactor; no cold retry, no failure
+    assert len(results) == 1 and results[0].iters == REFACTOR_EVERY
+    assert sol.status == ITERATION_LIMIT and sol.stats.nodes == 0
+    assert sol.message == "no incumbent found" and sol.bound == math.inf
+
+
+def test_met_gap_wins_over_node_limit(case5, damage5_all):
+    from grs.formulations import DC, build_rop
+    from grs.grid import replicate
+    from tests.oracles import highs_milp
+    model = build_rop(replicate(case5, damage5_all, 3), DC)
+    # the root's dive finds an incumbent within 5% of the root bound
+    sol = solve_mip(model, SolveLimits(gap=0.05, nodes=1))
+    assert sol.stats.nodes == 1
+    assert sol.status == GAP_LIMIT and sol.gap <= 0.05
+    assert sol.bound >= highs_milp(model) - 1e-6 >= sol.objective - 1e-6
