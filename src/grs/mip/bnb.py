@@ -18,7 +18,9 @@ never rebuilt.
 A deterministic fix-and-round dive runs at the root and every DIVE_EVERY
 nodes to supply incumbents early; it fixes the most fractional binary
 at each step, records no pseudocost, and changes neither the node order
-nor any bound, only the incumbent.
+nor any bound, only the incumbent.  The solve's SolveStats count each
+incumbent improvement by where it was found (a dive or a node) and the
+root node's simplex iterations.
 
 An LP solved without a start (the root, a cold retry, ``solve_lp``)
 starts from ``simplex.initial_basis`` when the model has no cone rows, and
@@ -297,11 +299,14 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
                            external(incumbent_obj), external(best_bound()),
                            gap, stats)
 
-    def try_incumbent(x, obj):
+    def try_incumbent(x, obj) -> bool:
+        """Keep (x, obj) if it improves the incumbent; True if it did."""
         nonlocal incumbent_x, incumbent_obj
         if obj < incumbent_obj - 1e-12:
             incumbent_x = x.copy()
             incumbent_obj = obj
+            return True
+        return False
 
     def dive(res, fixes):
         fixes = dict(fixes)
@@ -310,8 +315,8 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
             if not frac:
                 ok = all(cone_violation(c, res.x) <= limits.cone_tol
                          for c in model.cone_rows)
-                if ok:
-                    try_incumbent(res.x, res.obj)
+                if ok and try_incumbent(res.x, res.obj):
+                    stats.dive_incumbents += 1
                 return
             j = _most_fractional(frac, res.x)
             v = float(round(res.x[j]))
@@ -329,6 +334,16 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
     def out_of_time():
         return deadline is not None and time.perf_counter() > deadline
 
+    def solve_node(node, start):
+        """The node's LP with its cut rounds; the root's iterations also
+        count in root_iters."""
+        before = stats.lp_iters
+        out = _solve_with_cones(ctx, node.fixes, start, limits, stats,
+                                deadline)
+        if node is root:
+            stats.root_iters += stats.lp_iters - before
+        return out
+
     while heap:
         # a met gap wins over a limit reached at the same time
         if incumbent_x is not None:
@@ -343,8 +358,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
             return finish(ITERATION_LIMIT)
 
         node = heapq.heappop(heap)
-        res, cone_ok = _solve_with_cones(ctx, node.fixes, node.basis, limits,
-                                         stats, deadline)
+        res, cone_ok = solve_node(node, node.basis)
         if res.status == ITERATION_LIMIT and out_of_time():
             # stopped at the deadline: the node stays open for the bound
             heapq.heappush(heap, node)
@@ -357,8 +371,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
             return finish(UNBOUNDED)
         if res.status != OPTIMAL:
             # retry cold once before giving up
-            res, cone_ok = _solve_with_cones(ctx, node.fixes, None, limits,
-                                             stats, deadline)
+            res, cone_ok = solve_node(node, None)
             if res.status == ITERATION_LIMIT and out_of_time():
                 heapq.heappush(heap, node)
                 return finish(ITERATION_LIMIT)
@@ -377,7 +390,8 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
         frac = _fractional(binaries, res.x)
         if not frac:
             if cone_ok:
-                try_incumbent(res.x, node_obj)
+                if try_incumbent(res.x, node_obj):
+                    stats.node_incumbents += 1
                 continue
             # integral but the cut budget ran out before the cones closed:
             # the region cannot be certified, give up honestly

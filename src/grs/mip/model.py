@@ -164,6 +164,9 @@ class SolveStats:
     cuts: int = 0  # cone cuts added to the global pool
     cut_rounds: int = 0  # standard-form extensions by a round of cone cuts
     branch_obs: int = 0  # pseudocost observations recorded by B&B children
+    root_iters: int = 0  # simplex iterations of the root node, cut rounds included
+    dive_incumbents: int = 0  # incumbent improvements found by a dive
+    node_incumbents: int = 0  # incumbent improvements found at a B&B node
     wall_s: float = 0.0  # perf_counter seconds of the whole solve
     # simplex kernel seconds: factorization, ftran, btran, pricing, ratio test
     factor_s: float = 0.0

@@ -33,14 +33,18 @@ The start basis.  ``solve_lp_core`` starts from the all-slack basis
 unless given one.  ``initial_basis(lp)`` chooses the start of a cold LP:
 it counts the rows whose slack at the all-slack start (b - A x_N, one
 mat-vec) lies outside its bounds by more than FEAS_TOL, and when there
-are at least CRASH_MIN_BAD_ROWS of them it returns ``crash_basis(lp)``, a
-lower-triangular basis that puts structural columns in equality rows
-(Bixby 1992; Maros 2003, ch. 9), and otherwise the slack basis itself.
-Small models therefore keep their pivots exactly, while a large DC model
-skips most of phase 1: the case118 DC ordering model at K=2 has 2 504
-rows, 311 or more of them infeasible at the slack start, against at most
-134 on the case5 and case10 models.  ``grs.mip.bnb`` asks for it only on
-models without cone rows.
+are at least CRASH_MIN_BAD_ROWS of them it returns ``crash_basis``, and
+otherwise the slack basis itself.  The crash reuses that count's masks: it
+is a lower-triangular basis that puts structural columns in the rows the
+slack start cannot hold, the equality rows and the violated inequality
+rows, each of whose slacks goes nonbasic at the bound it violates (Bixby
+1992; Maros 2003, ch. 9).  Small models therefore keep their pivots
+exactly, while a large DC model skips most of phase 1: the case118 DC
+ordering model at K=2 has 2 504 rows, 934 of them infeasible at the slack
+start (70 of those inequality rows), and the crash start leaves 29 basics
+out of bounds, against at most 134 infeasible rows on the case5 and
+case10 models.  ``grs.mip.bnb`` asks for it only on models without cone
+rows.
 
 A start basis taken before rows were appended gets a basic slack for
 each new row.  One site at the top of the loop makes the first
@@ -265,30 +269,42 @@ def default_basis(lp: LpData) -> Basis:
 
 
 def initial_basis(lp: LpData) -> Basis:
-    """The start basis of a cold LP: ``crash_basis(lp)`` when the slack
-    start leaves at least CRASH_MIN_BAD_ROWS rows outside their slack
-    bounds (with FEAS_TOL), else ``default_basis(lp)``."""
+    """The start basis of a cold LP: ``crash_basis`` when the slack start
+    leaves at least CRASH_MIN_BAD_ROWS rows outside their slack bounds
+    (with FEAS_TOL), else ``default_basis(lp)``."""
     bas = default_basis(lp)
-    s = lp.b - lp.A @ _nonbasic_vector(lp, bas)  # the slacks' start values
-    lo, hi = lp.lb[lp.nstruct:] - FEAS_TOL, lp.ub[lp.nstruct:] + FEAS_TOL
-    if np.count_nonzero((s < lo) | (s > hi)) >= CRASH_MIN_BAD_ROWS:
-        return crash_basis(lp)
+    below, above = _violated(lp, bas)
+    if np.count_nonzero(below | above) >= CRASH_MIN_BAD_ROWS:
+        return crash_basis(lp, (below, above))
     return bas
 
 
-def crash_basis(lp: LpData) -> Basis:
-    """A lower-triangular start basis of structural columns in equality rows.
+def _violated(lp: LpData, bas: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the rows whose slack at the all-slack basis bas, b - A x_N,
+    lies below and above its bounds by more than FEAS_TOL."""
+    s = lp.b - lp.A @ _nonbasic_vector(lp, bas)
+    return s < lp.lb[lp.nstruct:] - FEAS_TOL, s > lp.ub[lp.nstruct:] + FEAS_TOL
+
+
+def crash_basis(lp: LpData, violated=None) -> Basis:
+    """A lower-triangular start basis of structural columns in the rows the
+    slack start cannot hold: equality rows and the rows whose slack lies
+    outside its bounds at the slack start (``violated``, the masks of
+    ``_violated``, computed when not given).
 
     The non-fixed structural columns are ranked free first, then those with
     one infinite bound, then by the widest box, ties to the lower index.  A
     column is taken when none of its nonzeros lies in a row already pivoted
-    and it has an entry in an equality row within 0.9 of its largest |a|.
-    It goes basic in the equality row of its largest such entry, whose
-    fixed slack goes nonbasic AT_LB; the other slacks stay basic.  Each
-    taken column is zero in every row pivoted before it, so the basis is
-    triangular with a nonzero diagonal: nonsingular.
+    and it has an entry in a candidate row within 0.9 of its largest |a|.
+    It goes basic in the candidate row of its largest such entry, whose
+    slack goes nonbasic at the bound it violates: AT_LB for an equality row
+    or a slack below its lower bound, AT_UB for one above its upper bound.
+    The other slacks stay basic.  Each taken column is zero in every row
+    pivoted before it, so the basis is triangular with a nonzero diagonal:
+    nonsingular.
     """
     bas = default_basis(lp)
+    below, above = _violated(lp, bas) if violated is None else violated
     n, A = lp.nstruct, lp.A
     lb, ub = lp.lb[:n], lp.ub[:n]
     width = ub - lb
@@ -296,19 +312,21 @@ def crash_basis(lp: LpData) -> Basis:
     cand = np.flatnonzero(width > 0.0)
     order = cand[np.lexsort((cand, -width[cand], -infinite[cand]))]
     eq = lp.lb[n:] == lp.ub[n:]
+    up = above & ~eq  # rows whose slack goes nonbasic AT_UB
+    row_ok = eq | below | above
     pivoted = np.zeros(lp.m, dtype=bool)
     for j in order:
         rows = A.indices[A.indptr[j]:A.indptr[j + 1]]
         if not len(rows) or pivoted[rows].any():
             continue
         mag = np.abs(A.data[A.indptr[j]:A.indptr[j + 1]])
-        ok = eq[rows] & (mag >= 0.9 * mag.max())
+        ok = row_ok[rows] & (mag >= 0.9 * mag.max())
         if ok.any():
             r = rows[np.argmax(np.where(ok, mag, -1.0))]
             pivoted[r] = True
             bas.basis[r] = j
             bas.vstat[j] = BASIC
-            bas.vstat[n + r] = AT_LB
+            bas.vstat[n + r] = AT_UB if up[r] else AT_LB
     return bas
 
 

@@ -4,9 +4,10 @@ Damage subsets are drawn on the two desk-scale fixtures; for each, the DC
 repair-ordering model (K in 2..3) and the DC minimum-repair-set model are
 solved by ``solve_mip`` at a drawn gap and by ``scipy.optimize.milp`` on
 arrays built from the same ``MipModel`` fields (``oracles.highs_milp``).
-At case118 scale, the DC repair-ordering model (K=2, 1% gap) of four area-1
-``gen-damage`` scenarios is checked the same way; these are the models whose
-root LP starts from a crash basis.
+At case118 scale, the DC repair-ordering model (K=2 and K=3) and the DC
+minimum-repair-set model of four area-1 ``gen-damage`` scenarios are
+checked the same way at a 1% gap; these are the models whose root LP
+starts from a crash basis.
 SOC models are left out: their cone rows have no HiGHS counterpart here.
 """
 
@@ -71,14 +72,34 @@ def test_dc_rop_and_mrsp_match_highs(case5, case10, data):
     assert _agrees(mrsp, gap) == []
 
 
-@pytest.mark.parametrize("seed", [42, 43, 44, 45])
-def test_case118_dc_rop_matches_highs(tmp_path, seed):
+def _case118_damage(tmp_path, seed):
     out = tmp_path / "damage.json"
     assert cli.main(["gen-damage", "--case", str(CASE118), "--fraction",
                      "0.35", "--area", AREA1, "--seed", str(seed), "--out",
                      str(out)]) == 0
-    dmg = netio.damage_from_dict(json.loads(out.read_text()))
-    model = build_rop(replicate(netio.load_case(CASE118), dmg, 2), DC)
+    return netio.damage_from_dict(json.loads(out.read_text()))
+
+
+def _case118_agrees(model):
     sol = solve_mip(model, SolveLimits(gap=0.01))
     assert sol.stats.crash_cols > 0  # the root LP started from a crash
-    assert _agrees(model, 0.01, sol) == []
+    return _agrees(model, 0.01, sol)
+
+
+@pytest.mark.parametrize("seed", [42, 43, 44, 45])
+def test_case118_dc_rop_matches_highs(tmp_path, seed):
+    dmg = _case118_damage(tmp_path, seed)
+    model = build_rop(replicate(netio.load_case(CASE118), dmg, 2), DC)
+    assert _case118_agrees(model) == []
+
+
+@pytest.mark.parametrize("seed", [42, 43, 44, 45])
+@pytest.mark.parametrize("kind", ["rop-k3", "mrsp"])
+def test_case118_dc_rop_k3_and_mrsp_match_highs(tmp_path, kind, seed):
+    net = netio.load_case(CASE118)
+    dmg = _case118_damage(tmp_path, seed)
+    if kind == "mrsp":
+        model = build_mrsp(apply_damage(net, dmg), DC)
+    else:
+        model = build_rop(replicate(net, dmg, 3), DC)
+    assert _case118_agrees(model) == []

@@ -844,6 +844,7 @@ def test_solves_log_one_summary_of_their_lp_totals(monkeypatch, caplog):
     st = sol.stats
     # the solve-level counters; an LP's record fills every other field
     solve_level = {"nodes", "crash_cols", "cuts", "cut_rounds", "branch_obs",
+                   "root_iters", "dive_incumbents", "node_incumbents",
                    "wall_s"}
     for f in fields(SolveStats):
         lp_values = [getattr(r.stats, f.name) for r in results]
@@ -864,6 +865,51 @@ def test_solves_log_one_summary_of_their_lp_totals(monkeypatch, caplog):
                               f"lp_iters={relaxed.stats.lp_iters} ")
     for f in fields(SolveStats):
         assert f" {f.name}=" in mip_note and f" {f.name}=" in lp_note, f.name
+
+
+def test_root_and_incumbent_counters(monkeypatch, case5, damage5_all):
+    from grs.formulations import DC, build_rop
+    from grs.grid import replicate
+    import grs.mip.bnb
+    results = []
+    real = grs.mip.bnb.solve_lp_core
+
+    def recorded(lp, start=None, deadline=None):
+        results.append(real(lp, start=start, deadline=deadline))
+        return results[-1]
+
+    monkeypatch.setattr(grs.mip.bnb, "solve_lp_core", recorded)
+    # a fractional cover: the root's dive rounds a, then c, down and fails
+    m = MipModel()
+    a, b, c = (m.add_var(k, 0, 1, BINARY) for k in "abc")
+    m.add_row({a: 1, b: 1, c: 1}, GE, 1.5)
+    m.set_objective("min", {a: 3, b: 2, c: 4})
+    sol = solve_mip(m)
+    st = sol.stats
+    assert sol.status == OPTIMAL and st.nodes > 1
+    assert st.root_iters == results[0].iters < st.lp_iters
+    assert st.dive_incumbents == 0 and st.node_incumbents >= 1
+    # the case5 root's dive finds an incumbent within 5% of the root bound
+    results.clear()
+    sol = solve_mip(build_rop(replicate(case5, damage5_all, 3), DC),
+                    SolveLimits(gap=0.05, nodes=1))
+    st = sol.stats
+    assert sol.status == GAP_LIMIT and st.nodes == 1
+    assert st.root_iters == results[0].iters < st.lp_iters
+    assert (st.dive_incumbents, st.node_incumbents) == (1, 0)
+    # without binaries every LP is the root's, its cut rounds included
+    results.clear()
+    m = MipModel()  # max x on 2 x^2 <= u v
+    x = m.add_var("x", -2.0, 2.0)
+    u = m.add_var("u", 1.0, 1.0)
+    v = m.add_var("v", 1.0, 1.0)
+    m.add_cone(x, x, u, v, "unit")
+    m.set_objective("max", {x: 1.0})
+    sol = solve_mip(m)
+    st = sol.stats
+    assert sol.status == OPTIMAL and st.cut_rounds > 0
+    assert st.root_iters == st.lp_iters == sum(r.iters for r in results)
+    assert (st.dive_incumbents, st.node_incumbents) == (0, 1)
 
 
 def test_cut_rounds_count_standard_form_extensions(monkeypatch):
@@ -1002,6 +1048,76 @@ def test_crash_basis_is_triangular_on_equality_rows():
     # the crash leaves the slack basis untouched where it takes nothing
     none = build_lp_data(_two_row_lp())
     assert np.array_equal(crash_basis(none).basis, default_basis(none).basis)
+
+
+def _violated_rows_lp():
+    """x0 >= 2 written as a <= row and x1 >= 3, both violated by the slack
+    start, and x0 + x1 + x2 <= 20, which it holds."""
+    m = MipModel()
+    x0 = m.add_var("x0", 0.0, 10.0)
+    x1 = m.add_var("x1", 0.0, 8.0)
+    x2 = m.add_var("x2", 0.0, 20.0)
+    m.add_row({x0: -1.0}, LE, -2.0)
+    m.add_row({x1: 1.0}, GE, 3.0)
+    m.add_row({x0: 1.0, x1: 1.0, x2: 1.0}, LE, 20.0)
+    m.set_objective("min", {x0: 1.0, x1: 2.0, x2: -1.0})
+    return m
+
+
+def test_crash_basis_covers_rows_the_slack_start_violates():
+    from grs.mip.simplex import (AT_LB, AT_UB, BASIC, _Factors, build_lp_data,
+                                 crash_basis, solve_lp_core)
+    lp = build_lp_data(_violated_rows_lp())
+    n = lp.nstruct
+    bas = crash_basis(lp)
+    # x2 (widest box) meets only the satisfied row, so it stays out; x0
+    # takes the violated <= row and x1 the violated >= row, whose slacks
+    # rest at the bound they violate; the satisfied row keeps its slack
+    assert bas.basis.tolist() == [0, 1, n + 2]
+    assert bas.vstat[:n].tolist() == [BASIC, BASIC, AT_LB]
+    assert bas.vstat[n:].tolist() == [AT_LB, AT_UB, BASIC]
+    again = crash_basis(lp)
+    assert np.array_equal(again.basis, bas.basis)
+    assert np.array_equal(again.vstat, bas.vstat)
+    _Factors(lp.A, bas.basis)  # nonsingular: splu raises on a singular B
+    crashed = solve_lp_core(lp, start=bas)
+    cold = solve_lp_core(lp)
+    assert crashed.stats.basis_restarts == 0
+    assert crashed.status == cold.status == OPTIMAL
+    assert crashed.obj == pytest.approx(cold.obj, abs=1e-9)
+    assert cold.obj == pytest.approx(-7.0, abs=1e-9)
+
+
+def _case118_rop(tmp_path, seed=42, periods=2):
+    """The benchmark's case118 DC ordering model: area-1 gen-damage."""
+    import json
+    from pathlib import Path
+    from grs import cli, netio
+    from grs.formulations import DC, build_rop
+    from grs.grid import replicate
+    case = Path(__file__).resolve().parent.parent / "cases" / "case118_smoke.m"
+    out = tmp_path / "damage.json"
+    assert cli.main(["gen-damage", "--case", str(case), "--fraction", "0.35",
+                     "--area", "1-23,25-32,113-115,117", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+    dmg = netio.damage_from_dict(json.loads(out.read_text()))
+    return build_rop(replicate(netio.load_case(case), dmg, periods), DC)
+
+
+def test_case118_crash_start_leaves_few_basics_out_of_bounds(tmp_path):
+    from grs.mip.simplex import (FEAS_TOL, _Factors, _nonbasic_vector,
+                                 build_lp_data, default_basis, initial_basis)
+    lp = build_lp_data(_case118_rop(tmp_path))
+
+    def out_of_bounds(bas):
+        x_b = _Factors(lp.A, bas.basis).ftran(
+            lp.b - lp.A @ _nonbasic_vector(lp, bas))
+        lb, ub = lp.lb[bas.basis], lp.ub[bas.basis]
+        return np.count_nonzero((x_b < lb - FEAS_TOL) | (x_b > ub + FEAS_TOL))
+
+    # 934 at the slack start; 184 when the crash covered equality rows only
+    assert out_of_bounds(default_basis(lp)) >= 200
+    assert out_of_bounds(initial_basis(lp)) <= 40
 
 
 def _same_basis(a, b):

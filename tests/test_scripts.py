@@ -11,13 +11,29 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
-def test_script_imports(path, monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # scripts prepend src/
+def _load(path):
     spec = importlib.util.spec_from_file_location(f"_script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # main() sits behind __name__ == "__main__"
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_script_imports(path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # scripts prepend src/
+    assert callable(_load(path).main)
+
+
+def test_case118_panel_line():
+    panel = _load(ROOT / "scripts" / "case118_panel.py")
+    fields = panel.run_line(ROOT, "rop", 2, 42).split()
+    assert fields[:3] == ["rop", "K=2", "s42"]
+    iters, root, nodes, crash = map(int, fields[3:7])
+    assert 0 < root <= iters and nodes >= 1 and crash > 0
+    objective, gap, highs = float(fields[7]), fields[8], float(fields[9])
+    assert gap.endswith("%") and 0.0 <= float(gap[:-1]) <= 1.0
+    assert objective == pytest.approx(highs, rel=0.01)
+    assert float(fields[10]) >= 0.0  # true ENS, MWh
 
 
 def test_perfbench_span_targets_exist():
