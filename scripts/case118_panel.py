@@ -5,11 +5,13 @@ K=3 and the MRSP-first pipeline at K=2, each on the area-1 ``gen-damage``
 scenarios of seeds 42-45 at a 1% gap, then acceptance criterion 9 (the
 ordering pipeline at K=10, seed 42).  Each line gives the simplex
 iterations, the root node's iterations (``-`` where the checkout does not
-count them), the B&B nodes and the crash columns, summed over the run's
-solves; then the objective and gap of its last solve (the ordering model)
-with that model's HiGHS optimum (``tests/oracles.highs_milp``), and the
-plan's true ENS from the AC validator.  A move of true ENS between two
-checkouts can so be read together with its HiGHS check.
+count them), the B&B nodes, the crash columns, the solve seconds
+(``SolveStats.wall_s``) and the factorization seconds (``factor_s``),
+summed over the run's solves; then the objective and gap of its last
+solve (the ordering model) with that model's HiGHS optimum
+(``tests/oracles.highs_milp``), and the plan's true ENS from the AC
+validator.  A move of true ENS between two checkouts can so be read
+together with its HiGHS check.
 
 grs is imported from the checkout given by ``--root`` (default: the one
 holding this script), so the same script can be run against another
@@ -40,6 +42,7 @@ RUNS = ([("rop", 2, s) for s in (42, 43, 44, 45)]
         + [("mrsp-first", 2, s) for s in (42, 43, 44, 45)]
         + [("rop", 10, 42)])  # criterion 9
 HEADER = (f"{'run':<19} {'iters':>6} {'root':>6} {'nodes':>5} {'crash':>5} "
+          f"{'solve_s':>7} {'factor_s':>8} "
           f"{'objective':>10} {'gap':>7} {'highs':>10} {'true_ens':>9}")
 
 
@@ -83,6 +86,8 @@ def run_line(root: Path, pipeline: str, periods: int, seed: int) -> str:
             f"{'-' if None in root_iters else sum(root_iters):>6} "
             f"{sum(st.nodes for st in stats):>5} "
             f"{sum(st.crash_cols for st in stats):>5} "
+            f"{sum(st.wall_s for st in stats):>7.2f} "
+            f"{sum(st.factor_s for st in stats):>8.3f} "
             f"{sol.objective:>10.3f} {sol.gap:>7.2%} "
             f"{highs_milp(model):>10.3f} {result.true_ens_mwh:>9.1f}")
 

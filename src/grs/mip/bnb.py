@@ -23,8 +23,10 @@ incumbent improvement by where it was found (a dive or a node) and the
 root node's simplex iterations.
 
 An LP solved without a start (the root, a cold retry, ``solve_lp``)
-starts from ``simplex.initial_basis`` when the model has no cone rows, and
-from the slack basis otherwise.  Each loop first checks the gap, then the
+starts from ``simplex.initial_basis``: a crash basis when the LP data's
+``crash`` flag is set (a model without cone rows whose slack start leaves
+many rows out of bounds, decided once per solve by ``build_lp_data``),
+the slack basis otherwise.  Each loop first checks the gap, then the
 limits, so a gap met when a limit is reached ends as a success.  The time
 limit is a deadline that every LP also reads; a node whose LP stops at it
 goes back on the heap, so the reported bound stays valid.
@@ -111,12 +113,10 @@ class _LpContext:
         return lb, ub
 
 
-def _cold_start(model: MipModel, lp, stats: SolveStats) -> Basis | None:
+def _cold_start(lp, stats: SolveStats) -> Basis | None:
     """The start of an LP solved without one: a crash basis from
-    ``initial_basis`` on a model without cone rows, its columns counted;
-    None (the slack basis) when there is no crash."""
-    if model.cone_rows:
-        return None
+    ``initial_basis``, its columns counted; None (the slack basis) when
+    there is no crash."""
     bas = initial_basis(lp)
     crash = int(np.count_nonzero(bas.basis < lp.nstruct))
     stats.crash_cols += crash
@@ -137,7 +137,7 @@ def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
         lb, ub = ctx.bounds_with(fixes)
         lp = ctx.lp.with_bounds(lb, ub)
         if bas is None:
-            bas = _cold_start(ctx.model, lp, stats)
+            bas = _cold_start(lp, stats)
         res = solve_lp_core(lp, start=bas, deadline=deadline)
         stats.add(res.stats)
         if res.status != OPTIMAL:
@@ -223,7 +223,7 @@ def solve_lp(model: MipModel) -> MipSolution:
     t0 = time.perf_counter()
     lp = build_lp_data(model)
     stats = SolveStats()
-    res = solve_lp_core(lp, start=_cold_start(model, lp, stats))
+    res = solve_lp_core(lp, start=_cold_start(lp, stats))
     stats.add(res.stats)
     stats.wall_s = time.perf_counter() - t0
     _log_summary("solve_lp", res.status, stats)

@@ -8,9 +8,15 @@ of bound violations of basic variables, which also makes warm starts from an
 arbitrary (e.g. parent-node) basis cheap.
 
 The basis inverse is kept as an LU factorization plus a list of eta vectors,
-refactored every REFACTOR_EVERY pivots.  Pricing is Dantzig (most attractive
-reduced cost, ties by lowest column index); Bland's rule takes over after
-10*(rows+cols) degenerate pivots to guarantee termination.
+refactored every REFACTOR_EVERY pivots.  On an LP whose ``crash`` flag is
+set (below) the LU is of the basis kernel only, the basic structural
+columns in the rows whose slack is nonbasic, and the basic slacks follow
+by substitution (``_Factors``).  Pricing is Dantzig (most attractive
+reduced cost, ties by lowest column index).  Once an LP has made
+10*(rows+cols) degenerate pivots in all, the entering column is the
+lowest-index attractive one instead; the ratio test still picks the
+leaving row by the largest |delta|, so this is not Bland's rule and does
+not guarantee termination.
 
 Per-iteration bookkeeping is kept across pivots instead of rebuilt from
 the column statuses: a pricing weight per column (-1 at its lower bound,
@@ -30,21 +36,30 @@ infinite reduced costs, steps and basic values are never chosen and
 never block.
 
 The start basis.  ``solve_lp_core`` starts from the all-slack basis
-unless given one.  ``initial_basis(lp)`` chooses the start of a cold LP:
-it counts the rows whose slack at the all-slack start (b - A x_N, one
-mat-vec) lies outside its bounds by more than FEAS_TOL, and when there
-are at least CRASH_MIN_BAD_ROWS of them it returns ``crash_basis``, and
-otherwise the slack basis itself.  The crash reuses that count's masks: it
-is a lower-triangular basis that puts structural columns in the rows the
-slack start cannot hold, the equality rows and the violated inequality
-rows, each of whose slacks goes nonbasic at the bound it violates (Bixby
-1992; Maros 2003, ch. 9).  Small models therefore keep their pivots
-exactly, while a large DC model skips most of phase 1: the case118 DC
-ordering model at K=2 has 2 504 rows, 934 of them infeasible at the slack
-start (70 of those inequality rows), and the crash start leaves 29 basics
-out of bounds, against at most 134 infeasible rows on the case5 and
-case10 models.  ``grs.mip.bnb`` asks for it only on models without cone
-rows.
+unless given one.  ``build_lp_data`` sets ``LpData.crash`` once per
+model: when the model has no cone rows and at least CRASH_MIN_BAD_ROWS
+rows have their slack at the all-slack start (b - A x_N, one mat-vec)
+outside its bounds by more than FEAS_TOL.  ``initial_basis(lp)``, the
+start of a cold LP, is then ``crash_basis`` and otherwise the slack basis
+itself.  The crash is a lower-triangular basis that puts structural
+columns in the rows the slack start cannot hold, the equality rows and
+the violated inequality rows, each of whose slacks goes nonbasic at the
+bound it violates (Bixby 1992; Maros 2003, ch. 9).  Small models
+therefore keep their pivots exactly, while a large DC model skips most of
+phase 1: the case118 DC ordering model at K=2 has 2 504 rows, 934 of them
+infeasible at the slack start (70 of those inequality rows), and the
+crash start leaves 29 basics out of bounds, against at most 134
+infeasible rows on the case5 and case10 models.
+
+The same flag chooses the kernel LU.  Restoration models are built from
+big-M on/off rows, so most rows keep their slack basic: the case118 K=2
+bases have 685-1 107 structural columns among 2 504, and per basis of
+one round the kernel takes 1.6 ms to factor against the whole basis's
+2.9, and 56 and 45 us to solve (ftran, btran) against 95 and 65.  On
+the small models the kernel's different rounding moved pivot paths for
+the worse (case5 DC K=5: 64 -> 94 nodes in the plain ordering solve;
+case5 SOC K=3: 10 508 -> 160 370 iterations, 4 -> 71 s), so every model
+without the flag keeps the whole LU and its pivots bit for bit.
 
 A start basis taken before rows were appended gets a basic slack for
 each new row.  One site at the top of the loop makes the first
@@ -52,8 +67,9 @@ factorization and every refactor; a singular factor restarts from the
 slack basis.  The refactor site also reads the caller's deadline, if
 any: an LP past it stops there with ITERATION_LIMIT.  The loop keeps its
 counters in the SolveStats its LpResult returns: iterations, phase-1
-iterations, phase switches, periodic refactors and restarts, and the
-kernels' perf_counter times.
+iterations, phase switches, periodic refactors and restarts, the summed
+order of the LUs, and the perf_counter times of factorization, ftran,
+btran, pricing and the ratio test.
 """
 
 from __future__ import annotations
@@ -96,6 +112,10 @@ class LpData:
     lb: np.ndarray
     ub: np.ndarray
     nstruct: int
+    # the crash rule: no cone rows, and at least CRASH_MIN_BAD_ROWS rows out
+    # of bounds at the slack start; such an LP's cold start crashes and its
+    # bases are factored by their kernel (set by build_lp_data)
+    crash: bool = False
 
     @property
     def m(self) -> int:
@@ -106,7 +126,8 @@ class LpData:
         return self.A.shape[1]
 
     def with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "LpData":
-        return LpData(self.A, self.AT, self.b, self.c, lb, ub, self.nstruct)
+        return LpData(self.A, self.AT, self.b, self.c, lb, ub, self.nstruct,
+                      self.crash)
 
     def column(self, j: int) -> np.ndarray:
         a = np.zeros(self.m)
@@ -125,6 +146,7 @@ def build_lp_data(model: MipModel, extra_rows=None,
     entries at the bottom of the structural columns and one slack column at
     the right, so it is appended to ``prev.AT`` (A's row-wise storage) and A
     comes from one conversion: the arrays equal those of a full build.
+    ``crash`` is decided on the full build and kept by the appended ones.
     """
     n = len(model.vars)
     if prev is None:
@@ -175,10 +197,17 @@ def build_lp_data(model: MipModel, extra_rows=None,
                          at_indptr[-1] + np.cumsum(np.bincount(row_of, minlength=k))])),
         shape=(n + m, m),
     )
-    return LpData(A=AT.T.tocsc(), AT=AT, b=np.concatenate([b0, b]),
-                  c=np.concatenate([c0, np.zeros(k)]),
-                  lb=np.concatenate([lb0, slack_lb]),
-                  ub=np.concatenate([ub0, slack_ub]), nstruct=n)
+    lp = LpData(A=AT.T.tocsc(), AT=AT, b=np.concatenate([b0, b]),
+                c=np.concatenate([c0, np.zeros(k)]),
+                lb=np.concatenate([lb0, slack_lb]),
+                ub=np.concatenate([ub0, slack_ub]), nstruct=n)
+    if prev is not None:
+        lp.crash = prev.crash
+    elif not model.cone_rows:
+        below, above = _violated(lp, default_basis(lp))
+        bad = np.count_nonzero(below | above)
+        lp.crash = bool(bad >= CRASH_MIN_BAD_ROWS)
+    return lp
 
 
 @dataclass
@@ -205,14 +234,90 @@ class LpResult:
 
 
 class _Factors:
-    """B = LU * E_1 * ... * E_k; solves B d = a (ftran) and B^T y = c (btran)."""
+    """B = LU * E_1 * ... * E_k; solves B d = a (ftran) and B^T y = c (btran).
 
-    def __init__(self, A: sp.csc_matrix, basis: np.ndarray):
-        self.lu = spla.splu(A[:, basis].tocsc())
+    Given ``nstruct``, the columns from nstruct on are the slacks of
+    [A | I], and the LU is of the basis kernel only (Suhl & Suhl 1990):
+    S = A[K, C], the basic structural columns C in the rows K whose slack
+    is nonbasic, square because each basic slack covers its own row.  With
+    R = A[L, C], the same columns in the rows L of the basic slacks,
+    B w = a is w_C = S^-1 a_K, then w_L = a_L - R w_C; B^T y = c is
+    y_L = c_L, then y_K = S^-T (c_C - R^T y_L).  A kernel of order 0 has
+    no LU.  ``order`` is the order of the LU.
+
+    S keeps its columns in basis position order (SuperLU's NATURAL column
+    order; rows are still pivoted), where a crash column sits in the row it
+    was pivoted in.  On the case118 K=2 round's kernels that factored in
+    1.4 ms against COLAMD's 2.4, and solved in 67 and 46 us (transposed)
+    against 103 and 74.
+    """
+
+    def __init__(self, A: sp.csc_matrix, basis: np.ndarray,
+                 nstruct: int | None = None):
         self.etas: list[tuple[int, float, np.ndarray]] = []  # (r, d[r], d)
+        self.kernel = nstruct is not None
+        if not self.kernel:
+            self.lu = spla.splu(A[:, basis].tocsc())
+            self.order = len(basis)
+            return
+        m = len(basis)
+        struct = basis < nstruct
+        self.pos_c = np.flatnonzero(struct)  # basis positions of C
+        self.pos_l = np.flatnonzero(~struct)  # basis positions of the slacks
+        self.rows_l = basis[self.pos_l] - nstruct
+        slack_row = np.zeros(m, dtype=bool)
+        slack_row[self.rows_l] = True
+        self.rows_k = np.flatnonzero(~slack_row)
+        k = self.order = len(self.pos_c)
+        if len(self.rows_k) != k:  # a slack twice in the basis
+            raise RuntimeError("Factor is exactly singular")
+        # row -> its place in K or in L; entries of C taken by index ranges
+        place = np.empty(m, dtype=np.int64)
+        place[self.rows_k] = np.arange(k)
+        place[self.rows_l] = np.arange(m - k)
+        cols = basis[self.pos_c]
+        start, lens = A.indptr[cols], A.indptr[cols + 1] - A.indptr[cols]
+        offset = start - np.cumsum(lens) + lens
+        take = np.arange(lens.sum()) + np.repeat(offset, lens)
+        rows, vals = A.indices[take], A.data[take]
+        col_of = np.repeat(np.arange(k), lens)
+        in_l = slack_row[rows]
+
+        def part(mask, nrows):
+            ptr = np.zeros(k + 1, dtype=np.int64)
+            np.cumsum(np.bincount(col_of[mask], minlength=k), out=ptr[1:])
+            return sp.csc_matrix((vals[mask], place[rows[mask]], ptr),
+                                 shape=(nrows, k))
+
+        self.R = part(in_l, m - k)
+        self.RT = self.R.T
+        self.lu = (spla.splu(part(~in_l, k), permc_spec="NATURAL") if k
+                   else None)
+
+    def _solve(self, a: np.ndarray) -> np.ndarray:
+        """B w = a for the factored basis, before the etas."""
+        if not self.kernel:
+            return self.lu.solve(a)
+        w = np.empty(len(a))
+        w_c = self.lu.solve(a[self.rows_k]) if self.order else np.zeros(0)
+        w[self.pos_c] = w_c
+        w[self.pos_l] = a[self.rows_l] - self.R @ w_c
+        return w
+
+    def _solve_t(self, c: np.ndarray) -> np.ndarray:
+        """B^T y = c for the factored basis, after the etas."""
+        if not self.kernel:
+            return self.lu.solve(c, trans="T")
+        y = np.empty(len(c))
+        y_l = c[self.pos_l]
+        y[self.rows_l] = y_l
+        if self.order:
+            y[self.rows_k] = self.lu.solve(c[self.pos_c] - self.RT @ y_l,
+                                           trans="T")
+        return y
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
-        w = self.lu.solve(rhs)
+        w = self._solve(rhs)
         for r, piv, d in self.etas:
             wr = w.item(r) / piv
             if wr != 0.0:
@@ -225,11 +330,16 @@ class _Factors:
         for r, piv, d in reversed(self.etas):
             yr = y.item(r)
             y[r] = (yr - (float(d.dot(y)) - piv * yr)) / piv
-        return self.lu.solve(y, trans="T")
+        return self._solve_t(y)
 
     def push_eta(self, r: int, d: np.ndarray):
         # d is ftran's fresh result, which the caller does not write to again
         self.etas.append((r, d.item(r), d))
+
+
+def _factor(lp: LpData, basis: np.ndarray) -> _Factors:
+    """The factors of basis: its kernel's when ``lp.crash``, else whole."""
+    return _Factors(lp.A, basis, lp.nstruct if lp.crash else None)
 
 
 def _nonbasic_value(j, vstat, lb, ub):
@@ -269,14 +379,9 @@ def default_basis(lp: LpData) -> Basis:
 
 
 def initial_basis(lp: LpData) -> Basis:
-    """The start basis of a cold LP: ``crash_basis`` when the slack start
-    leaves at least CRASH_MIN_BAD_ROWS rows outside their slack bounds
-    (with FEAS_TOL), else ``default_basis(lp)``."""
-    bas = default_basis(lp)
-    below, above = _violated(lp, bas)
-    if np.count_nonzero(below | above) >= CRASH_MIN_BAD_ROWS:
-        return crash_basis(lp, (below, above))
-    return bas
+    """The start basis of a cold LP: ``crash_basis`` when ``lp.crash``,
+    else ``default_basis(lp)``."""
+    return crash_basis(lp) if lp.crash else default_basis(lp)
 
 
 def _violated(lp: LpData, bas: Basis) -> tuple[np.ndarray, np.ndarray]:
@@ -286,11 +391,10 @@ def _violated(lp: LpData, bas: Basis) -> tuple[np.ndarray, np.ndarray]:
     return s < lp.lb[lp.nstruct:] - FEAS_TOL, s > lp.ub[lp.nstruct:] + FEAS_TOL
 
 
-def crash_basis(lp: LpData, violated=None) -> Basis:
+def crash_basis(lp: LpData) -> Basis:
     """A lower-triangular start basis of structural columns in the rows the
     slack start cannot hold: equality rows and the rows whose slack lies
-    outside its bounds at the slack start (``violated``, the masks of
-    ``_violated``, computed when not given).
+    outside its bounds at the slack start (the masks of ``_violated``).
 
     The non-fixed structural columns are ranked free first, then those with
     one infinite bound, then by the widest box, ties to the lower index.  A
@@ -304,7 +408,7 @@ def crash_basis(lp: LpData, violated=None) -> Basis:
     nonsingular.
     """
     bas = default_basis(lp)
-    below, above = _violated(lp, bas) if violated is None else violated
+    below, above = _violated(lp, bas)
     n, A = lp.nstruct, lp.A
     lb, ub = lp.lb[:n], lp.ub[:n]
     width = ub - lb
@@ -358,7 +462,7 @@ def solve_lp_core(lp: LpData, start: Basis | None = None,
     psign, free = _pricing_weights(bas.vstat, fixed)
     fact = None
     degen_count = 0
-    bland_threshold = 10 * (m + ncols)
+    lowest_after = 10 * (m + ncols)  # degenerate pivots
     pivots_since_refactor = 0
     was_phase1 = None
 
@@ -378,7 +482,7 @@ def solve_lp_core(lp: LpData, start: Basis | None = None,
                 fact = None  # free the old LU and etas before SuperLU's workspace
             t0 = clock()
             try:
-                fact = _Factors(lp.A, bas.basis)
+                fact = _factor(lp, bas.basis)
             except RuntimeError:
                 # numerically singular basis: restart from the slack basis
                 st.basis_restarts += 1
@@ -386,8 +490,9 @@ def solve_lp_core(lp: LpData, start: Basis | None = None,
                           "restarting from the slack basis", st.lp_iters)
                 bas = default_basis(lp)
                 psign, free = _pricing_weights(bas.vstat, fixed)
-                fact = _Factors(lp.A, bas.basis)
+                fact = _factor(lp, bas.basis)
             st.factor_s += clock() - t0
+            st.lu_order += fact.order
             x_b = fact.ftran(lp.b - lp.A @ _nonbasic_vector(lp, bas))
             # the basics' bounds and their FEAS_TOL bands, kept per pivot
             lb_b, ub_b = lp.lb[bas.basis], lp.ub[bas.basis]
@@ -412,7 +517,7 @@ def solve_lp_core(lp: LpData, start: Basis | None = None,
             t1 = clock()
             red = lp.AT @ y
             np.subtract(lp.c, red, out=red)
-        j = _price(red, psign, free, degen_count > bland_threshold)
+        j = _price(red, psign, free, degen_count > lowest_after)
         t2 = clock()
         st.btran_s += t1 - t0
         st.price_s += t2 - t1
@@ -486,19 +591,19 @@ def _pricing_weights(vstat, fixed):
     return psign, np.flatnonzero((vstat == FREE_NB) & ~fixed)
 
 
-def _price(red, psign, free, bland):
+def _price(red, psign, free, lowest):
     """Entering column, or -1 when no reduced cost is attractive.
 
     Eligibility is red * psign, |red| at the free columns, and 0 where that
     is NaN.  A column is a candidate when its eligibility exceeds OPT_TOL
     and enters upward iff red < 0.  Dantzig picks the largest eligibility
-    (lowest index on ties); Bland the lowest index.
+    (lowest index on ties); with ``lowest``, the lowest-index candidate.
     """
     elig = red * psign
     if len(free):
         elig[free] = np.abs(red[free])
     np.fmax(elig, 0.0, out=elig)  # 0 * inf and NaN never enter
-    j = int(np.argmax(elig > OPT_TOL if bland else elig))
+    j = int(np.argmax(elig > OPT_TOL if lowest else elig))
     return j if elig[j] > OPT_TOL else -1
 
 

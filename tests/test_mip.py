@@ -303,16 +303,20 @@ def test_lp_random_agrees_with_highs(seed):
     if Aeq:
         kw["A_eq"] = np.array(Aeq); kw["b_eq"] = np.array(beq)
     ref = linprog(c, bounds=list(zip(lbs, ubs)), method="highs", **kw)
-    # the same LP from its crash basis, whatever the gate would choose
+    # the same LP from its crash basis, whatever the gate would choose, and
+    # again with its bases factored by their kernel
+    from dataclasses import replace
     from grs.mip.simplex import build_lp_data, crash_basis, solve_lp_core
     lp = build_lp_data(m)
     crashed = solve_lp_core(lp, start=crash_basis(lp))
+    kernel = solve_lp_core(replace(lp, crash=True), start=crash_basis(lp))
     if ref.status == 0:
-        assert res.status == crashed.status == OPTIMAL
+        assert res.status == crashed.status == kernel.status == OPTIMAL
         assert res.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
         assert crashed.obj == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+        assert kernel.obj == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
     elif ref.status == 2:
-        assert res.status == crashed.status == INFEASIBLE
+        assert res.status == crashed.status == kernel.status == INFEASIBLE
 
 
 # --- standard form, ratio test and pricing against the earlier code ------
@@ -804,6 +808,74 @@ def test_singular_warm_start_is_counted_restart(caplog):
     assert len(notes) == 1 and notes[0].levelname == "DEBUG"
 
 
+def _kernel_lp_basis(rng, m, n, kind):
+    """A drawn [A | I] (m rows, n structural columns) and a basis of the
+    kind asked for, its positions shuffled; None when n < m rules it out."""
+    dense = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
+    A = sp.csc_matrix(np.hstack([dense, np.eye(m)]))
+    struct = {"slack": 0, "struct": m,
+              "mixed": int(rng.integers(1, m)) if m > 1 else 1}[kind]
+    if struct > n:
+        return A, None
+    cols = np.concatenate([rng.choice(n, struct, replace=False),
+                           n + rng.choice(m, m - struct, replace=False)])
+    return A, rng.permutation(cols).astype(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_kernel_factors_solve_like_a_dense_basis(seed):
+    from grs.mip.simplex import _Factors
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    for kind in ("slack", "struct", "mixed"):
+        A, basis = _kernel_lp_basis(rng, m, n, kind)
+        if basis is None or np.linalg.cond(A[:, basis].toarray()) > 1e6:
+            continue
+        f = _Factors(A, basis, n)
+        assert f.order == np.count_nonzero(basis < n)
+        assert (f.lu is None) == (kind == "slack")
+        for _ in range(4):  # the factored basis, then after 1-3 etas
+            B = A[:, basis].toarray()
+            tol = 1e-10 * np.linalg.cond(B)  # relative, as rounding allows
+            a, c = rng.normal(size=m), rng.normal(size=m)
+            for got, want in ((f.ftran(a.copy()), np.linalg.solve(B, a)),
+                              (f.btran(c.copy()), np.linalg.solve(B.T, c))):
+                assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+            # a pivot on the largest entry of an entering column's ftran
+            j = int(rng.choice(np.setdiff1d(np.arange(n + m), basis)))
+            d = f.ftran(A[:, [j]].toarray().ravel())
+            r = int(np.argmax(np.abs(d)))
+            after = basis.copy()
+            after[r] = j
+            if np.linalg.cond(A[:, after].toarray()) > 1e6:
+                break
+            f.push_eta(r, d)
+            basis = after
+
+
+def test_singular_kernel_is_counted_restart():
+    from dataclasses import replace
+    from grs.mip.simplex import (AT_LB, BASIC, Basis, _Factors,
+                                 build_lp_data, solve_lp_core)
+    lp = replace(build_lp_data(_two_row_lp()), crash=True)
+    n = lp.nstruct
+    cold = solve_lp_core(lp)
+    assert cold.stats.basis_restarts == 0
+    for twice in (0, n):  # x in both rows; row 0's slack in both
+        basis = np.array([twice, twice], dtype=np.int64)
+        with pytest.raises(RuntimeError):
+            _Factors(lp.A, basis, n)
+        vstat = np.full(lp.ncols, AT_LB, dtype=np.int8)
+        vstat[twice] = BASIC
+        res = solve_lp_core(lp, start=Basis(basis, vstat))
+        assert res.stats.basis_restarts == 1
+        assert res.status == cold.status == OPTIMAL
+        assert res.obj == cold.obj and np.array_equal(res.x, cold.x)
+        # the slack basis it restarts from has an empty kernel: no LU
+        assert res.stats.lu_order == cold.stats.lu_order == 0
+
+
 def test_phase_counters_and_kernel_timers():
     from grs.mip.simplex import build_lp_data, solve_lp_core
     feasible = solve_lp_core(build_lp_data(_two_row_lp()))
@@ -1127,9 +1199,10 @@ def _same_basis(a, b):
 
 @pytest.mark.parametrize("case_name", ["case5", "case10"])
 def test_small_dc_models_keep_the_slack_start(request, case_name):
-    from grs.formulations import DC, build_mrsp, build_rop
+    from grs.formulations import DC, SOC, build_mrsp, build_rop
     from grs.grid import DamageScenario, apply_damage, replicate
-    from grs.mip.simplex import build_lp_data, default_basis, initial_basis
+    from grs.mip.simplex import (_factor, build_lp_data, crash_basis,
+                                 default_basis, initial_basis)
     from grs.workflows import solve_mrsp, update_status
     net = request.getfixturevalue(case_name)
     live = net.live()
@@ -1142,9 +1215,28 @@ def test_small_dc_models_keep_the_slack_start(request, case_name):
     for k in range(2, 12):  # the plain ROP and the ROP after MRSP
         models.append(build_rop(replicate(net, dmg, k), DC))
         models.append(build_rop(replicate(reduced, kept, k), DC))
+    # the SOC model: its cone rows keep the slack start and the whole LU
+    models.append(build_rop(replicate(net, dmg, 3), SOC))
     for model in models:
         lp = build_lp_data(model)
+        assert not lp.crash
         assert _same_basis(initial_basis(lp), default_basis(lp))
+        # a basis with structural columns is factored whole
+        assert _factor(lp, crash_basis(lp).basis).order == lp.m
+
+
+def test_case118_dc_model_is_factored_by_its_kernel(tmp_path):
+    from grs.mip.simplex import _factor, build_lp_data, initial_basis
+    model = _case118_rop(tmp_path)
+    lp = build_lp_data(model)
+    assert lp.crash and lp.with_bounds(lp.lb, lp.ub).crash
+    bas = initial_basis(lp)
+    crash = int(np.count_nonzero(bas.basis < lp.nstruct))
+    assert _factor(lp, bas.basis).order == crash < lp.m / 2
+    res = solve_lp(model)  # the root LP: every factor is a kernel's
+    st = res.stats
+    assert res.status == OPTIMAL and st.basis_restarts == 0
+    assert 0 < st.lu_order < (st.refactors + 1) * lp.m / 2
 
 
 def test_deadline_stops_an_lp_at_its_first_refactor(case5, damage5_all):

@@ -30,10 +30,12 @@ def test_case118_panel_line():
     assert fields[:3] == ["rop", "K=2", "s42"]
     iters, root, nodes, crash = map(int, fields[3:7])
     assert 0 < root <= iters and nodes >= 1 and crash > 0
-    objective, gap, highs = float(fields[7]), fields[8], float(fields[9])
+    solve_s, factor_s = float(fields[7]), float(fields[8])
+    assert 0.0 < factor_s < solve_s
+    objective, gap, highs = float(fields[9]), fields[10], float(fields[11])
     assert gap.endswith("%") and 0.0 <= float(gap[:-1]) <= 1.0
     assert objective == pytest.approx(highs, rel=0.01)
-    assert float(fields[10]) >= 0.0  # true ENS, MWh
+    assert float(fields[12]) >= 0.0  # true ENS, MWh
 
 
 def test_perfbench_span_targets_exist():
