@@ -11,10 +11,15 @@ field, and an exception by its type and message.
 
 grs and the benchmark are imported from the checkout given by ``--root``
 (default: the one holding this script), so the same script can be run
-against another checkout to compare the two.  It writes nothing into the
-checkout: the damage files the workloads generate go to a temporary folder.
+against another checkout to compare the two.  ``--compare OTHER`` does
+that: it runs this script once for ``--root`` and once for OTHER, each in
+its own process (both import a ``grs``), prints every line once, marked
+``same`` or ``DIFFERENT`` (with both digests), and exits 1 if any line
+differs.  It writes nothing into the checkout: the damage files the
+workloads generate go to a temporary folder.
 
 Usage: python3 scripts/op_digests.py [--root CHECKOUT] [--seed 1]
+                                     [--compare OTHER]
 """
 
 import os
@@ -26,6 +31,7 @@ import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import random  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -99,17 +105,52 @@ def validator_digest(root: Path, seed: int) -> str:
     return short(repr(out))
 
 
+def compare(ours: list[str], theirs: list[str]) -> tuple[list[str], int]:
+    """Each line of two outputs of this script, once, marked ``same`` or
+    ``DIFFERENT``; a line is its fields but the digest, and a line only one
+    side printed differs.  Returns the marked lines and the exit code."""
+    mine = dict(line.rsplit(" ", 1) for line in ours)
+    other = dict(line.rsplit(" ", 1) for line in theirs)
+    out = []
+    for key in dict.fromkeys([*mine, *other]):
+        a, b = mine.get(key, "-"), other.get(key, "-")
+        out.append(f"same      {key} {a}" if a == b
+                   else f"DIFFERENT {key} {a} {b}")
+    return out, int(any(line.startswith("DIFFERENT") for line in out))
+
+
+def _digest_lines(root: Path, seed: int) -> list[str] | None:
+    """This script's lines for the checkout root, from a process of its
+    own; None if that failed (its errors went to stderr)."""
+    p = subprocess.run([sys.executable, __file__, "--root", str(root),
+                        "--seed", str(seed)], stdout=subprocess.PIPE,
+                       text=True)
+    return p.stdout.splitlines() if p.returncode == 0 else None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path,
                     default=Path(__file__).resolve().parent.parent)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--compare", type=Path, metavar="OTHER",
+                    help="compare with the checkout OTHER, line by line")
     args = ap.parse_args(argv)
     root = args.root.resolve()
-    if not (root / "src" / "grs").is_dir() or not (root / "perfbench").is_dir():
-        print(f"op_digests: {root} is not a checkout with src/grs and "
-              "perfbench/", file=sys.stderr)
-        return 2
+    other = args.compare.resolve() if args.compare else None
+    for checkout in filter(None, (root, other)):
+        if not ((checkout / "src" / "grs").is_dir()
+                and (checkout / "perfbench").is_dir()):
+            print(f"op_digests: {checkout} is not a checkout with src/grs "
+                  "and perfbench/", file=sys.stderr)
+            return 2
+    if other is not None:
+        ours, theirs = (_digest_lines(r, args.seed) for r in (root, other))
+        if ours is None or theirs is None:
+            return 2
+        lines, rc = compare(ours, theirs)
+        print("\n".join(lines))
+        return rc
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
 

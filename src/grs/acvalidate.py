@@ -15,21 +15,34 @@ call, as ``NetworkData``: the live-component lists, the statuses of the
 undamaged components, every live branch's four admittances, and the bus
 voltage and branch rating limits.  Each period's ``max_load_delivery``
 takes it through its ``network=`` keyword (called alone, it builds its
-own).  Each energized island with loads and generation gets an
-``IslandData`` once per ``max_load_delivery`` call, built eagerly with all
-that the island's solves share: bus positions, branch ends, the Ybus (one
-``np.add.at`` over the branch entries in branch order, then the shunts) and
-its cut without the slack's row and column, the limits, the loads, the
-dispatch rule, and one table of the generators grouped by bus.  Nothing
-outlives the call.
+own).  Each energized island with loads and generation has an
+``IslandData``, built eagerly with all that the island's solves share: bus
+positions, branch ends, the Ybus (one ``np.add.at`` over the branch entries
+in branch order, then the shunts) and its cut without the slack's row and
+column, the limits, the loads, the dispatch rule, and one table of the
+generators grouped by bus.  ``plan_dispatches`` carries each period's
+islands into the next, keyed by composition (sorted buses, branches and
+energized generators; the loads follow from the buses), so an island the
+schedule leaves unchanged is built once.  Only one period's islands are
+held, and nothing outlives the ``plan_dispatches`` call; a
+``max_load_delivery`` called alone keeps nothing between calls.
 
 ``newton_pf`` solves a given ``IslandData`` from the ramp generators' set
-points and the loads' fractions alone, so the call's bisection and PV-to-PQ
-solves share the island, and each solve still starts flat.  Each solve is a
-chord Newton iteration: it writes the Jacobian blocks into one
-Fortran-ordered array, factors it in place (LAPACK ``dgetrf``) and reuses
-the factors for later steps until the largest mismatch falls by less than
-``CHORD_RATE`` in one step, then rebuilds and refactors.
+points and the loads' fractions alone, so the bisection and PV-to-PQ
+solves share the island, and each solve still starts flat.  The island
+keeps every solve's ``PfState``, keyed by the bytes of the served fractions
+(the set points follow from them) and the pinned reactive injections, and
+``_attempt`` takes a kept state instead of solving the same inputs again.
+``IslandData.build`` and ``newton_pf`` are pure functions of those inputs,
+so what is carried or kept is bit for bit what would be computed again,
+and every dispatch is the same as from periods validated alone.  A kept
+state is handed out as it is, so two periods' ``IslandResult`` may share
+one ``PfState``; nothing writes to one after its solve.
+
+Each solve is a chord Newton iteration: it writes the Jacobian blocks into
+one Fortran-ordered array, factors it in place (LAPACK ``dgetrf``) and
+reuses the factors for later steps until the largest mismatch falls by less
+than ``CHORD_RATE`` in one step, then rebuilds and refactors.
 ``PfState.iterations`` counts the steps and ``PfState.factorizations`` the
 Jacobians factored.  Every array sum adds its terms left to right in
 component order, as a scalar loop does (and as Python's ``sum`` of floats
@@ -45,8 +58,9 @@ conservative bias.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -62,6 +76,8 @@ CHORD_RATE = 4.0  # refactor unless the mismatch fell at least this much
 QLIM_ROUNDS = 10
 LAMBDA_TOL = 1e-4
 LIMIT_TOL = 1e-6
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -180,8 +196,9 @@ class NetworkData:
 class IslandData:
     """Power-flow data of one island: what every solve on it shares.
 
-    ``max_load_delivery`` builds it once per island and passes it to each
-    ``newton_pf`` of that island's bisection and PV-to-PQ rounds.  Buses,
+    ``max_load_delivery`` builds it once per island, or takes it from the
+    previous period, and passes it to each ``newton_pf`` of that island's
+    bisection and PV-to-PQ rounds; ``solved`` keeps their results.  Buses,
     generators and loads run in id order.  The slack generator takes up the
     losses; the others (the ramp) run at pmin + beta (pmax - pmin), with one
     beta per solve.  The generators are grouped by bus once, groups in order
@@ -224,6 +241,10 @@ class IslandData:
     qmax: np.ndarray
     slack_group: int
     others: list[int]  # ramp indices of the other gens on the slack's bus
+    # every newton_pf solve run on the island, by its inputs (_attempt)
+    solved: dict[tuple[bytes, bytes], PfState] = field(
+        default_factory=dict, repr=False, compare=False)
+    reused: int = field(default=0, repr=False, compare=False)
 
     @classmethod
     def build(cls, net: Network, buses: list[int], branches: list[int],
@@ -453,7 +474,8 @@ def _pf_state(isl: IslandData, vm, va, pg, fr, converged, iterations,
 
 def _attempt(net, isl: IslandData, fr, binding):
     """One PV/PQ-switched power-flow solve with the loads of isl served at
-    the fractions fr, in their order; returns (PfState, ok)."""
+    the fractions fr, in their order; returns (PfState, ok).  A solve whose
+    inputs isl has solved before is taken from ``isl.solved``."""
     fr = np.asarray(fr, dtype=float)
     target = sum((fr * isl.pd).tolist())
     beta = (0.0 if isl.rng <= 0
@@ -464,7 +486,14 @@ def _attempt(net, isl: IslandData, fr, binding):
     held = np.zeros(len(isl.groups), dtype=bool)  # not to be pinned again
     held[isl.slack_group] = True  # the slack's bus stays PV
     for _ in range(QLIM_ROUNDS):
-        pf = newton_pf(net, isl, pg, fr, q_fixed)
+        # pg follows from fr, so fr and q_fixed are all the solve's inputs
+        key = (fr.tobytes(),
+               np.array([*q_fixed.items()], dtype=float).tobytes())
+        pf = isl.solved.get(key)
+        if pf is None:
+            pf = isl.solved[key] = newton_pf(net, isl, pg, fr, q_fixed)
+        else:
+            isl.reused += 1
         if not pf.converged:
             binding.append("non-convergence")
             return pf, False
@@ -515,7 +544,8 @@ def _attempt(net, isl: IslandData, fr, binding):
 def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
                       prev_fractions: dict[int, float] | None = None,
                       period: int = 0,
-                      network: NetworkData | None = None) -> PeriodDispatch:
+                      network: NetworkData | None = None,
+                      carry: dict | None = None) -> PeriodDispatch:
     """Largest AC-feasible uniform load scale per energized island.
 
     Served fraction of load d is max(lambda, floor_d) where floor_d is the
@@ -523,7 +553,10 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
     nothing (with a warning if that breaks a floor).  An island whose solve
     at its floors fails keeps them, with a warning, even when they are 0.
     network is the validation's ``NetworkData`` for net; without it the
-    call builds one.
+    call builds one.  carry, when given, maps the previous period's
+    ``IslandData`` by composition (sorted buses, branches, generators): an
+    island met again is taken from it, solves and all, not built again,
+    and the call leaves it holding this period's islands.
     """
     network = network or NetworkData.build(net)
     prev = prev_fractions or {}
@@ -548,6 +581,8 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
         if b in at:
             loads_in[at[b]].append(i)
 
+    carried = carry if carry is not None else {}
+    built: dict[tuple, IslandData] = {}
     results: list[IslandResult] = []
     fractions: dict[int, float] = {}
     warnings = 0
@@ -568,7 +603,10 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
 
         lam_floor = min(floors.values())
         binding: list[str] = []
-        isl = IslandData.build(net, island, branches, gens, loads, network)
+        key = (tuple(island), tuple(branches), tuple(gens))
+        isl = built[key] = (carried.get(key)
+                            or IslandData.build(net, island, branches, gens,
+                                                loads, network))
 
         def feasible(lam):
             return _attempt(net, isl, [max(lam, floors[lid])
@@ -595,6 +633,9 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
                                     round(served * net.base_mva, 3),
                                     sorted(set(binding)), not ok, pf))
 
+    if carry is not None:
+        carry.clear()
+        carry.update(built)
     total = round(sum(r.served_mw for r in results), 3)
     return PeriodDispatch(period, results, total, fractions, warnings)
 
@@ -605,18 +646,37 @@ def plan_dispatches(net: Network, status: dict[tuple[str, int], list[int]],
 
     Each period's served fractions are the next period's floors; returns every
     period's dispatch with the per-load fractions in force after it.  The
-    network's ``NetworkData`` is built once and shared by every period.
+    network's ``NetworkData`` is built once and shared by every period, and
+    each period's islands are carried into the next, so an island the
+    schedule leaves unchanged is built once and no solve on it runs twice.
+    Logs what that saved as one DEBUG line.
     """
     network = NetworkData.build(net)
+    carry: dict[tuple, IslandData] = {}
+    debug = log.isEnabledFor(logging.DEBUG)
+    seen: dict[int, IslandData] = {}  # every island built, under DEBUG
+    uses = 0
     out = []
     fractions: dict[int, float] = {lid: 0.0 for lid in net.loads}
     for n in range(periods + 1):
         energized = {item: bool(zs[n]) for item, zs in status.items()}
         dispatch = max_load_delivery(net, energized, fractions, period=n,
-                                     network=network)
+                                     network=network, carry=carry)
         fractions = dict(fractions)
         fractions.update(dispatch.fractions)
         out.append((dispatch, fractions))
+        if debug:
+            uses += len(carry)
+            seen.update((id(isl), isl) for isl in carry.values())
+    if debug:
+        runs = [pf for isl in seen.values() for pf in isl.solved.values()]
+        log.debug("plan_dispatches: periods=%d islands_built=%d "
+                  "islands_carried=%d newton_run=%d newton_reused=%d "
+                  "newton_iters=%d newton_factorizations=%d", periods + 1,
+                  len(seen), uses - len(seen), len(runs),
+                  sum(isl.reused for isl in seen.values()),
+                  sum(pf.iterations for pf in runs),
+                  sum(pf.factorizations for pf in runs))
     return out
 
 

@@ -29,7 +29,10 @@ many rows out of bounds, decided once per solve by ``build_lp_data``),
 the slack basis otherwise.  Each loop first checks the gap, then the
 limits, so a gap met when a limit is reached ends as a success.  The time
 limit is a deadline that every LP also reads; a node whose LP stops at it
-goes back on the heap, so the reported bound stays valid.
+goes back on the heap, so the reported bound stays valid.  A solve stopped
+short of the gap names its limit: ``TIME_LIMIT``, ``NODE_LIMIT``, or
+``CUT_LIMIT`` for a node that is integral but whose cones the cuts could
+not close (the budget or the rounds ran out, or no new cut trims them).
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import (GAP_LIMIT, INF, INFEASIBLE, ITERATION_LIMIT, LE,
-                    OPTIMAL, UNBOUNDED, ConeRow, LinRow, MipModel,
-                    MipSolution, NumericalFailure, SolveStats, cone_violation)
+from .model import (CUT_LIMIT, GAP_LIMIT, INF, INFEASIBLE, ITERATION_LIMIT,
+                    LE, NODE_LIMIT, OPTIMAL, TIME_LIMIT, UNBOUNDED, ConeRow,
+                    LinRow, MipModel, MipSolution, NumericalFailure,
+                    SolveStats, cone_violation)
 from .simplex import Basis, build_lp_data, initial_basis, solve_lp_core
 
 INT_TOL = 1e-6
@@ -353,16 +357,16 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
             if g <= limits.gap:
                 return finish(GAP_LIMIT)
         if out_of_time():
-            return finish(ITERATION_LIMIT)
+            return finish(TIME_LIMIT)
         if limits.nodes is not None and stats.nodes >= limits.nodes:
-            return finish(ITERATION_LIMIT)
+            return finish(NODE_LIMIT)
 
         node = heapq.heappop(heap)
         res, cone_ok = solve_node(node, node.basis)
         if res.status == ITERATION_LIMIT and out_of_time():
             # stopped at the deadline: the node stays open for the bound
             heapq.heappush(heap, node)
-            return finish(ITERATION_LIMIT)
+            return finish(TIME_LIMIT)
         stats.nodes += 1
 
         if res.status == INFEASIBLE:
@@ -374,7 +378,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
             res, cone_ok = solve_node(node, None)
             if res.status == ITERATION_LIMIT and out_of_time():
                 heapq.heappush(heap, node)
-                return finish(ITERATION_LIMIT)
+                return finish(TIME_LIMIT)
             if res.status == INFEASIBLE:
                 continue
             if res.status != OPTIMAL:
@@ -393,9 +397,9 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
                 if try_incumbent(res.x, node_obj):
                     stats.node_incumbents += 1
                 continue
-            # integral but the cut budget ran out before the cones closed:
-            # the region cannot be certified, give up honestly
-            return finish(ITERATION_LIMIT)
+            # integral but the cuts could not close the cones: the region
+            # cannot be certified, give up honestly
+            return finish(CUT_LIMIT)
 
         if stats.nodes == 1 or stats.nodes % DIVE_EVERY == 0:
             dive(res, node.fixes)

@@ -27,7 +27,11 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 GAP_LIMIT = "gap_limit"
-ITERATION_LIMIT = "iteration_limit"
+ITERATION_LIMIT = "iteration_limit"  # an LP stopped at its cap or deadline
+# solve_mip stopped at a limit before the gap target
+TIME_LIMIT = "time_limit"
+NODE_LIMIT = "node_limit"
+CUT_LIMIT = "cut_limit"  # an integral node's cones the cuts cannot close
 
 
 class MipError(Exception):

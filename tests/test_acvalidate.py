@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from grs.acvalidate import (PF_MAX_ITER, PF_TOL, IslandData, _attempt,
                             power_flow_jacobian, redispatch_plan,
                             residual_injections)
 from grs.formulations import DC, build_rop, decode_plan
-from grs.grid import (BRANCH, GEN, Bus, DamageScenario, Generator,
+from grs.grid import (BRANCH, BUS, GEN, Bus, DamageScenario, Generator,
                       GridError, Network, RestorationPlan, replicate)
 from grs.mip import solve_mip
 from grs.workflows import run_heuristic
@@ -431,6 +432,7 @@ def test_chord_matches_full_newton(case5, case118_area1, monkeypatch, lam):
                 chord_binding = []
                 _, ok = _attempt(net, isl, fractions, chord_binding)
             ref_binding = []
+            isl.solved.clear()  # solve again, with the full Newton loop
             with monkeypatch.context() as m:
                 m.setattr(grs.acvalidate, "newton_pf", _full_newton_pf)
                 _, ref_ok = _attempt(net, isl, fractions, ref_binding)
@@ -588,6 +590,142 @@ def test_validation_built_once_matches_each_period_alone(area1_scenario,
         assert alone == dispatch
         fractions = after
     assert len(builds) == 1 + len(dispatches)  # each call alone built its own
+
+
+def _each_period_alone(net, status, periods):
+    """plan_dispatches' periods as max_load_delivery calls made alone."""
+    fractions = {lid: 0.0 for lid in net.loads}
+    out = []
+    for n in range(periods + 1):
+        energized = {item: bool(zs[n]) for item, zs in status.items()}
+        dispatch = max_load_delivery(net, energized, fractions, period=n)
+        fractions = dict(fractions)
+        fractions.update(dispatch.fractions)
+        out.append((dispatch, fractions))
+    return out
+
+
+@pytest.fixture(scope="module")
+def small_nets():
+    return {name: netio.load_case(CASES / f"{name}.m")
+            for name in ("case5_restoration", "case10_radial")}
+
+
+@pytest.mark.parametrize("name", ["case5_restoration", "case10_radial"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_carried_islands_match_each_period_alone(small_nets, name, data):
+    """Any 0/1 schedule, components going off again and islands splitting
+    included: the carry changes no bit of any period's dispatch."""
+    net = small_nets[name]
+    live = net.live()
+    items = ([(BUS, b) for b in live.buses]
+             + [(BRANCH, k) for k in live.branches]
+             + [(GEN, g) for g in live.gens])
+    periods = data.draw(st.integers(1, 4))
+    off = data.draw(st.lists(st.sampled_from(items), unique=True,
+                             min_size=1, max_size=len(items) // 2))
+    status = {item: data.draw(st.lists(st.integers(0, 1),
+                                       min_size=periods + 1,
+                                       max_size=periods + 1))
+              for item in off}
+    carried = plan_dispatches(net, status, periods)
+    assert repr(carried) == repr(_each_period_alone(net, status, periods))
+
+
+def _held(dispatches):
+    """Per period: the composition (buses, branches, generators) of every
+    island solved, as plan_dispatches keys it."""
+    return [{(tuple(i.buses), tuple(i.pf.flow_fr), tuple(sorted(i.pf.gen_p)))
+             for i in d.islands if i.pf is not None} for d, _ in dispatches]
+
+
+def _count_work(monkeypatch, forget=False):
+    """Count IslandData.build (by period and composition) and newton_pf
+    calls (with their iterations and factorizations); with forget, no
+    island keeps a solve."""
+    builds, solves = [], []
+    build = IslandData.build.__func__
+    period = [0]
+
+    class Forgetful(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    def counted_build(cls, net, buses, branches, gens, *args):
+        builds.append((period[0], (tuple(buses), tuple(branches),
+                                   tuple(gens))))
+        isl = build(cls, net, buses, branches, gens, *args)
+        if forget:
+            isl.solved = Forgetful()
+        return isl
+
+    def counted_pf(*args, **kwargs):
+        solves.append(newton_pf(*args, **kwargs))
+        return solves[-1]
+
+    def counted_mld(*args, **kwargs):
+        period[0] = kwargs["period"]
+        return max_load_delivery(*args, **kwargs)
+
+    monkeypatch.setattr(IslandData, "build", classmethod(counted_build))
+    monkeypatch.setattr(grs.acvalidate, "newton_pf", counted_pf)
+    monkeypatch.setattr(grs.acvalidate, "max_load_delivery", counted_mld)
+    return builds, solves
+
+
+def test_carry_builds_and_solves_less(area1_scenario, monkeypatch):
+    """On the area-1 heuristic plan the carry builds and solves less than
+    the periods alone, and builds only what the period before did not
+    hold."""
+    net, dmg = area1_scenario
+    case = replicate(net, dmg, 10)
+    plan = heuristic_order(net, dmg, 10)
+    builds, solves = _count_work(monkeypatch)
+    dispatches = plan_dispatches(case.base, plan.status, case.periods)
+    carried_builds, carried_solves = list(builds), len(solves)
+    builds.clear()
+    solves.clear()
+    alone = _each_period_alone(case.base, plan.status, case.periods)
+    assert repr(alone) == repr(dispatches)
+    assert len(carried_builds) < len(builds) and carried_solves < len(solves)
+    held = _held(dispatches)
+    built = [set() for _ in held]
+    for n, key in carried_builds:
+        built[n].add(key)
+    assert sum(map(len, built)) == len(carried_builds)  # each built once
+    assert built == [held[0]] + [now - before
+                                 for before, now in zip(held, held[1:])]
+
+
+def test_validation_debug_line_counts(area1_scenario, monkeypatch, caplog):
+    net, dmg = area1_scenario
+    case = replicate(net, dmg, 10)
+    plan = heuristic_order(net, dmg, 10)
+    builds, solves = _count_work(monkeypatch, forget=True)
+    unkept = plan_dispatches(case.base, plan.status, case.periods)
+    attempts = len(solves)  # every solve _attempt asked for
+    monkeypatch.undo()
+    builds, solves = _count_work(monkeypatch)
+    caplog.clear()
+    caplog.set_level(logging.DEBUG, logger="grs.acvalidate")
+    dispatches = plan_dispatches(case.base, plan.status, case.periods)
+    assert repr(unkept) == repr(dispatches)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "grs.acvalidate"]
+    assert len(lines) == 1 and lines[0].startswith("plan_dispatches: ")
+    counts = {k: int(v) for k, v in
+              (field.split("=") for field in lines[0].split()[1:])}
+    used = sum(len(now) for now in _held(dispatches))
+    assert counts == {
+        "periods": case.periods + 1,
+        "islands_built": len(builds),
+        "islands_carried": used - len(builds),
+        "newton_run": len(solves),
+        "newton_reused": attempts - len(solves),
+        "newton_iters": sum(pf.iterations for pf in solves),
+        "newton_factorizations": sum(pf.factorizations for pf in solves)}
+    assert 0 < counts["islands_carried"] and 0 < counts["newton_reused"]
 
 
 def test_island_branch_outside_island_rejected(case5):

@@ -19,8 +19,8 @@ from grs.acvalidate import redispatch_plan
 from grs.cli import main
 from grs.formulations import build_mrsp, build_rop
 from grs.grid import GridError, apply_damage, replicate
-from grs.mip import (INFEASIBLE, ITERATION_LIMIT, MipError, MipSolution,
-                     NumericalFailure)
+from grs.mip import (CUT_LIMIT, INFEASIBLE, ITERATION_LIMIT, NODE_LIMIT,
+                     TIME_LIMIT, MipError, MipSolution, NumericalFailure)
 from grs.workflows import PipelineInfeasible, heuristic_order
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -539,7 +539,9 @@ def test_numerical_failure_is_solver_limit(tmp_path, monkeypatch, caplog,
     assert "simplex iteration limit" in errors[0].getMessage()
 
 
-@pytest.mark.parametrize("status,rc", [(INFEASIBLE, 1), (ITERATION_LIMIT, 3)])
+@pytest.mark.parametrize("status,rc", [
+    (INFEASIBLE, 1), (ITERATION_LIMIT, 3), (TIME_LIMIT, 3), (NODE_LIMIT, 3),
+    (CUT_LIMIT, 3)])
 @pytest.mark.parametrize("command", [
     ["mrsp", "--case", CASE2, "--damage", DMG2],
     ["rop", "--case", CASE2, "--damage", DMG2, "--periods", "2"],
@@ -558,6 +560,8 @@ def test_solver_status_exit_codes(tmp_path, monkeypatch, caplog, command,
     assert len(errors) == 1
     if command[0] == "mrsp" and status == INFEASIBLE:
         assert "full load unreachable" in errors[0]
+    if rc == 3:  # the message names the limit
+        assert f"stopped at {status}" in errors[0]
 
 
 @pytest.mark.parametrize("old,new", [

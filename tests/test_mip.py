@@ -7,10 +7,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from grs.mip import (BINARY, EQ, GAP_LIMIT, GE, LE, INFEASIBLE,
-                     ITERATION_LIMIT, OPTIMAL, UNBOUNDED, MipModel,
-                     SolveLimits, SolveStats, cone_violation, solve_lp,
-                     solve_mip)
+from grs.mip import (BINARY, CUT_LIMIT, EQ, GAP_LIMIT, GE, LE, INFEASIBLE,
+                     ITERATION_LIMIT, NODE_LIMIT, OPTIMAL, TIME_LIMIT,
+                     UNBOUNDED, MipModel, SolveLimits, SolveStats,
+                     cone_violation, solve_lp, solve_mip)
 
 
 def test_lp_box_cap():
@@ -1070,9 +1070,22 @@ def test_node_limit_stops_at_that_many_nodes(case5, damage5_all):
     from grs.grid import replicate
     model = build_rop(replicate(case5, damage5_all, 5), DC)
     sol = solve_mip(model, SolveLimits(nodes=5))
-    assert sol.status == ITERATION_LIMIT and sol.stats.nodes == 5
+    assert sol.status == NODE_LIMIT and sol.stats.nodes == 5
     # a maximization stopped early: the bound lies above the incumbent
     assert sol.bound >= sol.objective
+
+
+def test_spent_cut_budget_stops_with_cut_limit(monkeypatch, case5,
+                                              damage5_all):
+    import grs.mip.bnb
+    from grs.formulations import SOC, build_rop
+    from grs.grid import replicate
+    # no cut may be added, so no node's cones can be certified closed
+    monkeypatch.setattr(grs.mip.bnb, "CONE_CUT_BUDGET", 0)
+    model = build_rop(replicate(case5, damage5_all, 2), SOC)
+    sol = solve_mip(model)
+    assert sol.status == CUT_LIMIT and sol.stats.cuts == 0
+    assert sol.message == "no incumbent found"
 
 
 # --- the crash start of large cold LPs -------------------------------------
@@ -1278,7 +1291,7 @@ def test_time_limit_stops_solve_mip_inside_an_lp(monkeypatch, case5,
     sol = solve_mip(model, SolveLimits(time_s=0.5))
     # the root LP stops at its first refactor; no cold retry, no failure
     assert len(results) == 1 and results[0].iters == REFACTOR_EVERY
-    assert sol.status == ITERATION_LIMIT and sol.stats.nodes == 0
+    assert sol.status == TIME_LIMIT and sol.stats.nodes == 0
     assert sol.message == "no incumbent found" and sol.bound == math.inf
 
 

@@ -38,6 +38,26 @@ def test_case118_panel_line():
     assert float(fields[12]) >= 0.0  # true ENS, MWh
 
 
+def test_op_digests_compare_marks_each_line():
+    digests = _load(ROOT / "scripts" / "op_digests.py")
+    ours = ["case5-dc-k5 plain d0e8a4f006e0df72",
+            "case118-heuristic heuristic-seed42 aea4df4dd72d30a2",
+            "validator 54 schedules 57d929e98f6591ac"]
+    theirs = [ours[0], "case118-heuristic heuristic-seed42 0123456789abcdef",
+              ours[2]]
+    assert digests.compare(ours, ours) == (
+        [f"same      {line}" for line in ours], 0)
+    assert digests.compare(ours, theirs) == ([
+        f"same      {ours[0]}",
+        "DIFFERENT case118-heuristic heuristic-seed42 aea4df4dd72d30a2 "
+        "0123456789abcdef",
+        f"same      {ours[2]}"], 1)
+    # a line only one side printed differs too
+    assert digests.compare(ours, ours[:2]) == (
+        [f"same      {ours[0]}", f"same      {ours[1]}",
+         "DIFFERENT validator 54 schedules 57d929e98f6591ac -"], 1)
+
+
 def test_perfbench_span_targets_exist():
     path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
