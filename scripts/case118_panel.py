@@ -2,16 +2,20 @@
 
 Prints one line per panel run: the DC repair-ordering pipeline at K=2 and
 K=3 and the MRSP-first pipeline at K=2, each on the area-1 ``gen-damage``
-scenarios of seeds 42-45 at a 1% gap, then acceptance criterion 9 (the
-ordering pipeline at K=10, seed 42).  Each line gives the simplex
-iterations, the root node's iterations (``-`` where the checkout does not
-count them), the B&B nodes, the crash columns, the solve seconds
-(``SolveStats.wall_s``) and the factorization seconds (``factor_s``),
-summed over the run's solves; then the objective and gap of its last
-solve (the ordering model) with that model's HiGHS optimum
-(``tests/oracles.highs_milp``), and the plan's true ENS from the AC
-validator.  A move of true ENS between two checkouts can so be read
-together with its HiGHS check.
+scenarios of seeds 42-45 at the relative gap given by ``--gap`` (default
+1%), then acceptance criterion 9 (the ordering pipeline at K=10, seed
+42).  Each line gives the simplex iterations, the root node's iterations
+(``-`` where the checkout does not count them), the B&B nodes, the crash
+columns, the solve seconds (``SolveStats.wall_s``) and the factorization
+seconds (``factor_s``), summed over the run's solves; then the objective
+and gap of its last solve (the ordering model) with that model's HiGHS
+optimum (``tests/oracles.highs_milp``), and the plan's true ENS from the
+AC validator.  A move of true ENS between two checkouts can so be read
+together with its HiGHS check.  At a nonzero gap, true ENS depends on
+which plan inside the gap the solve lands on, so a pivot-path change can
+move it without any loss of quality; at ``--gap 1e-6`` (the solver's
+default) every run ends at its optimum, and true ENS moved in none of
+the runs measured.
 
 grs is imported from the checkout given by ``--root`` (default: the one
 holding this script), so the same script can be run against another
@@ -19,7 +23,7 @@ checkout to compare the two; HiGHS always runs on this checkout's oracle.
 It writes nothing into the checkout: the damage files go to a temporary
 folder.
 
-Usage: python3 scripts/case118_panel.py [--root CHECKOUT]
+Usage: python3 scripts/case118_panel.py [--root CHECKOUT] [--gap GAP]
 """
 
 import os
@@ -46,8 +50,10 @@ HEADER = (f"{'run':<19} {'iters':>6} {'root':>6} {'nodes':>5} {'crash':>5} "
           f"{'objective':>10} {'gap':>7} {'highs':>10} {'true_ens':>9}")
 
 
-def run_line(root: Path, pipeline: str, periods: int, seed: int) -> str:
-    """One panel line; grs must already import from ``root``."""
+def run_line(root: Path, pipeline: str, periods: int, seed: int,
+             gap: float = 0.01) -> str:
+    """One panel line, solved to ``gap``; grs must already import from
+    ``root``."""
     from grs import cli, netio, workflows
     from grs.mip import SolveLimits
 
@@ -75,7 +81,7 @@ def run_line(root: Path, pipeline: str, periods: int, seed: int) -> str:
     workflows.solve_mip = recorded
     try:
         result = run(netio.load_case(case), dmg, periods,
-                     limits=SolveLimits(gap=0.01))
+                     limits=SolveLimits(gap=gap))
     finally:
         workflows.solve_mip = real
     stats = [sol.stats for _, sol in solves]
@@ -95,7 +101,12 @@ def run_line(root: Path, pipeline: str, periods: int, seed: int) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, default=HERE)
+    ap.add_argument("--gap", type=float, default=0.01,
+                    help="relative MIP gap of every solve (default 0.01)")
     args = ap.parse_args(argv)
+    if not args.gap >= 0.0:
+        print(f"case118_panel: --gap {args.gap} is not >= 0", file=sys.stderr)
+        return 2
     root = args.root.resolve()
     if not (root / "src" / "grs").is_dir():
         print(f"case118_panel: {root} is not a checkout with src/grs",
@@ -104,7 +115,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(HERE)]  # grs, then tests.oracles
     print(HEADER, flush=True)
     for pipeline, periods, seed in RUNS:
-        print(run_line(root, pipeline, periods, seed), flush=True)
+        print(run_line(root, pipeline, periods, seed, args.gap), flush=True)
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: parse, mrsp, rop, redispatch, pipeline, heuristic, gen-damage.
 All outputs are deterministic functions of (inputs, seed); wall-clock stage
-timings are only written when --timings is passed, to a separate file.
+timings, with the ROP solve's root bound and root time, are only written
+when --timings is passed, to a separate file.
 Exit codes: 0 success, 1 infeasible (``PipelineInfeasible``), 2 input error
 (``GridError``, or a file that cannot be read or decoded), 3 solver limit or
 numerical failure (``MipError``).
@@ -199,8 +200,11 @@ def cmd_pipeline(args):
     if args.csv:
         _write(args.csv, netio.write_report(result.report))
     if args.timings:
+        st = result.rop_stats
+        timings = {**result.timings, "rop_root_bound": st.root_bound,
+                   "rop_root_time": st.root_time}
         _dump_json(args.timings,
-                   {k: round(v, 3) for k, v in sorted(result.timings.items())})
+                   {k: round(v, 3) for k, v in sorted(timings.items())})
     log.info("pipeline: estimated %.3f MWh, true %.3f MWh",
              result.estimated_ens_mwh, result.true_ens_mwh)
     return EXIT_OK

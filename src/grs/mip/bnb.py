@@ -19,8 +19,8 @@ A deterministic fix-and-round dive runs at the root and every DIVE_EVERY
 nodes to supply incumbents early; it fixes the most fractional binary
 at each step, records no pseudocost, and changes neither the node order
 nor any bound, only the incumbent.  The solve's SolveStats count each
-incumbent improvement by where it was found (a dive or a node) and the
-root node's simplex iterations.
+incumbent improvement by where it was found (a dive or a node), the
+root node's simplex iterations, and its bound and end time.
 
 An LP solved without a start (the root, a cold retry, ``solve_lp``)
 starts from ``simplex.initial_basis``: a crash basis when the LP data's
@@ -340,12 +340,15 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
 
     def solve_node(node, start):
         """The node's LP with its cut rounds; the root's iterations also
-        count in root_iters."""
+        count in root_iters, and its end sets root_time and root_bound."""
         before = stats.lp_iters
         out = _solve_with_cones(ctx, node.fixes, start, limits, stats,
                                 deadline)
         if node is root:
             stats.root_iters += stats.lp_iters - before
+            stats.root_time = time.perf_counter() - t0
+            stats.root_bound = (external(out[0].obj) if out[0].status == OPTIMAL
+                                else math.nan)
         return out
 
     while heap:

@@ -154,9 +154,16 @@ class MipModel:
         return "\n".join(out) + "\n"
 
 
+_FIRST_SET = ("root_bound", "root_time")  # kept by SolveStats.add, not summed
+
+
 @dataclass
 class SolveStats:
-    """The counters of one LP solve or one whole solve; every field sums."""
+    """The counters of one LP solve or one whole solve.
+
+    Every field sums in ``add`` except the two root fields, which are NaN
+    until set and keep the first value set.
+    """
 
     nodes: int = 0  # branch-and-bound nodes processed
     lp_iters: int = 0  # simplex iterations
@@ -173,6 +180,10 @@ class SolveStats:
     dive_incumbents: int = 0  # incumbent improvements found by a dive
     node_incumbents: int = 0  # incumbent improvements found at a B&B node
     wall_s: float = 0.0  # perf_counter seconds of the whole solve
+    # the root node's LP bound (objective units, cut rounds included) and the
+    # perf_counter seconds from the solve's start until that LP ended
+    root_bound: float = math.nan
+    root_time: float = math.nan
     # simplex kernel seconds: factorization, ftran, btran, pricing, ratio test
     factor_s: float = 0.0
     ftran_s: float = 0.0
@@ -182,7 +193,11 @@ class SolveStats:
 
     def add(self, other: "SolveStats") -> None:
         for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name in _FIRST_SET:
+                setattr(self, f.name, theirs if math.isnan(mine) else mine)
+            else:
+                setattr(self, f.name, mine + theirs)
 
 
 @dataclass

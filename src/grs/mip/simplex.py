@@ -8,11 +8,15 @@ of bound violations of basic variables, which also makes warm starts from an
 arbitrary (e.g. parent-node) basis cheap.
 
 The basis inverse is kept as an LU factorization plus a list of eta vectors,
-refactored every REFACTOR_EVERY pivots.  On an LP whose ``crash`` flag is
-set (below) the LU is of the basis kernel only, the basic structural
-columns in the rows whose slack is nonbasic, and the basic slacks follow
-by substitution (``_Factors``).  Pricing is Dantzig (most attractive
-reduced cost, ties by lowest column index).  Once an LP has made
+refactored every REFACTOR_EVERY pivots.  On an LP whose ``crash`` or
+``cones`` flag is set (below) the LU is of the basis kernel only, the basic
+structural columns in the rows whose slack is nonbasic, and the basic
+slacks follow by substitution (``_Factors``).  Pricing is Dantzig (most
+attractive reduced cost, ties by lowest column index).  The ratio test is
+Harris's two passes (Harris 1973): a basic variable already inside its
+FEAS_TOL band but past its bound blocks at a relaxed step measured from
+where it is, so no step carries it out of the band, which would make the
+next iteration a phase-1 one that undoes the step.  Once an LP has made
 10*(rows+cols) degenerate pivots in all, the entering column is the
 lowest-index attractive one instead; the ratio test still picks the
 leaving row by the largest |delta|, so this is not Bland's rule and does
@@ -51,15 +55,17 @@ infeasible at the slack start (70 of those inequality rows), and the
 crash start leaves 29 basics out of bounds, against at most 134
 infeasible rows on the case5 and case10 models.
 
-The same flag chooses the kernel LU.  Restoration models are built from
-big-M on/off rows, so most rows keep their slack basic: the case118 K=2
-bases have 685-1 107 structural columns among 2 504, and per basis of
-one round the kernel takes 1.6 ms to factor against the whole basis's
-2.9, and 56 and 45 us to solve (ftran, btran) against 95 and 65.  On
-the small models the kernel's different rounding moved pivot paths for
-the worse (case5 DC K=5: 64 -> 94 nodes in the plain ordering solve;
-case5 SOC K=3: 10 508 -> 160 370 iterations, 4 -> 71 s), so every model
-without the flag keeps the whole LU and its pivots bit for bit.
+The kernel LU serves the crash models and every model with cone rows
+(``LpData.cones``, also set by ``build_lp_data``).  Restoration models
+are built from big-M on/off rows, so most rows keep their slack basic:
+the case118 K=2 bases have 685-1 107 structural columns among 2 504, and
+per basis of one round the kernel takes 1.6 ms to factor against the
+whole basis's 2.9, and 56 and 45 us to solve (ftran, btran) against 95
+and 65.  The case5 SOC bases are 78-85% slack, and there the kernel takes
+the K=3 ordering solve from 11 900 iterations to 9 090.  On the small DC
+models the kernel's different rounding moved pivot paths for the worse
+(case5 DC K=5: 64 -> 94 nodes in the plain ordering solve), so they keep
+the whole LU and their pivots bit for bit.
 
 A start basis taken before rows were appended gets a basic slack for
 each new row.  One site at the top of the loop makes the first
@@ -77,7 +83,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,9 +119,12 @@ class LpData:
     ub: np.ndarray
     nstruct: int
     # the crash rule: no cone rows, and at least CRASH_MIN_BAD_ROWS rows out
-    # of bounds at the slack start; such an LP's cold start crashes and its
-    # bases are factored by their kernel (set by build_lp_data)
+    # of bounds at the slack start; such an LP's cold start crashes (set by
+    # build_lp_data)
     crash: bool = False
+    # the model has cone rows (set by build_lp_data); the bases of a crash
+    # or cone LP are factored by their kernel
+    cones: bool = False
 
     @property
     def m(self) -> int:
@@ -126,8 +135,7 @@ class LpData:
         return self.A.shape[1]
 
     def with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "LpData":
-        return LpData(self.A, self.AT, self.b, self.c, lb, ub, self.nstruct,
-                      self.crash)
+        return replace(self, lb=lb, ub=ub)
 
     def column(self, j: int) -> np.ndarray:
         a = np.zeros(self.m)
@@ -202,8 +210,10 @@ def build_lp_data(model: MipModel, extra_rows=None,
                 lb=np.concatenate([lb0, slack_lb]),
                 ub=np.concatenate([ub0, slack_ub]), nstruct=n)
     if prev is not None:
-        lp.crash = prev.crash
-    elif not model.cone_rows:
+        lp.crash, lp.cones = prev.crash, prev.cones
+    elif model.cone_rows:
+        lp.cones = True
+    else:
         below, above = _violated(lp, default_basis(lp))
         bad = np.count_nonzero(below | above)
         lp.crash = bool(bad >= CRASH_MIN_BAD_ROWS)
@@ -236,10 +246,12 @@ class LpResult:
 class _Factors:
     """B = LU * E_1 * ... * E_k; solves B d = a (ftran) and B^T y = c (btran).
 
-    Given ``nstruct``, the columns from nstruct on are the slacks of
-    [A | I], and the LU is of the basis kernel only (Suhl & Suhl 1990):
-    S = A[K, C], the basic structural columns C in the rows K whose slack
-    is nonbasic, square because each basic slack covers its own row.  With
+    Without ``nstruct`` the LU is of the whole basis.  Given ``nstruct``,
+    the columns from nstruct on are the slacks of [A | I], and the LU is
+    of the basis kernel only (Suhl & Suhl 1990): S = A[K, C], the basic
+    structural columns C in the rows K whose slack is nonbasic, square
+    because each basic slack covers its own row (78-85% of the rows on the
+    case5 SOC bases, which ``_factor`` therefore factors this way).  With
     R = A[L, C], the same columns in the rows L of the basic slacks,
     B w = a is w_C = S^-1 a_K, then w_L = a_L - R w_C; B^T y = c is
     y_L = c_L, then y_K = S^-T (c_C - R^T y_L).  A kernel of order 0 has
@@ -338,8 +350,9 @@ class _Factors:
 
 
 def _factor(lp: LpData, basis: np.ndarray) -> _Factors:
-    """The factors of basis: its kernel's when ``lp.crash``, else whole."""
-    return _Factors(lp.A, basis, lp.nstruct if lp.crash else None)
+    """The factors of basis: its kernel's when ``lp.crash`` or ``lp.cones``,
+    else whole."""
+    return _Factors(lp.A, basis, lp.nstruct if lp.crash or lp.cones else None)
 
 
 def _nonbasic_value(j, vstat, lb, ub):
@@ -617,6 +630,15 @@ def _ratio_test(delta, x_b, lb_b, ub_b, below, above):
     keeps the eta updates well conditioned.  ``below`` and ``above`` are the
     caller's masks of x_b outside lb_b - FEAS_TOL and ub_b + FEAS_TOL.
 
+    A variable inside its band but past its bound has a negative distance
+    to that bound.  Pass 1 relaxes that distance as it is, so the relaxed
+    step moves the variable at most to the edge of its band; only the step
+    returned is clamped at 0 (Harris 1973; Gill, Murray, Saunders & Wright
+    1989).  Clamping each ratio first instead would let such a variable
+    overshoot by a further FEAS_TOL, out of the band, and the next
+    iteration's phase 1 would undo the step: a loop that ran for minutes
+    on the case5 SOC ordering model with K=2.
+
     Each position gets one target bound: a decreasing variable above
     ub + FEAS_TOL targets ub, any other decreasing one lb (mirrored for
     increasing ones).  The step is divided out only where |delta| > PIV_TOL
@@ -637,7 +659,6 @@ def _ratio_test(delta, x_b, lb_b, ub_b, below, above):
     ti = np.full(delta.shape, INF)
     np.divide(np.where(to_ub, ub_b, lb_b) - x_b, delta, out=ti,
               where=(adelta > PIV_TOL) & ~away)
-    np.maximum(ti, 0.0, out=ti)
     # pass 1: relaxed step, letting each blocker overshoot by FEAS_TOL; a
     # non-blocker's INF stays INF and fmin skips NaN
     t_rel = np.fmin.reduce(ti + FEAS_TOL / np.fmax(adelta, PIV_TOL))
@@ -645,7 +666,7 @@ def _ratio_test(delta, x_b, lb_b, ub_b, below, above):
         return INF, -1, 0
     # pass 2: largest pivot among blockers within the relaxed step
     k = int(np.argmax(np.where(ti <= t_rel, adelta, -1.0)))
-    return float(ti[k]), k, AT_UB if to_ub[k] else AT_LB
+    return max(float(ti[k]), 0.0), k, AT_UB if to_ub[k] else AT_LB
 
 
 def _struct_obj(lp: LpData, bas: Basis, x_b: np.ndarray) -> float:

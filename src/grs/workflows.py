@@ -22,7 +22,7 @@ from .grid import (BRANCH, GEN, DamageScenario, EnsReport, GridError,
                    MultiPeriodCase, Network, RestorationPlan, apply_damage,
                    ens_mwh, indicator, replicate, update_status)
 from .mip import (GAP_LIMIT, INFEASIBLE, OPTIMAL, MipError, MipModel,
-                  MipSolution, SolveLimits, solve_lp, solve_mip)
+                  MipSolution, SolveLimits, SolveStats, solve_lp, solve_mip)
 
 
 class PipelineInfeasible(Exception):
@@ -52,6 +52,7 @@ class PipelineResult:
     timings: dict[str, float] = field(default_factory=dict)
     mrsp_set: list[tuple[str, int]] | None = None
     mip_gap: float = 0.0
+    rop_stats: SolveStats = field(default_factory=SolveStats)  # the ROP solve's
 
     def check(self, total_energy_mwh: float):
         if self.formulation == formulations.SOC:
@@ -97,7 +98,8 @@ def run_rop_then_redispatch(net: Network, dmg: DamageScenario, periods: int,
     timings["total"] = time.perf_counter() - t_all
 
     result = PipelineResult(formulation, plan, report, est,
-                            report.true_ens_mwh, timings, None, sol.gap)
+                            report.true_ens_mwh, timings, None, sol.gap,
+                            sol.stats)
     # the demanded energy is the ENS of serving nothing
     return result.check(ens_mwh(case.total_load_mw(), [0.0] * (periods + 1),
                                 period_hours, count_initial_period))

@@ -260,6 +260,17 @@ def test_pipeline_command_byte_identical(tmp_path):
     result = json.loads(outs[0])
     assert result["estimated_ens_mwh"] == pytest.approx(140.0)
     assert "timings_s" not in result
+    # --timings adds the stage seconds and the ROP root facts, elsewhere
+    out, tim = tmp_path / "r3.json", tmp_path / "t.json"
+    assert main(["pipeline", "--case", CASE2, "--damage", DMG2, "--periods",
+                 "2", "--formulation", "dc", "--out", str(out),
+                 "--timings", str(tim)]) == 0
+    assert out.read_bytes() == outs[0]
+    timings = json.loads(tim.read_text())
+    assert set(timings) == {"build_rop", "solve_rop", "redispatch", "total",
+                            "rop_root_bound", "rop_root_time"}
+    assert 0.0 <= timings["rop_root_time"] <= timings["solve_rop"]
+    assert math.isfinite(timings["rop_root_bound"])
 
 
 def test_pipeline_debug_log_leaves_outputs_unchanged(tmp_path):

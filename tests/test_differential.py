@@ -8,7 +8,13 @@ At case118 scale, the DC repair-ordering model (K=2 and K=3) and the DC
 minimum-repair-set model of four area-1 ``gen-damage`` scenarios are
 checked the same way at a 1% gap; these are the models whose root LP
 starts from a crash basis.
-SOC models are left out: their cone rows have no HiGHS counterpart here.
+
+SOC models have no HiGHS counterpart here, so their gate checks answers
+against the model and the AC validator instead: on drawn case5 and case10
+damage, the SOC repair-ordering model (K=2) is solved under a node limit,
+and its incumbent must hold every cone row within ``cone_tol`` and
+estimate no more ENS than the AC redispatch of its plan finds, up to
+1e-4 of the demanded energy (acceptance criterion 5's tolerance).
 """
 
 import json
@@ -19,9 +25,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from grs import cli, netio
-from grs.formulations import DC, build_mrsp, build_rop
-from grs.grid import BRANCH, GEN, DamageScenario, apply_damage, replicate
-from grs.mip import INFEASIBLE, OPTIMAL, GAP_LIMIT, SolveLimits, solve_mip
+from grs.acvalidate import redispatch_plan
+from grs.formulations import (DC, SOC, build_mrsp, build_rop, decode_plan,
+                              estimated_ens_mwh)
+from grs.grid import (BRANCH, GEN, DamageScenario, apply_damage,
+                      connected_islands, ens_mwh, replicate)
+from grs.mip import (CUT_LIMIT, INFEASIBLE, NODE_LIMIT, OPTIMAL, GAP_LIMIT,
+                     SolveLimits, cone_violation, solve_mip)
 
 from tests.oracles import highs_milp
 
@@ -57,19 +67,65 @@ def _agrees(model, gap, sol=None):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_dc_rop_and_mrsp_match_highs(case5, case10, data):
+    net, dmg = _draw_damage(data, case5, case10)
+    periods = data.draw(st.integers(2, 3), label="periods")
+    gap = data.draw(st.sampled_from([1e-6, 1e-2]), label="gap")
+    rop = build_rop(replicate(net, dmg, periods), DC)
+    assert _agrees(rop, gap) == []
+    mrsp = build_mrsp(apply_damage(net, dmg), DC)
+    assert _agrees(mrsp, gap) == []
+
+
+def _draw_damage(data, case5, case10):
     net = data.draw(st.sampled_from([case5, case10]), label="case")
     live = net.live()
     items = [(BRANCH, i) for i in live.branches] + [(GEN, i) for i in live.gens]
     picked = data.draw(st.lists(st.sampled_from(items), min_size=1,
                                 unique=True), label="damage")
-    periods = data.draw(st.integers(2, 3), label="periods")
-    gap = data.draw(st.sampled_from([1e-6, 1e-2]), label="gap")
-    dmg = DamageScenario.of(branches=[i for k, i in picked if k == BRANCH],
-                            gens=[i for k, i in picked if k == GEN])
-    rop = build_rop(replicate(net, dmg, periods), DC)
-    assert _agrees(rop, gap) == []
-    mrsp = build_mrsp(apply_damage(net, dmg), DC)
-    assert _agrees(mrsp, gap) == []
+    return net, DamageScenario.of(
+        branches=[i for k, i in picked if k == BRANCH],
+        gens=[i for k, i in picked if k == GEN])
+
+
+def _charged_island_without_generator(net, dmg):
+    """Whether period 0 has an island with a charged branch and no
+    generator.  The SOC model keeps every undamaged bus energized, so the
+    charging's reactive power has nowhere to go: the model is infeasible."""
+    live = net.live()
+    on = {(BRANCH, i): (BRANCH, i) not in dmg.damaged for i in live.branches}
+    for island in connected_islands(net, on, live):
+        charged = any(on[BRANCH, i] and net.branches[i].f_bus in island
+                      and net.branches[i].b_charge != 0.0
+                      for i in live.branches)
+        supplied = any(net.gens[g].bus in island and (GEN, g) not in dmg.damaged
+                       for g in live.gens)
+        if charged and not supplied:
+            return True
+    return False
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_soc_rop_holds_its_cones_and_bounds_true_ens(case5, case10, data):
+    net, dmg = _draw_damage(data, case5, case10)
+    case = replicate(net, dmg, 2)
+    model = build_rop(case, SOC)
+    limits = SolveLimits(nodes=5)
+    sol = solve_mip(model, limits)
+    if sol.status == INFEASIBLE:
+        assert _charged_island_without_generator(net, dmg)
+        return
+    assert sol.status in (OPTIMAL, NODE_LIMIT, CUT_LIMIT)
+    if math.isnan(sol.objective):  # stopped before any incumbent
+        return
+    worst = max(cone_violation(c, sol.values) for c in model.cone_rows)
+    assert worst <= limits.cone_tol
+    plan = decode_plan(case, model, sol, SOC)
+    demanded = ens_mwh(case.total_load_mw(), [0.0] * 3, case.period_hours,
+                       True)
+    assert estimated_ens_mwh(case, plan) \
+        <= redispatch_plan(case, plan).true_ens_mwh + 1e-4 * demanded
 
 
 def _case118_damage(tmp_path, seed):

@@ -434,7 +434,6 @@ def _reference_ratio_test(delta, x_b, lb_b, ub_b):
     feas_inc = inc & ~infeas_below & (ub_b < INF) & (x_b <= ub_b + FEAS_TOL)
     np.divide(ub_b - x_b, delta, out=ti, where=feas_inc)
     tgt[feas_inc] = AT_UB
-    np.maximum(ti, 0.0, out=ti)
     blockable = ti < INF
     if not blockable.any():
         return INF, -1, 0
@@ -442,7 +441,7 @@ def _reference_ratio_test(delta, x_b, lb_b, ub_b):
                             ti + FEAS_TOL / np.maximum(adelta, PIV_TOL), INF))
     cand = blockable & (ti <= t_rel)
     blocking = int(np.argmax(np.where(cand, adelta, -1.0)))
-    return float(ti[blocking]), blocking, int(tgt[blocking])
+    return max(float(ti[blocking]), 0.0), blocking, int(tgt[blocking])
 
 
 def _reference_price(red, vstat, fixed, bland):
@@ -483,24 +482,30 @@ def _nonfinite(rng, v):
     return v
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2 ** 30))
-def test_ratio_test_and_pricing_match_reference(seed):
-    from grs.mip.simplex import (AT_LB, AT_UB, BASIC, FEAS_TOL, FREE_NB,
-                                 OPT_TOL, PIV_TOL, _price, _pricing_weights,
-                                 _ratio_test)
-    rng = np.random.default_rng(seed)
-    odd = np.random.default_rng([seed, 1])  # NaN and inf draws, kept apart
+def _ratio_test_draw(rng):
+    """(lb, ub, x, delta) of a ratio test: basics at, inside or just
+    outside a bound, by about FEAS_TOL, and steps near PIV_TOL."""
+    from grs.mip.simplex import FEAS_TOL, PIV_TOL
     m = int(rng.integers(1, 30))
     lb = np.round(rng.normal(size=m), int(rng.integers(0, 3)))
     ub = lb + rng.choice([0.0, 0.5, 1.0, 3.0], m)  # fixed bounds included
     lb[rng.random(m) < 0.2] = -math.inf
     ub[rng.random(m) < 0.2] = math.inf
-    # basics at, inside or just outside a bound, by about FEAS_TOL
     at = np.where(rng.random(m) < 0.5, lb, ub)
     x = np.where(np.isfinite(at), at, rng.normal(size=m)) \
         + _near(rng, m, 0.5, FEAS_TOL)
-    delta = _near(rng, m, 1.0, PIV_TOL)
+    return lb, ub, x, _near(rng, m, 1.0, PIV_TOL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_ratio_test_and_pricing_match_reference(seed):
+    from grs.mip.simplex import (AT_LB, AT_UB, BASIC, FEAS_TOL, FREE_NB,
+                                 OPT_TOL, _price, _pricing_weights,
+                                 _ratio_test)
+    rng = np.random.default_rng(seed)
+    odd = np.random.default_rng([seed, 1])  # NaN and inf draws, kept apart
+    lb, ub, x, delta = _ratio_test_draw(rng)
     with np.errstate(invalid="ignore"):
         for xs, ds in ((x, delta), (_nonfinite(odd, x), _nonfinite(odd, delta))):
             below = xs < lb - FEAS_TOL
@@ -524,18 +529,78 @@ def test_ratio_test_and_pricing_match_reference(seed):
                     assert (1.0 if reds[j] < 0.0 else -1.0) == want_dir
 
 
+# --- the ratio test keeps basics in their bands: termination ------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_ratio_test_keeps_basics_inside_their_band(seed):
+    # a step that pushed a basic variable from inside its FEAS_TOL band to
+    # outside it would hand the next iteration a phase-1 row that the step
+    # itself made, and phase 1 then undoes the step: the loop of a ratio
+    # test that clamps before the Harris relaxation
+    from grs.mip.simplex import FEAS_TOL, PIV_TOL, _ratio_test
+    lb, ub, x, delta = _ratio_test_draw(np.random.default_rng(seed))
+    lo, hi = lb - FEAS_TOL, ub + FEAS_TOL
+    below, above = x < lo, x > hi
+    t, k, _ = _ratio_test(delta, x, lb, ub, below, above)
+    if k < 0:
+        return
+    assert t >= 0.0
+    # positions that can block: inside the band, moving by more than PIV_TOL
+    inside = ~below & ~above & (np.abs(delta) > PIV_TOL)
+    after = x + t * delta
+    slack = 1e-12 * (1.0 + np.abs(x) + t * np.abs(delta))  # rounding
+    assert np.all(after[inside] >= lo[inside] - slack[inside])
+    assert np.all(after[inside] <= hi[inside] + slack[inside])
+
+
+def test_basic_inside_its_band_stays_there():
+    # the slack start puts s1 at -5e-8, below its bound 0 but inside the
+    # band.  x enters (max x) and moves s1 down at rate 0.1 and s2 at 10;
+    # s2 would block at 9e-7, which drives s1 to -1.4e-7, out of the band,
+    # so s1 must block first, with a zero step
+    from grs.mip.simplex import build_lp_data, solve_lp_core
+    m = MipModel()
+    x = m.add_var("x", 0, 10)
+    y = m.add_var("y", 0, 10)
+    m.add_row({x: 0.1, y: -1.0}, LE, -5e-8)
+    m.add_row({x: 10.0}, LE, 9e-6)
+    m.set_objective("min", {x: -1.0, y: 1.0})
+    res = solve_lp_core(build_lp_data(m))
+    assert res.status == OPTIMAL
+    assert (res.stats.phase1_iters, res.stats.phase_switches) == (0, 0)
+    assert res.x[x] == pytest.approx(9e-7, abs=1e-9)
+
+
+def test_case5_soc_rop_k2_terminates(case5, damage5_all):
+    # all 11 components damaged: a loop of phase-1 pivots ran for minutes
+    # here while the ratio test clamped before relaxing
+    from grs.acvalidate import redispatch_plan
+    from grs.formulations import SOC, build_rop
+    from grs.grid import replicate
+    from grs.workflows import solve_rop
+    case = replicate(case5, damage5_all, 2)
+    plan, sol = solve_rop(case, build_rop(case, SOC), SOC,
+                          SolveLimits(time_s=60))
+    assert sol.status == OPTIMAL
+    assert plan.objective_value == pytest.approx(2000.0)  # MWh served
+    assert redispatch_plan(case, plan).true_ens_mwh == pytest.approx(1000.0)
+
+
 # --- whole solves against the earlier iteration loop --------------------
 
 class _ReferenceFactors:
-    """The earlier LU + eta file: pivots read back from d, btran copies."""
+    """The earlier eta file over the live code's factored basis (its kernel
+    or whole LU): pivots read back from d, btran copies."""
 
-    def __init__(self, A, basis):
-        from scipy.sparse.linalg import splu
-        self.lu = splu(A[:, basis].tocsc())
+    def __init__(self, lp, basis):
+        from grs.mip.simplex import _factor
+        base = _factor(lp, basis)
+        self.solve, self.solve_t = base._solve, base._solve_t
         self.etas = []
 
     def ftran(self, rhs):
-        w = self.lu.solve(rhs)
+        w = self.solve(rhs)
         for r, d in self.etas:
             wr = w[r] / d[r]
             if wr != 0.0:
@@ -549,7 +614,7 @@ class _ReferenceFactors:
             yr = y[r]
             s = d @ y - d[r] * yr
             y[r] = (yr - s) / d[r]
-        return self.lu.solve(y, trans="T")
+        return self.solve_t(y)
 
 
 def _reference_solve_lp_core(lp, start=None):
@@ -578,11 +643,11 @@ def _reference_solve_lp_core(lp, start=None):
     def factor():
         nonlocal bas, restarts
         try:
-            return _ReferenceFactors(lp.A, bas.basis)
+            return _ReferenceFactors(lp, bas.basis)
         except RuntimeError:
             restarts += 1
             bas = default_basis(lp)
-            return _ReferenceFactors(lp.A, bas.basis)
+            return _ReferenceFactors(lp, bas.basis)
 
     def result(status, obj=None, message=""):
         return LpResult(status, _full_x(lp, bas, x_b),
@@ -895,6 +960,15 @@ def test_phase_counters_and_kernel_timers():
                    st.ratio_s) > 0.0
 
 
+def test_solve_stats_add_sums_all_but_the_first_set_root_fields():
+    st = SolveStats(lp_iters=2, wall_s=0.5)
+    st.add(SolveStats(lp_iters=3, root_bound=-1.0, root_time=0.25))
+    st.add(SolveStats(lp_iters=4, root_bound=7.0, root_time=9.0))
+    assert (st.lp_iters, st.wall_s) == (9, 0.5)
+    assert (st.root_bound, st.root_time) == (-1.0, 0.25)
+    assert math.isnan(SolveStats().root_bound)
+
+
 def test_solves_log_one_summary_of_their_lp_totals(monkeypatch, caplog):
     import grs.mip.bnb
     results = []
@@ -920,7 +994,11 @@ def test_solves_log_one_summary_of_their_lp_totals(monkeypatch, caplog):
                    "wall_s"}
     for f in fields(SolveStats):
         lp_values = [getattr(r.stats, f.name) for r in results]
-        if f.name in solve_level:
+        if f.name in ("root_bound", "root_time"):  # set by solve_mip alone
+            assert all(math.isnan(v) for v in lp_values), f.name
+            assert math.isnan(getattr(relaxed.stats, f.name)), f.name
+            assert math.isfinite(getattr(st, f.name)), f.name
+        elif f.name in solve_level:
             assert not any(lp_values), f.name
         else:
             assert getattr(st, f.name) == sum(lp_values[:-1]), f.name
@@ -960,6 +1038,8 @@ def test_root_and_incumbent_counters(monkeypatch, case5, damage5_all):
     st = sol.stats
     assert sol.status == OPTIMAL and st.nodes > 1
     assert st.root_iters == results[0].iters < st.lp_iters
+    # the root LP takes b and half of a
+    assert st.root_bound == pytest.approx(3.5) and 0.0 < st.root_time < st.wall_s
     assert st.dive_incumbents == 0 and st.node_incumbents >= 1
     # the case5 root's dive finds an incumbent within 5% of the root bound
     results.clear()
@@ -1228,14 +1308,15 @@ def test_small_dc_models_keep_the_slack_start(request, case_name):
     for k in range(2, 12):  # the plain ROP and the ROP after MRSP
         models.append(build_rop(replicate(net, dmg, k), DC))
         models.append(build_rop(replicate(reduced, kept, k), DC))
-    # the SOC model: its cone rows keep the slack start and the whole LU
-    models.append(build_rop(replicate(net, dmg, 3), SOC))
-    for model in models:
+    soc = build_rop(replicate(net, dmg, 3), SOC)
+    for model in [*models, soc]:
         lp = build_lp_data(model)
         assert not lp.crash
         assert _same_basis(initial_basis(lp), default_basis(lp))
-        # a basis with structural columns is factored whole
-        assert _factor(lp, crash_basis(lp).basis).order == lp.m
+        # a basis with structural columns is factored whole, but on the
+        # SOC model, whose cone rows keep the slack start, by its kernel
+        order = _factor(lp, crash_basis(lp).basis).order
+        assert order < lp.m if model is soc else order == lp.m
 
 
 def test_case118_dc_model_is_factored_by_its_kernel(tmp_path):

@@ -25,17 +25,32 @@ def test_script_imports(path, monkeypatch):
 
 
 def test_case118_panel_line():
+    _check_panel_line(0.01)
+
+
+def test_case118_panel_line_at_the_default_gap():
+    _check_panel_line(1e-6)
+
+
+def _check_panel_line(gap):
     panel = _load(ROOT / "scripts" / "case118_panel.py")
-    fields = panel.run_line(ROOT, "rop", 2, 42).split()
+    fields = panel.run_line(ROOT, "rop", 2, 42, gap).split()
     assert fields[:3] == ["rop", "K=2", "s42"]
     iters, root, nodes, crash = map(int, fields[3:7])
     assert 0 < root <= iters and nodes >= 1 and crash > 0
     solve_s, factor_s = float(fields[7]), float(fields[8])
     assert 0.0 < factor_s < solve_s
-    objective, gap, highs = float(fields[9]), fields[10], float(fields[11])
-    assert gap.endswith("%") and 0.0 <= float(gap[:-1]) <= 1.0
-    assert objective == pytest.approx(highs, rel=0.01)
+    objective, got, highs = float(fields[9]), fields[10], float(fields[11])
+    assert got.endswith("%") and 0.0 <= float(got[:-1]) <= 100 * gap
+    # both printed to 3 decimals
+    assert objective == pytest.approx(highs, rel=gap, abs=1e-3)
     assert float(fields[12]) >= 0.0  # true ENS, MWh
+
+
+def test_case118_panel_rejects_a_bad_gap(capsys):
+    panel = _load(ROOT / "scripts" / "case118_panel.py")
+    assert panel.main(["--gap", "nan"]) == 2
+    assert "--gap" in capsys.readouterr().err
 
 
 def test_op_digests_compare_marks_each_line():
