@@ -310,38 +310,6 @@ class IslandData:
             [k for k, g in enumerate(ramp) if gen[g].bus == slack_bus])
 
 
-def branch_flows(net: Network, bid: int, vf: complex, vt: complex):
-    yff, yft, ytf, ytt = _branch_admittances(net.branches[bid])
-    s_fr = vf * (yff * vf + yft * vt).conjugate()
-    s_to = vt * (ytf * vf + ytt * vt).conjugate()
-    return s_fr, s_to
-
-
-def residual_injections(net: Network, buses: list[int], branches: list[int],
-                        vm: dict[int, float], va: dict[int, float]) -> dict[int, complex]:
-    """Bus power injections recomputed from per-branch flows and shunts.
-
-    Independent of the Newton solver's Ybus path; used to cross-check
-    converged states.
-    """
-    v = {b: vm[b] * complex(math.cos(va[b]), math.sin(va[b])) for b in buses}
-    inj = {b: 0j for b in buses}
-    for bid in branches:
-        br = net.branches[bid]
-        s_fr, s_to = branch_flows(net, bid, v[br.f_bus], v[br.t_bus])
-        inj[br.f_bus] += s_fr
-        inj[br.t_bus] += s_to
-    for s in net.shunts.values():
-        if s.bus in inj:
-            inj[s.bus] += (vm[s.bus] ** 2) * complex(s.gs, -s.bs)
-    return inj
-
-
-def power_flow_jacobian(Y: np.ndarray, v: np.ndarray):
-    """dS/d(theta) and dS/d(Vm) for injections S = V conj(Y V)."""
-    return _ds_blocks(Y, v, Y @ v, np.arange(len(v)))
-
-
 def _ds_blocks(Y, v, ibus, vm_cols):
     """dS/d(theta), and the columns vm_cols of dS/d(Vm).
 

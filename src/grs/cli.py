@@ -2,8 +2,9 @@
 
 Subcommands: parse, mrsp, rop, redispatch, pipeline, heuristic, gen-damage.
 All outputs are deterministic functions of (inputs, seed); wall-clock stage
-timings, with the ROP solve's root bound and root time, are only written
-when --timings is passed, to a separate file.
+timings, with the root bound and root time of the ROP solve (and of the
+MRSP solve under pipeline --mrsp), are only written when --timings is
+passed, to a separate file.
 Exit codes: 0 success, 1 infeasible (``PipelineInfeasible``), 2 input error
 (``GridError``, or a file that cannot be read or decoded), 3 solver limit or
 numerical failure (``MipError``).
@@ -133,7 +134,8 @@ def cmd_mrsp(args):
     model = formulations.build_mrsp(damaged, args.formulation)
     if args.dump_lp:
         _write(args.dump_lp, model.to_lp_string())
-    indicators, kept = workflows.solve_mrsp(damaged, model, _limits_from(args))
+    indicators, kept, _ = workflows.solve_mrsp(damaged, model,
+                                               _limits_from(args))
     out = {
         "formulation": args.formulation,
         "damaged": len(indicators),
@@ -200,9 +202,12 @@ def cmd_pipeline(args):
     if args.csv:
         _write(args.csv, netio.write_report(result.report))
     if args.timings:
-        st = result.rop_stats
-        timings = {**result.timings, "rop_root_bound": st.root_bound,
-                   "rop_root_time": st.root_time}
+        timings = dict(result.timings)
+        for stage, st in (("rop", result.rop_stats),
+                          ("mrsp", result.mrsp_stats)):
+            if st is not None:
+                timings[f"{stage}_root_bound"] = st.root_bound
+                timings[f"{stage}_root_time"] = st.root_time
         _dump_json(args.timings,
                    {k: round(v, 3) for k, v in sorted(timings.items())})
     log.info("pipeline: estimated %.3f MWh, true %.3f MWh",

@@ -8,10 +8,11 @@ of bound violations of basic variables, which also makes warm starts from an
 arbitrary (e.g. parent-node) basis cheap.
 
 The basis inverse is kept as an LU factorization plus a list of eta vectors,
-refactored every REFACTOR_EVERY pivots.  On an LP whose ``crash`` or
-``cones`` flag is set (below) the LU is of the basis kernel only, the basic
-structural columns in the rows whose slack is nonbasic, and the basic
-slacks follow by substitution (``_Factors``).  Pricing is Dantzig (most
+refactored once REFACTOR_EVERY pivots and bound flips have been made since
+the last factorization (a bound flip adds no eta, but counts).  On an LP
+whose ``crash`` or ``cones`` flag is set (below) the LU is of the basis
+kernel only, the basic structural columns in the rows whose slack is
+nonbasic, and the basic slacks follow by substitution (``_Factors``).  Pricing is Dantzig (most
 attractive reduced cost, ties by lowest column index).  The ratio test is
 Harris's two passes (Harris 1973): a basic variable already inside its
 FEAS_TOL band but past its bound blocks at a relaxed step measured from
@@ -37,7 +38,18 @@ the same values as the plain per-iteration masks (kept as a frozen loop
 in tests/test_mip.py), so every pivot, iteration count, refactor,
 restart, final basis and solution is bit-for-bit the same.  NaN or
 infinite reduced costs, steps and basic values are never chosen and
-never block.
+never block.  Phase 2, where no basic is outside its band, skips the
+masks in the ratio test: they select the same bounds there.
+
+The loop's sparse products skip scipy's per-call glue, under the same
+rule.  A^T y (pricing), A x_N (each refactor) and the kernel's R w_C and
+R^T y_L are ``_matvec`` calls: scipy's compiled ``csc_matvec`` and
+``csr_matvec``, the kernels its ``@`` reaches, on the same arrays and
+into the same zeroed output, so the sums run in the same order.  The
+basis columns are gathered by index ranges (``_gather``), giving SuperLU
+the arrays that ``A[:, basis]`` would.  A new kernel here must keep every
+operand, expression and summation order of the one it replaces;
+tests/test_mip.py checks ``_matvec`` against ``@`` bit for bit.
 
 The start basis.  ``solve_lp_core`` starts from the all-slack basis
 unless given one.  ``build_lp_data`` sets ``LpData.crash`` once per
@@ -88,6 +100,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .model import (GE, INF, INFEASIBLE, ITERATION_LIMIT, LE, OPTIMAL,
                     UNBOUNDED, MipModel, NumericalFailure, SolveStats)
@@ -243,6 +256,42 @@ class LpResult:
         return self.stats.lp_iters
 
 
+def _matvec(M: tuple, x: np.ndarray, trans: bool = False) -> np.ndarray:
+    """M @ x, or M.T @ x with ``trans``, for M = (nrows, ncols, indptr,
+    indices, data) the arrays of a CSC matrix.
+
+    These are the compiled ``csc_matvec`` and ``csr_matvec`` (M.T is the
+    CSR matrix on M's arrays) that scipy's ``@`` calls for a float vector,
+    into the same zeroed output, without its per-call argument checks; the
+    result is the same bit for bit, signs of zeros included.  x must be a
+    float64 array of the right length: nothing here checks it.
+    """
+    nrows, ncols, indptr, indices, data = M
+    if trans:
+        y = np.zeros(ncols)
+        _sparsetools.csr_matvec(ncols, nrows, indptr, indices, data, x, y)
+    else:
+        y = np.zeros(nrows)
+        _sparsetools.csc_matvec(nrows, ncols, indptr, indices, data, x, y)
+    return y
+
+
+def _csc(M: sp.csc_matrix) -> tuple:
+    """The arrays of a CSC matrix, as ``_matvec`` takes them."""
+    return (*M.shape, M.indptr, M.indices, M.data)
+
+
+def _gather(A: sp.csc_matrix, cols: np.ndarray):
+    """(indptr, indices, data) of A[:, cols], taken by index ranges: the
+    arrays scipy's A[:, cols] builds, without its indexing machinery."""
+    start = A.indptr[cols]
+    lens = A.indptr[cols + 1] - start
+    ptr = np.zeros(len(cols) + 1, dtype=A.indptr.dtype)
+    np.cumsum(lens, out=ptr[1:])
+    take = np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], lens)
+    return ptr, A.indices[take], A.data[take]
+
+
 class _Factors:
     """B = LU * E_1 * ... * E_k; solves B d = a (ftran) and B^T y = c (btran).
 
@@ -257,6 +306,10 @@ class _Factors:
     y_L = c_L, then y_K = S^-T (c_C - R^T y_L).  A kernel of order 0 has
     no LU.  ``order`` is the order of the LU.
 
+    Both paths gather their basis columns by index ranges (``_gather``);
+    only the matrix SuperLU factors is a scipy object.  R is kept as its
+    CSC arrays, and R w_C and R^T y_L are ``_matvec`` calls on them.
+
     S keeps its columns in basis position order (SuperLU's NATURAL column
     order; rows are still pivoted), where a crash column sits in the row it
     was pivoted in.  On the case118 K=2 round's kernels that factored in
@@ -268,11 +321,12 @@ class _Factors:
                  nstruct: int | None = None):
         self.etas: list[tuple[int, float, np.ndarray]] = []  # (r, d[r], d)
         self.kernel = nstruct is not None
-        if not self.kernel:
-            self.lu = spla.splu(A[:, basis].tocsc())
-            self.order = len(basis)
-            return
         m = len(basis)
+        if not self.kernel:
+            ptr, rows, vals = _gather(A, basis)
+            self.lu = spla.splu(sp.csc_matrix((vals, rows, ptr), shape=(m, m)))
+            self.order = m
+            return
         struct = basis < nstruct
         self.pos_c = np.flatnonzero(struct)  # basis positions of C
         self.pos_l = np.flatnonzero(~struct)  # basis positions of the slacks
@@ -283,28 +337,21 @@ class _Factors:
         k = self.order = len(self.pos_c)
         if len(self.rows_k) != k:  # a slack twice in the basis
             raise RuntimeError("Factor is exactly singular")
-        # row -> its place in K or in L; entries of C taken by index ranges
-        place = np.empty(m, dtype=np.int64)
+        # row -> its place in K or in L
+        place = np.empty(m, dtype=A.indices.dtype)
         place[self.rows_k] = np.arange(k)
         place[self.rows_l] = np.arange(m - k)
-        cols = basis[self.pos_c]
-        start, lens = A.indptr[cols], A.indptr[cols + 1] - A.indptr[cols]
-        offset = start - np.cumsum(lens) + lens
-        take = np.arange(lens.sum()) + np.repeat(offset, lens)
-        rows, vals = A.indices[take], A.data[take]
-        col_of = np.repeat(np.arange(k), lens)
+        ptr, rows, vals = _gather(A, basis[self.pos_c])
         in_l = slack_row[rows]
-
-        def part(mask, nrows):
-            ptr = np.zeros(k + 1, dtype=np.int64)
-            np.cumsum(np.bincount(col_of[mask], minlength=k), out=ptr[1:])
-            return sp.csc_matrix((vals[mask], place[rows[mask]], ptr),
-                                 shape=(nrows, k))
-
-        self.R = part(in_l, m - k)
-        self.RT = self.R.T
-        self.lu = (spla.splu(part(~in_l, k), permc_spec="NATURAL") if k
-                   else None)
+        # the entries in L before each column of C: R's column pointers
+        ptr_l = np.zeros(len(in_l) + 1, dtype=ptr.dtype)
+        np.cumsum(in_l, out=ptr_l[1:])
+        ptr_l = ptr_l[ptr]
+        self.R = (m - k, k, ptr_l, place[rows[in_l]], vals[in_l])
+        in_k = ~in_l
+        self.lu = (spla.splu(sp.csc_matrix(
+            (vals[in_k], place[rows[in_k]], ptr - ptr_l), shape=(k, k)),
+            permc_spec="NATURAL") if k else None)
 
     def _solve(self, a: np.ndarray) -> np.ndarray:
         """B w = a for the factored basis, before the etas."""
@@ -313,7 +360,7 @@ class _Factors:
         w = np.empty(len(a))
         w_c = self.lu.solve(a[self.rows_k]) if self.order else np.zeros(0)
         w[self.pos_c] = w_c
-        w[self.pos_l] = a[self.rows_l] - self.R @ w_c
+        w[self.pos_l] = a[self.rows_l] - _matvec(self.R, w_c)
         return w
 
     def _solve_t(self, c: np.ndarray) -> np.ndarray:
@@ -324,8 +371,8 @@ class _Factors:
         y_l = c[self.pos_l]
         y[self.rows_l] = y_l
         if self.order:
-            y[self.rows_k] = self.lu.solve(c[self.pos_c] - self.RT @ y_l,
-                                           trans="T")
+            y[self.rows_k] = self.lu.solve(
+                c[self.pos_c] - _matvec(self.R, y_l, trans=True), trans="T")
         return y
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
@@ -470,6 +517,7 @@ def solve_lp_core(lp: LpData, start: Basis | None = None,
     clock = time.perf_counter
 
     st = SolveStats()
+    A, AT = _csc(lp.A), _csc(lp.AT)
     bas = default_basis(lp) if start is None else _extended(start, lp)
     fixed = lp.lb == lp.ub
     psign, free = _pricing_weights(bas.vstat, fixed)
@@ -506,7 +554,7 @@ def solve_lp_core(lp: LpData, start: Basis | None = None,
                 fact = _factor(lp, bas.basis)
             st.factor_s += clock() - t0
             st.lu_order += fact.order
-            x_b = fact.ftran(lp.b - lp.A @ _nonbasic_vector(lp, bas))
+            x_b = fact.ftran(lp.b - _matvec(A, _nonbasic_vector(lp, bas)))
             # the basics' bounds and their FEAS_TOL bands, kept per pivot
             lb_b, ub_b = lp.lb[bas.basis], lp.ub[bas.basis]
             lo_b, hi_b = lb_b - FEAS_TOL, ub_b + FEAS_TOL
@@ -523,12 +571,12 @@ def solve_lp_core(lp: LpData, start: Basis | None = None,
         if phase1:
             y = fact.btran(np.subtract(above, below, dtype=float))
             t1 = clock()
-            red = lp.AT @ y
+            red = _matvec(AT, y)
             red *= -1.0
         else:
             y = fact.btran(lp.c[bas.basis])
             t1 = clock()
-            red = lp.AT @ y
+            red = _matvec(AT, y)
             np.subtract(lp.c, red, out=red)
         j = _price(red, psign, free, degen_count > lowest_after)
         t2 = clock()
@@ -543,8 +591,9 @@ def solve_lp_core(lp: LpData, start: Basis | None = None,
         d_col = fact.ftran(lp.column(j))
         delta = -direction * d_col  # basic motion per unit entering step
         t3 = clock()
-        t, blocking, block_bound = _ratio_test(delta, x_b, lb_b, ub_b,
-                                               below, above)
+        t, blocking, block_bound = (
+            _ratio_test(delta, x_b, lb_b, ub_b, below, above) if phase1
+            else _ratio_test(delta, x_b, lb_b, ub_b))
         st.ftran_s += t3 - t2
         st.ratio_s += clock() - t3
 
@@ -616,11 +665,11 @@ def _price(red, psign, free, lowest):
     if len(free):
         elig[free] = np.abs(red[free])
     np.fmax(elig, 0.0, out=elig)  # 0 * inf and NaN never enter
-    j = int(np.argmax(elig > OPT_TOL if lowest else elig))
+    j = int((elig > OPT_TOL if lowest else elig).argmax())
     return j if elig[j] > OPT_TOL else -1
 
 
-def _ratio_test(delta, x_b, lb_b, ub_b, below, above):
+def _ratio_test(delta, x_b, lb_b, ub_b, below=None, above=None):
     """Two-pass (Harris) ratio test, phase aware.
 
     Basic variables outside their bounds block at the bound they are moving
@@ -628,7 +677,10 @@ def _ratio_test(delta, x_b, lb_b, ub_b, below, above):
     first pass finds the smallest step with bounds relaxed by FEAS_TOL, the
     second picks the largest pivot among blockers within that step, which
     keeps the eta updates well conditioned.  ``below`` and ``above`` are the
-    caller's masks of x_b outside lb_b - FEAS_TOL and ub_b + FEAS_TOL.
+    caller's masks of x_b outside lb_b - FEAS_TOL and ub_b + FEAS_TOL; phase
+    2 leaves them None, as no basic is outside its band.  The masks below
+    then reduce to to_ub = ~dec and no ``away``, which that branch computes
+    directly: the same selections, so the same steps bit for bit.
 
     A variable inside its band but past its bound has a negative distance
     to that bound.  Pass 1 relaxes that distance as it is, so the relaxed
@@ -652,20 +704,25 @@ def _ratio_test(delta, x_b, lb_b, ub_b, below, above):
     """
     adelta = np.abs(delta)
     dec = delta < 0.0
-    # dec ? above : ~below and dec ? below : above, as bit operations,
-    # which numpy runs faster than np.where on booleans
-    to_ub = (dec & above) | ~(dec | below)
-    away = (dec & below) | (above & ~dec)
     ti = np.full(delta.shape, INF)
-    np.divide(np.where(to_ub, ub_b, lb_b) - x_b, delta, out=ti,
-              where=(adelta > PIV_TOL) & ~away)
+    if below is None:  # phase 2
+        to_ub = ~dec
+        np.divide(np.where(dec, lb_b, ub_b) - x_b, delta, out=ti,
+                  where=adelta > PIV_TOL)
+    else:
+        # dec ? above : ~below and dec ? below : above, as bit operations,
+        # which numpy runs faster than np.where on booleans
+        to_ub = (dec & above) | ~(dec | below)
+        away = (dec & below) | (above & ~dec)
+        np.divide(np.where(to_ub, ub_b, lb_b) - x_b, delta, out=ti,
+                  where=(adelta > PIV_TOL) & ~away)
     # pass 1: relaxed step, letting each blocker overshoot by FEAS_TOL; a
     # non-blocker's INF stays INF and fmin skips NaN
     t_rel = np.fmin.reduce(ti + FEAS_TOL / np.fmax(adelta, PIV_TOL))
     if not t_rel < INF:
         return INF, -1, 0
     # pass 2: largest pivot among blockers within the relaxed step
-    k = int(np.argmax(np.where(ti <= t_rel, adelta, -1.0)))
+    k = int(np.where(ti <= t_rel, adelta, -1.0).argmax())
     return max(float(ti[k]), 0.0), k, AT_UB if to_ub[k] else AT_LB
 
 

@@ -53,6 +53,7 @@ class PipelineResult:
     mrsp_set: list[tuple[str, int]] | None = None
     mip_gap: float = 0.0
     rop_stats: SolveStats = field(default_factory=SolveStats)  # the ROP solve's
+    mrsp_stats: SolveStats | None = None  # the MRSP solve's, MRSP-first only
 
     def check(self, total_energy_mwh: float):
         if self.formulation == formulations.SOC:
@@ -120,8 +121,8 @@ def solve_mrsp(damaged: Network, model: MipModel,
     """Solve a built MRSP model; an infeasible one raises
     ``PipelineInfeasible``.
 
-    Returns each damaged component's repair indicator and the components
-    kept for repair.
+    Returns each damaged component's repair indicator, the components
+    kept for repair, and the solution.
     """
     try:
         sol = _checked(solve_mip(model, limits), "mrsp")
@@ -131,7 +132,7 @@ def solve_mrsp(damaged: Network, model: MipModel,
     indicators = formulations.mrsp_set(damaged, model, sol)
     kept = frozenset((kind, cid) for (kind, cid), z in indicators.items()
                      if indicator(z, f"{kind} {cid}") == 1)
-    return indicators, DamageScenario(kept)
+    return indicators, DamageScenario(kept), sol
 
 
 def run_mrsp_then_rop(net: Network, dmg: DamageScenario, periods: int,
@@ -147,7 +148,7 @@ def run_mrsp_then_rop(net: Network, dmg: DamageScenario, periods: int,
     mrsp_model = formulations.build_mrsp(damaged_net, formulation)
     build_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    indicators, kept = solve_mrsp(damaged_net, mrsp_model, limits)
+    indicators, kept, mrsp_sol = solve_mrsp(damaged_net, mrsp_model, limits)
     solve_s = time.perf_counter() - t0
 
     # update_status keeps the loads, so the inner relaxation check holds
@@ -155,6 +156,7 @@ def run_mrsp_then_rop(net: Network, dmg: DamageScenario, periods: int,
         update_status(damaged_net, indicators), kept, periods, formulation,
         period_hours, count_initial_period, limits)
     result.mrsp_set = kept.sorted_items()
+    result.mrsp_stats = mrsp_sol.stats
     timings = result.timings
     timings["build_mrsp"] = build_s
     timings["solve_mrsp"] = solve_s

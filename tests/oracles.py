@@ -1,9 +1,15 @@
 """Independent reference computations used to cross-check the solvers.
 
-Everything here goes through scipy (HiGHS linprog and milp, dense linear
-algebra), never through the package's own simplex or power-flow code, so
-agreement is meaningful.  ``model_size`` states the model builders' sizes as counting
+Everything here but the AC helpers at the end goes through scipy (HiGHS
+linprog and milp, dense linear algebra), never through the package's own
+simplex or power-flow code, so agreement is meaningful.  ``model_size`` states the model builders' sizes as counting
 formulas, apart from the builders themselves.
+
+The AC helpers are read by the tests only.  ``branch_flows`` and
+``residual_injections`` recompute bus injections branch by branch from the
+validator's branch admittances, apart from the Newton solver's Ybus, and
+``power_flow_jacobian`` is the whole-network Jacobian from the validator's
+own ``_ds_blocks``.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
+from grs.acvalidate import _branch_admittances, _ds_blocks
 from grs.formulations import DC
 from grs.grid import BRANCH, BUS, GEN, MultiPeriodCase, Network
 from grs.mip import BINARY, EQ, GE, LE, MipModel
@@ -213,3 +220,35 @@ def model_size(net: Network, formulation: str, rop: bool, periods: int,
         nrows += periods  # cardinality
         nrows += (nd + nl) * periods  # monotone energization and service
     return nvars, nrows
+
+
+def branch_flows(net: Network, bid: int, vf: complex, vt: complex):
+    yff, yft, ytf, ytt = _branch_admittances(net.branches[bid])
+    s_fr = vf * (yff * vf + yft * vt).conjugate()
+    s_to = vt * (ytf * vf + ytt * vt).conjugate()
+    return s_fr, s_to
+
+
+def residual_injections(net: Network, buses: list[int], branches: list[int],
+                        vm: dict[int, float], va: dict[int, float]) -> dict[int, complex]:
+    """Bus power injections recomputed from per-branch flows and shunts.
+
+    Independent of the Newton solver's Ybus path; used to cross-check
+    converged states.
+    """
+    v = {b: vm[b] * complex(math.cos(va[b]), math.sin(va[b])) for b in buses}
+    inj = {b: 0j for b in buses}
+    for bid in branches:
+        br = net.branches[bid]
+        s_fr, s_to = branch_flows(net, bid, v[br.f_bus], v[br.t_bus])
+        inj[br.f_bus] += s_fr
+        inj[br.t_bus] += s_to
+    for s in net.shunts.values():
+        if s.bus in inj:
+            inj[s.bus] += (vm[s.bus] ** 2) * complex(s.gs, -s.bs)
+    return inj
+
+
+def power_flow_jacobian(Y: np.ndarray, v: np.ndarray):
+    """dS/d(theta) and dS/d(Vm) for injections S = V conj(Y V)."""
+    return _ds_blocks(Y, v, Y @ v, np.arange(len(v)))

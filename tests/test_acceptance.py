@@ -16,8 +16,7 @@ import pytest
 
 from grs import cli, netio
 from grs.acvalidate import (IslandData, max_load_delivery, newton_pf,
-                            power_flow_jacobian, redispatch_plan,
-                            residual_injections)
+                            redispatch_plan)
 from grs.formulations import DC, SOC, build_mrsp, build_rop, decode_plan
 from grs.grid import DamageScenario, apply_damage, replicate
 from grs.mip import (INFEASIBLE, OPTIMAL, GAP_LIMIT, MipModel, SolveLimits,
@@ -25,7 +24,8 @@ from grs.mip import (INFEASIBLE, OPTIMAL, GAP_LIMIT, MipModel, SolveLimits,
 from grs.workflows import (pipeline_result_to_dict, run_mrsp_then_rop,
                            run_rop_then_redispatch)
 from tests.conftest import make_two_bus
-from tests.oracles import enumerate_rop_orders
+from tests.oracles import (enumerate_rop_orders, power_flow_jacobian,
+                           residual_injections)
 from tests.test_mip import _random_milp, milp_enumeration_oracle
 
 CASES = Path(__file__).resolve().parent.parent / "cases"

@@ -10,10 +10,8 @@ from scipy.linalg.lapack import dgetrf
 import grs.acvalidate
 from grs import cli, netio
 from grs.acvalidate import (PF_MAX_ITER, PF_TOL, IslandData, _attempt,
-                            _ds_blocks, _pf_state, branch_flows,
-                            max_load_delivery, newton_pf,
-                            power_flow_jacobian, redispatch_plan,
-                            residual_injections)
+                            _ds_blocks, _pf_state, max_load_delivery,
+                            newton_pf, redispatch_plan)
 from grs.formulations import DC, build_rop, decode_plan
 from grs.grid import (BRANCH, BUS, GEN, Bus, DamageScenario, Generator,
                       GridError, Network, RestorationPlan, replicate)
@@ -23,6 +21,8 @@ from grs.acvalidate import (NetworkData, _branch_admittances, ens_report,
                             plan_dispatches)
 from grs.workflows import heuristic_order
 from tests.conftest import CASES, make_two_bus
+from tests.oracles import (branch_flows, power_flow_jacobian,
+                           residual_injections)
 
 
 @pytest.fixture(scope="module")

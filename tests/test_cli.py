@@ -271,6 +271,23 @@ def test_pipeline_command_byte_identical(tmp_path):
                             "rop_root_bound", "rop_root_time"}
     assert 0.0 <= timings["rop_root_time"] <= timings["solve_rop"]
     assert math.isfinite(timings["rop_root_bound"])
+    # with --mrsp, the MRSP solve's root facts join them; the result file
+    # stays byte-identical
+    mrsp = []
+    for name, extra in (("m1.json", []), ("m2.json", ["--timings", str(tim)])):
+        out = tmp_path / name
+        assert main(["pipeline", "--case", CASE2, "--damage", DMG2,
+                     "--periods", "2", "--formulation", "dc", "--mrsp",
+                     "--out", str(out), *extra]) == 0
+        mrsp.append(out.read_bytes())
+    assert mrsp[0] == mrsp[1]
+    timings = json.loads(tim.read_text())
+    assert set(timings) == {"build_rop", "solve_rop", "redispatch", "total",
+                            "build_mrsp", "solve_mrsp", "optimize",
+                            "rop_root_bound", "rop_root_time",
+                            "mrsp_root_bound", "mrsp_root_time"}
+    assert 0.0 <= timings["mrsp_root_time"] <= timings["solve_mrsp"]
+    assert math.isfinite(timings["mrsp_root_bound"])
 
 
 def test_pipeline_debug_log_leaves_outputs_unchanged(tmp_path):

@@ -506,12 +506,21 @@ def test_ratio_test_and_pricing_match_reference(seed):
     rng = np.random.default_rng(seed)
     odd = np.random.default_rng([seed, 1])  # NaN and inf draws, kept apart
     lb, ub, x, delta = _ratio_test_draw(rng)
+    # phase 2: every basic inside its band (NaN is in no mask); the loop
+    # then passes no masks
+    inside = np.clip(x, lb - FEAS_TOL, ub + FEAS_TOL)
+    odd_inside = _nonfinite(odd, inside)
     with np.errstate(invalid="ignore"):
-        for xs, ds in ((x, delta), (_nonfinite(odd, x), _nonfinite(odd, delta))):
+        odd_inside[(odd_inside < lb - FEAS_TOL) | (odd_inside > ub + FEAS_TOL)] \
+            = math.nan
+        for xs, ds in ((x, delta), (_nonfinite(odd, x), _nonfinite(odd, delta)),
+                       (inside, delta), (odd_inside, _nonfinite(odd, delta))):
             below = xs < lb - FEAS_TOL
             above = xs > ub + FEAS_TOL
-            assert _ratio_test(ds, xs, lb, ub, below, above) \
-                == _reference_ratio_test(ds, xs, lb, ub)
+            want = _reference_ratio_test(ds, xs, lb, ub)
+            assert _ratio_test(ds, xs, lb, ub, below, above) == want
+            if not (below.any() or above.any()):
+                assert _ratio_test(ds, xs, lb, ub) == want
 
     n = int(rng.integers(1, 40))
     vstat = rng.choice(np.array([BASIC, AT_LB, AT_UB, FREE_NB], dtype=np.int8), n)
@@ -527,6 +536,66 @@ def test_ratio_test_and_pricing_match_reference(seed):
                 assert j == want_j
                 if j >= 0:
                     assert (1.0 if reds[j] < 0.0 else -1.0) == want_dir
+
+
+# --- the mat-vec kernel matches scipy's @ bit for bit ---------------------
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).view(np.uint64)
+
+
+def _odd_vector(rng, size):
+    """Normal draws, about half of them replaced by +-0, +-inf or NaN."""
+    v = rng.normal(size=size)
+    hit = rng.random(size) < 0.5
+    v[hit] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], hit.sum())
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_matvec_matches_scipy_bit_for_bit(seed):
+    # _matvec calls scipy's compiled kernels directly; if a scipy release
+    # moves or changes them, this fails instead of the pivots moving
+    from grs.mip.simplex import _csc, _Factors, _matvec
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(0, 8)), int(rng.integers(0, 8))
+    dense = rng.normal(size=(m, n))
+    dense[rng.random((m, n)) < 0.2] = rng.choice([-0.0, 1e300, -1e-300])
+    keep = rng.random((m, n)) < rng.uniform(0.1, 0.9)
+    keep[rng.random(m) < 0.3, :] = False  # empty rows
+    keep[:, rng.random(n) < 0.3] = False  # empty columns
+    rows, cols = np.nonzero(keep)
+    # explicit entries, -0.0 included, from the COO of the kept positions
+    M = sp.coo_matrix((dense[rows, cols], (rows, cols)), shape=(m, n)).tocsc()
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            x, y = _odd_vector(rng, n), _odd_vector(rng, m)
+            assert np.array_equal(_bits(_matvec(_csc(M), x)), _bits(M @ x))
+            # M.T is the CSR matrix on M's arrays
+            assert np.array_equal(_bits(_matvec(_csc(M), y, trans=True)),
+                                  _bits(M.T @ y))
+
+    # _Factors keeps R = A[L, C] as bare CSC arrays
+    A, basis = _kernel_lp_basis(rng, int(rng.integers(2, 9)),
+                                int(rng.integers(1, 9)), "mixed")
+    if basis is None:
+        return
+    nstruct = A.shape[1] - A.shape[0]
+    try:
+        f = _Factors(A, basis, nstruct)
+    except RuntimeError:  # an exactly singular kernel
+        return
+    nrows, ncols, indptr, indices, data = f.R
+    R = sp.csc_matrix((data, indices, indptr), shape=(nrows, ncols))
+    want = A[f.rows_l][:, basis[f.pos_c]]
+    assert np.array_equal(R.toarray(), want.toarray())
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            w, y = _odd_vector(rng, ncols), _odd_vector(rng, nrows)
+            assert np.array_equal(_bits(_matvec(f.R, w)), _bits(R @ w))
+            assert np.array_equal(_bits(_matvec(f.R, y, trans=True)),
+                                  _bits(R.T @ y))
 
 
 # --- the ratio test keeps basics in their bands: termination ------------
@@ -1302,7 +1371,7 @@ def test_small_dc_models_keep_the_slack_start(request, case_name):
     dmg = DamageScenario.of(branches=list(live.branches), gens=list(live.gens))
     damaged = apply_damage(net, dmg)
     mrsp = build_mrsp(damaged, DC)
-    indicators, kept = solve_mrsp(damaged, mrsp)
+    indicators, kept, _ = solve_mrsp(damaged, mrsp)
     reduced = update_status(damaged, indicators)
     models = [mrsp]
     for k in range(2, 12):  # the plain ROP and the ROP after MRSP

@@ -11,12 +11,12 @@ import math
 
 import pytest
 
-from grs.acvalidate import branch_flows
 from grs.formulations import SOC, build_mrsp
 from grs.grid import (Branch, Bus, DamageScenario, Generator, Load,
                       Network, apply_damage)
 from grs.mip import EQ, OPTIMAL, solve_mip
 from tests.conftest import ANG
+from tests.oracles import branch_flows
 
 
 def _net_with_branch(br: Branch) -> Network:
