@@ -2,9 +2,9 @@
 
 Subcommands: parse, mrsp, rop, redispatch, pipeline, heuristic, gen-damage.
 All outputs are deterministic functions of (inputs, seed); wall-clock stage
-timings, with the root bound and root time of the ROP solve (and of the
-MRSP solve under pipeline --mrsp), are only written when --timings is
-passed, to a separate file.
+timings, with every SolveStats field of the ROP solve (and of the MRSP
+solve under pipeline --mrsp), are only written when --timings is passed,
+to a separate file.  At most one output may be standard output (-).
 Exit codes: 0 success, 1 infeasible (``PipelineInfeasible``), 2 input error
 (``GridError``, or a file that cannot be read or decoded), 3 solver limit or
 numerical failure (``MipError``).
@@ -14,6 +14,7 @@ Set GRS_LOG to a logging level name (e.g. DEBUG) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -206,8 +207,8 @@ def cmd_pipeline(args):
         for stage, st in (("rop", result.rop_stats),
                           ("mrsp", result.mrsp_stats)):
             if st is not None:
-                timings[f"{stage}_root_bound"] = st.root_bound
-                timings[f"{stage}_root_time"] = st.root_time
+                timings.update((f"{stage}_{k}", v)
+                               for k, v in dataclasses.asdict(st).items())
         _dump_json(args.timings,
                    {k: round(v, 3) for k, v in sorted(timings.items())})
     log.info("pipeline: estimated %.3f MWh, true %.3f MWh",
@@ -228,6 +229,13 @@ def cmd_heuristic(args):
     if args.csv:
         _write(args.csv, netio.write_report(report))
     return EXIT_OK
+
+
+def _stdout_outputs(args) -> list[str]:
+    """The output flags of ``args`` given as ``-``, standard output."""
+    names = ("out", "csv", "timings", "dump_lp")
+    return ["--" + n.replace("_", "-") for n in names
+            if getattr(args, n, None) == "-"]
 
 
 def _unwritable_output(args) -> str | None:
@@ -404,6 +412,10 @@ def main(argv=None) -> int:
                               "scenario writes only its result to --out-dir",
                               flag)
                     return EXIT_INPUT
+        stdout = _stdout_outputs(args)
+        if len(stdout) > 1:  # their outputs would mix
+            log.error("%s all write to standard output (-)", ", ".join(stdout))
+            return EXIT_INPUT
         bad = _unwritable_output(args)
         if bad:
             log.error("output path: %s", bad)

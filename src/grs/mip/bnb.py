@@ -22,17 +22,17 @@ nor any bound, only the incumbent.  The solve's SolveStats count each
 incumbent improvement by where it was found (a dive or a node), the
 root node's simplex iterations, and its bound and end time.
 
-An LP solved without a start (the root, a cold retry, ``solve_lp``)
-starts from ``simplex.initial_basis``: a crash basis when the LP data's
-``crash`` flag is set (a model without cone rows whose slack start leaves
-many rows out of bounds, decided once per solve by ``build_lp_data``),
-the slack basis otherwise.  Each loop first checks the gap, then the
-limits, so a gap met when a limit is reached ends as a success.  The time
-limit is a deadline that every LP also reads; a node whose LP stops at it
-goes back on the heap, so the reported bound stays valid.  A solve stopped
-short of the gap names its limit: ``TIME_LIMIT``, ``NODE_LIMIT``, or
-``CUT_LIMIT`` for a node that is integral but whose cones the cuts could
-not close (the budget or the rounds ran out, or no new cut trims them).
+``simplex.solve_lp_core`` decides how an LP starts and why it stopped;
+the root, a cold retry and ``solve_lp`` give it no start.  A node whose
+warm LP stops at the iteration cap is solved once more cold; a cap there
+too is a NumericalFailure.  Each loop first checks the gap, then the
+limits, so a gap met when a limit is reached ends as a success.  The
+time limit is a deadline that every LP also reads; a node whose LP stops
+at it goes back on the heap, so the reported bound stays valid.  A solve
+stopped short of the gap names its limit: ``TIME_LIMIT``,
+``NODE_LIMIT``, or ``CUT_LIMIT`` for a node that is integral but whose
+cones the cuts could not close (the budget or the rounds ran out, or no
+new cut trims them).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .model import (CUT_LIMIT, GAP_LIMIT, INF, INFEASIBLE, ITERATION_LIMIT,
                     LE, NODE_LIMIT, OPTIMAL, TIME_LIMIT, UNBOUNDED, ConeRow,
                     LinRow, MipModel, MipSolution, NumericalFailure,
                     SolveStats, cone_violation)
-from .simplex import Basis, build_lp_data, initial_basis, solve_lp_core
+from .simplex import Basis, build_lp_data, solve_lp_core
 
 INT_TOL = 1e-6
 CONE_TOL = 1e-6
@@ -117,32 +117,21 @@ class _LpContext:
         return lb, ub
 
 
-def _cold_start(lp, stats: SolveStats) -> Basis | None:
-    """The start of an LP solved without one: a crash basis from
-    ``initial_basis``, its columns counted; None (the slack basis) when
-    there is no crash."""
-    bas = initial_basis(lp)
-    crash = int(np.count_nonzero(bas.basis < lp.nstruct))
-    stats.crash_cols += crash
-    return bas if crash else None
-
-
 def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
                       limits: SolveLimits, stats: SolveStats,
                       deadline: float | None = None):
     """Solve the LP relaxation, adding cone cuts until tight or budget-bound.
 
     Returns (LpResult, cone_ok); the result's objective is a valid relaxation
-    bound even when cone_ok is False (outer approximation).  Every LP gets
-    ``deadline`` (see ``solve_lp_core``).
+    bound even when cone_ok is False (outer approximation).  The first LP
+    starts from ``start`` (cold when None), each cut round's from the last
+    basis; every LP gets ``deadline`` (see ``solve_lp_core``).
     """
     bas = start
     for _ in range(MAX_CONE_ROUNDS + 1):
         lb, ub = ctx.bounds_with(fixes)
-        lp = ctx.lp.with_bounds(lb, ub)
-        if bas is None:
-            bas = _cold_start(lp, stats)
-        res = solve_lp_core(lp, start=bas, deadline=deadline)
+        res = solve_lp_core(ctx.lp.with_bounds(lb, ub), start=bas,
+                            deadline=deadline)
         stats.add(res.stats)
         if res.status != OPTIMAL:
             return res, True
@@ -225,9 +214,8 @@ class _Node:
 def solve_lp(model: MipModel) -> MipSolution:
     """Solve the LP relaxation: binaries relaxed, cone rows ignored."""
     t0 = time.perf_counter()
-    lp = build_lp_data(model)
     stats = SolveStats()
-    res = solve_lp_core(lp, start=_cold_start(lp, stats))
+    res = solve_lp_core(build_lp_data(model))
     stats.add(res.stats)
     stats.wall_s = time.perf_counter() - t0
     _log_summary("solve_lp", res.status, stats)
@@ -335,9 +323,6 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
     next_id += 1
     heapq.heappush(heap, root)
 
-    def out_of_time():
-        return deadline is not None and time.perf_counter() > deadline
-
     def solve_node(node, start):
         """The node's LP with its cut rounds; the root's iterations also
         count in root_iters, and its end sets root_time and root_bound."""
@@ -359,33 +344,29 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
                 return finish(OPTIMAL)
             if g <= limits.gap:
                 return finish(GAP_LIMIT)
-        if out_of_time():
+        if deadline is not None and time.perf_counter() > deadline:
             return finish(TIME_LIMIT)
         if limits.nodes is not None and stats.nodes >= limits.nodes:
             return finish(NODE_LIMIT)
 
         node = heapq.heappop(heap)
-        res, cone_ok = solve_node(node, node.basis)
-        if res.status == ITERATION_LIMIT and out_of_time():
-            # stopped at the deadline: the node stays open for the bound
-            heapq.heappush(heap, node)
-            return finish(TIME_LIMIT)
+        # warm from the parent's basis, then cold once after an iteration cap
+        for start in (node.basis, None):
+            res, cone_ok = solve_node(node, start)
+            if res.status == TIME_LIMIT:
+                # the node stays open, so the bound stays valid
+                heapq.heappush(heap, node)
+                return finish(TIME_LIMIT)
+            if res.status != ITERATION_LIMIT:
+                break
+        else:
+            raise NumericalFailure(res.message or "node LP failed")
         stats.nodes += 1
 
         if res.status == INFEASIBLE:
             continue
         if res.status == UNBOUNDED:
             return finish(UNBOUNDED)
-        if res.status != OPTIMAL:
-            # retry cold once before giving up
-            res, cone_ok = solve_node(node, None)
-            if res.status == ITERATION_LIMIT and out_of_time():
-                heapq.heappush(heap, node)
-                return finish(TIME_LIMIT)
-            if res.status == INFEASIBLE:
-                continue
-            if res.status != OPTIMAL:
-                raise NumericalFailure(res.message or "node LP failed")
 
         node_obj = res.obj
         if node.branch is not None:

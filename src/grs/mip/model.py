@@ -27,8 +27,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 GAP_LIMIT = "gap_limit"
-ITERATION_LIMIT = "iteration_limit"  # an LP stopped at its cap or deadline
-# solve_mip stopped at a limit before the gap target
+ITERATION_LIMIT = "iteration_limit"  # an LP stopped at its iteration cap
+# solve_mip stopped short of the gap (TIME_LIMIT: also an LP at its deadline)
 TIME_LIMIT = "time_limit"
 NODE_LIMIT = "node_limit"
 CUT_LIMIT = "cut_limit"  # an integral node's cones the cuts cannot close
@@ -172,7 +172,7 @@ class SolveStats:
     refactors: int = 0  # periodic basis refactorizations
     basis_restarts: int = 0  # slack-basis restarts after a singular factor
     lu_order: int = 0  # summed order of the LUs factored (kernel or basis)
-    crash_cols: int = 0  # structural columns crash bases put in cold starts
+    crash_cols: int = 0  # structural columns in the start bases of cold LPs
     cuts: int = 0  # cone cuts added to the global pool
     cut_rounds: int = 0  # standard-form extensions by a round of cone cuts
     branch_obs: int = 0  # pseudocost observations recorded by B&B children

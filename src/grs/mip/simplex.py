@@ -51,16 +51,17 @@ the arrays that ``A[:, basis]`` would.  A new kernel here must keep every
 operand, expression and summation order of the one it replaces;
 tests/test_mip.py checks ``_matvec`` against ``@`` bit for bit.
 
-The start basis.  ``solve_lp_core`` starts from the all-slack basis
-unless given one.  ``build_lp_data`` sets ``LpData.crash`` once per
-model: when the model has no cone rows and at least CRASH_MIN_BAD_ROWS
-rows have their slack at the all-slack start (b - A x_N, one mat-vec)
-outside its bounds by more than FEAS_TOL.  ``initial_basis(lp)``, the
-start of a cold LP, is then ``crash_basis`` and otherwise the slack basis
-itself.  The crash is a lower-triangular basis that puts structural
-columns in the rows the slack start cannot hold, the equality rows and
-the violated inequality rows, each of whose slacks goes nonbasic at the
-bound it violates (Bixby 1992; Maros 2003, ch. 9).  Small models
+The start basis.  Given none, ``solve_lp_core`` starts cold from
+``initial_basis(lp)`` and counts its structural columns in
+``SolveStats.crash_cols``.  ``build_lp_data`` sets ``LpData.crash`` once
+per model: when the model has no cone rows and at least
+CRASH_MIN_BAD_ROWS rows have their slack at the all-slack start
+(b - A x_N, one mat-vec) outside its bounds by more than FEAS_TOL.
+``initial_basis`` is then ``crash_basis``, else the slack basis.  The
+crash is a lower-triangular basis that puts structural columns in the
+rows the slack start cannot hold, the equality rows and the violated
+inequality rows, each of whose slacks goes nonbasic at the bound it
+violates (Bixby 1992; Maros 2003, ch. 9).  Small models
 therefore keep their pivots exactly, while a large DC model skips most of
 phase 1: the case118 DC ordering model at K=2 has 2 504 rows, 934 of them
 infeasible at the slack start (70 of those inequality rows), and the
@@ -83,11 +84,12 @@ A start basis taken before rows were appended gets a basic slack for
 each new row.  One site at the top of the loop makes the first
 factorization and every refactor; a singular factor restarts from the
 slack basis.  The refactor site also reads the caller's deadline, if
-any: an LP past it stops there with ITERATION_LIMIT.  The loop keeps its
-counters in the SolveStats its LpResult returns: iterations, phase-1
-iterations, phase switches, periodic refactors and restarts, the summed
-order of the LUs, and the perf_counter times of factorization, ftran,
-btran, pricing and the ratio test.
+any: an LP past it stops there with TIME_LIMIT, so ITERATION_LIMIT means
+the iteration cap alone.  The loop keeps its counters in the SolveStats
+its LpResult returns: iterations, phase-1 iterations, phase switches,
+periodic refactors and restarts, the summed order of the LUs, and the
+perf_counter times of factorization, ftran, btran, pricing and the ratio
+test.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
 
 from .model import (GE, INF, INFEASIBLE, ITERATION_LIMIT, LE, OPTIMAL,
-                    UNBOUNDED, MipModel, NumericalFailure, SolveStats)
+                    TIME_LIMIT, UNBOUNDED, MipModel, NumericalFailure,
+                    SolveStats)
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
@@ -505,10 +508,10 @@ def _extended(start: Basis, lp: LpData) -> Basis:
 
 def solve_lp_core(lp: LpData, start: Basis | None = None,
                   deadline: float | None = None) -> LpResult:
-    """Solve lp from start (the slack basis when None).
+    """Solve lp from start, or cold from ``initial_basis(lp)`` when None.
 
     ``deadline`` is a ``time.perf_counter()`` value; it is read at each
-    periodic refactor, and an LP past it stops there with ITERATION_LIMIT.
+    periodic refactor, and an LP past it stops there with TIME_LIMIT.
     """
     m, ncols = lp.m, lp.ncols
     if m == 0:
@@ -518,7 +521,9 @@ def solve_lp_core(lp: LpData, start: Basis | None = None,
 
     st = SolveStats()
     A, AT = _csc(lp.A), _csc(lp.AT)
-    bas = default_basis(lp) if start is None else _extended(start, lp)
+    bas = initial_basis(lp) if start is None else _extended(start, lp)
+    if start is None:
+        st.crash_cols = int(np.count_nonzero(bas.basis < lp.nstruct))
     fixed = lp.lb == lp.ub
     psign, free = _pricing_weights(bas.vstat, fixed)
     fact = None
@@ -538,7 +543,7 @@ def solve_lp_core(lp: LpData, start: Basis | None = None,
         if fact is None or pivots_since_refactor >= REFACTOR_EVERY:
             if fact is not None:
                 if deadline is not None and clock() > deadline:
-                    return result(ITERATION_LIMIT, message="time limit")
+                    return result(TIME_LIMIT, message="time limit")
                 st.refactors += 1
                 fact = None  # free the old LU and etas before SuperLU's workspace
             t0 = clock()

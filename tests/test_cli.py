@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import json
@@ -20,7 +21,8 @@ from grs.cli import main
 from grs.formulations import build_mrsp, build_rop
 from grs.grid import GridError, apply_damage, replicate
 from grs.mip import (CUT_LIMIT, INFEASIBLE, ITERATION_LIMIT, NODE_LIMIT,
-                     TIME_LIMIT, MipError, MipSolution, NumericalFailure)
+                     TIME_LIMIT, MipError, MipSolution, NumericalFailure,
+                     SolveStats)
 from grs.workflows import PipelineInfeasible, heuristic_order
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -267,10 +269,12 @@ def test_pipeline_command_byte_identical(tmp_path):
                  "--timings", str(tim)]) == 0
     assert out.read_bytes() == outs[0]
     timings = json.loads(tim.read_text())
+    stats = {f.name for f in dataclasses.fields(SolveStats)}
     assert set(timings) == {"build_rop", "solve_rop", "redispatch", "total",
-                            "rop_root_bound", "rop_root_time"}
+                            *(f"rop_{k}" for k in stats)}
     assert 0.0 <= timings["rop_root_time"] <= timings["solve_rop"]
     assert math.isfinite(timings["rop_root_bound"])
+    assert timings["rop_nodes"] >= 1 and timings["rop_lp_iters"] > 0
     # with --mrsp, the MRSP solve's root facts join them; the result file
     # stays byte-identical
     mrsp = []
@@ -284,8 +288,8 @@ def test_pipeline_command_byte_identical(tmp_path):
     timings = json.loads(tim.read_text())
     assert set(timings) == {"build_rop", "solve_rop", "redispatch", "total",
                             "build_mrsp", "solve_mrsp", "optimize",
-                            "rop_root_bound", "rop_root_time",
-                            "mrsp_root_bound", "mrsp_root_time"}
+                            *(f"{stage}_{k}" for stage in ("rop", "mrsp")
+                              for k in stats)}
     assert 0.0 <= timings["mrsp_root_time"] <= timings["solve_mrsp"]
     assert math.isfinite(timings["mrsp_root_bound"])
 
@@ -408,6 +412,37 @@ def test_dump_lp(tmp_path, monkeypatch, command, status, rc):
     else:
         model = build_rop(replicate(net, dmg, 3), "soc")
     assert lp.read_text() == model.to_lp_string()
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["pipeline", "--periods", "2", "--timings", "-"],
+                 id="pipeline-timings"),
+    pytest.param(["pipeline", "--periods", "2", "--csv", "-"],
+                 id="pipeline-csv"),
+    pytest.param(["redispatch", "--periods", "2", "--plan", "missing.json",
+                  "--csv", "-"], id="redispatch-csv"),
+    pytest.param(["rop", "--periods", "2", "--dump-lp", "-"], id="rop-dump-lp"),
+])
+def test_two_outputs_on_stdout_are_an_input_error(capsysbinary, caplog,
+                                                  command):
+    # --out defaults to -, and the inputs do not exist: the check comes first
+    rc = main([*command, "--case", "missing.m", "--damage", "missing.json"])
+    assert rc == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"--out, {command[-2]} all write to standard")
+    assert capsysbinary.readouterr().out == b""
+
+
+def test_out_file_with_csv_on_stdout(tmp_path, capsysbinary):
+    run = ["pipeline", "--case", CASE2, "--damage", DMG2, "--periods", "2"]
+    csv = tmp_path / "r.csv"
+    assert main([*run, "--out", str(tmp_path / "1.json"), "--csv", "-"]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert main([*run, "--out", str(tmp_path / "2.json"), "--csv",
+                 str(csv)]) == 0
+    assert stdout == csv.read_bytes() and stdout.startswith(b"period")
+    assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
 
 
 def test_pipeline_rejects_dump_lp(tmp_path):

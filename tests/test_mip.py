@@ -9,8 +9,8 @@ from scipy.optimize import linprog
 
 from grs.mip import (BINARY, CUT_LIMIT, EQ, GAP_LIMIT, GE, LE, INFEASIBLE,
                      ITERATION_LIMIT, NODE_LIMIT, OPTIMAL, TIME_LIMIT,
-                     UNBOUNDED, MipModel, SolveLimits, SolveStats,
-                     cone_violation, solve_lp, solve_mip)
+                     UNBOUNDED, MipModel, NumericalFailure, SolveLimits,
+                     SolveStats, cone_violation, solve_lp, solve_mip)
 
 
 def test_lp_box_cap():
@@ -694,13 +694,13 @@ def _reference_solve_lp_core(lp, start=None):
                                  INFEASIBLE, ITERATION_LIMIT, REFACTOR_EVERY,
                                  Basis, LpResult, _full_x, _nonbasic_value,
                                  _nonbasic_vector, _solve_unconstrained,
-                                 _struct_obj, default_basis)
+                                 _struct_obj, default_basis, initial_basis)
     INF = math.inf
     m, ncols = lp.m, lp.ncols
     if m == 0:
         return _solve_unconstrained(lp)
     max_iters = 20000 + 40 * (m + ncols)
-    bas = default_basis(lp) if start is None else start.copy()
+    bas = initial_basis(lp) if start is None else start.copy()
     if len(bas.basis) < m:
         # a start from before cut rows were appended: their slacks are basic
         new = np.arange(len(bas.basis), m)
@@ -1058,7 +1058,7 @@ def test_solves_log_one_summary_of_their_lp_totals(monkeypatch, caplog):
     assert sol.status == relaxed.status == OPTIMAL and len(results) > 1
     st = sol.stats
     # the solve-level counters; an LP's record fills every other field
-    solve_level = {"nodes", "crash_cols", "cuts", "cut_rounds", "branch_obs",
+    solve_level = {"nodes", "cuts", "cut_rounds", "branch_obs",
                    "root_iters", "dive_incumbents", "node_incumbents",
                    "wall_s"}
     for f in fields(SolveStats):
@@ -1389,7 +1389,8 @@ def test_small_dc_models_keep_the_slack_start(request, case_name):
 
 
 def test_case118_dc_model_is_factored_by_its_kernel(tmp_path):
-    from grs.mip.simplex import _factor, build_lp_data, initial_basis
+    from grs.mip.simplex import (_factor, build_lp_data, crash_basis,
+                                 initial_basis, solve_lp_core)
     model = _case118_rop(tmp_path)
     lp = build_lp_data(model)
     assert lp.crash and lp.with_bounds(lp.lb, lp.ub).crash
@@ -1400,6 +1401,14 @@ def test_case118_dc_model_is_factored_by_its_kernel(tmp_path):
     st = res.stats
     assert res.status == OPTIMAL and st.basis_restarts == 0
     assert 0 < st.lu_order < (st.refactors + 1) * lp.m / 2
+    # given no start, the simplex starts from the crash basis and counts it
+    cold, crashed = solve_lp_core(lp), solve_lp_core(lp, start=crash_basis(lp))
+    assert cold.iters == crashed.iters == st.lp_iters
+    assert np.array_equal(cold.x, crashed.x)
+    assert np.array_equal(cold.basis.basis, crashed.basis.basis)
+    assert np.array_equal(cold.basis.vstat, crashed.basis.vstat)
+    assert cold.stats.crash_cols == st.crash_cols == crash > 0
+    assert crashed.stats.crash_cols == 0
 
 
 def test_deadline_stops_an_lp_at_its_first_refactor(case5, damage5_all):
@@ -1411,7 +1420,7 @@ def test_deadline_stops_an_lp_at_its_first_refactor(case5, damage5_all):
     free = solve_lp_core(lp)
     assert free.status == OPTIMAL and free.iters > REFACTOR_EVERY
     late = solve_lp_core(lp, deadline=time.perf_counter())
-    assert late.status == ITERATION_LIMIT and late.message == "time limit"
+    assert late.status == TIME_LIMIT and late.message == "time limit"
     assert late.iters == REFACTOR_EVERY and late.stats.refactors == 0
     # a deadline not reached changes no pivot
     ample = solve_lp_core(lp, deadline=time.perf_counter() + 3600.0)
@@ -1443,6 +1452,66 @@ def test_time_limit_stops_solve_mip_inside_an_lp(monkeypatch, case5,
     assert len(results) == 1 and results[0].iters == REFACTOR_EVERY
     assert sol.status == TIME_LIMIT and sol.stats.nodes == 0
     assert sol.message == "no incumbent found" and sol.bound == math.inf
+
+
+def _cover_with_a_capped_node(monkeypatch, retry_status):
+    """Solve the fractional cover with the warm LP of the root's up child
+    (a = 1) stopped at the iteration cap, and its cold retry stopped with
+    ``retry_status`` (None: not stopped).  Returns the solution and
+    (cold, bounds) of each LP solved."""
+    from dataclasses import replace
+    import grs.mip.bnb
+    real = grs.mip.bnb.solve_lp_core
+    calls = []
+
+    def capped(lp, start=None, deadline=None):
+        res = real(lp, start=start, deadline=deadline)
+        bounds = (*lp.lb[:3], *lp.ub[:3])
+        calls.append((start is None, bounds))
+        if bounds == (1, 0, 0, 1, 1, 1):  # no other LP has these bounds
+            status = ITERATION_LIMIT if start is not None else retry_status
+            if status is not None:
+                return replace(res, status=status, message="stopped")
+        return res
+
+    monkeypatch.setattr(grs.mip.bnb, "solve_lp_core", capped)
+    return solve_mip(_cover()), calls
+
+
+def _cover():
+    m = MipModel()  # the root takes b and half of a, and its dive fails
+    a, b, c = (m.add_var(k, 0, 1, BINARY) for k in "abc")
+    m.add_row({a: 1, b: 1, c: 1}, GE, 1.5)
+    m.set_objective("min", {a: 3, b: 2, c: 4})
+    return m
+
+
+def test_node_capped_warm_is_retried_cold_once(monkeypatch):
+    plain = solve_mip(_cover())
+    sol, calls = _cover_with_a_capped_node(monkeypatch, None)
+    # the root, the dive's two LPs, the down child, then the up child:
+    # warm and capped, then cold; the rest of the search is unchanged
+    up = (1.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+    assert calls[4:6] == [(False, up), (True, up)]
+    assert [cold for cold, _ in calls].count(True) == 2
+    assert sol.status == plain.status == OPTIMAL
+    assert (sol.objective, sol.bound) == (plain.objective, plain.bound) == (5, 5)
+    assert sol.stats.nodes == plain.stats.nodes == 7
+    assert sol.stats.lp_iters > plain.stats.lp_iters  # the retry's too
+
+
+def test_node_capped_warm_and_cold_is_a_numerical_failure(monkeypatch):
+    with pytest.raises(NumericalFailure, match="stopped"):
+        _cover_with_a_capped_node(monkeypatch, ITERATION_LIMIT)
+
+
+def test_node_retry_at_the_deadline_keeps_its_bound(monkeypatch):
+    sol, calls = _cover_with_a_capped_node(monkeypatch, TIME_LIMIT)
+    assert len(calls) == 6 and calls[-1][0]  # stopped at the cold retry
+    # the up child goes back on the heap: its bound, the root's, stays the
+    # best one; only the root and the down child were counted
+    assert sol.status == TIME_LIMIT and sol.stats.nodes == 2
+    assert sol.bound == 3.5 and sol.message == "no incumbent found"
 
 
 def test_met_gap_wins_over_node_limit(case5, damage5_all):
