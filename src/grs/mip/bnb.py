@@ -8,19 +8,26 @@ for its (variable, direction); a direction never seen for a variable takes
 the mean over all observations of that direction (1.0 before any).
 
 Rotated-cone rows x^2 + y^2 <= u*v are enforced by outer approximation:
-whenever a node LP solution violates a cone by more than cone_tol, the
-equivalent standard-cone function f = sqrt(x^2 + y^2 + ((u-v)/2)^2) - (u+v)/2
-is linearized at that point and the gradient cut is added globally (cuts are
+when an LP solution violates a cone by more than cone_tol, the equivalent
+standard-cone function f = sqrt(x^2 + y^2 + ((u-v)/2)^2) - (u+v)/2 is
+linearized at that point and the gradient cut is added globally (cuts are
 valid for the whole tree).  The pool only grows: each round's new cuts are
 appended to the standard form as rows with their own slacks, and the form is
-never rebuilt.
+never rebuilt.  Cuts are separated only where they can change the search,
+as in LP/NLP-based branch and bound (Quesada & Grossmann 1992): an LP
+whose objective reaches the incumbent gets none (it is pruned, or its dive
+ends); an LP whose binaries are fractional gets up to MAX_CONE_ROUNDS
+rounds at the root, one at a dive step and none at any other node, which
+branches anyway; an integral LP gets rounds until its cones hold, up to
+MAX_CONE_ROUNDS.  Every bound stays an outer-approximation bound.
 
 A deterministic fix-and-round dive runs at the root and every DIVE_EVERY
 nodes to supply incumbents early; it fixes the most fractional binary
-at each step, records no pseudocost, and changes neither the node order
-nor any bound, only the incumbent.  The solve's SolveStats count each
-incumbent improvement by where it was found (a dive or a node), the
-root node's simplex iterations, and its bound and end time.
+at each step, records no pseudocost, and changes no node's place in the
+heap, only the incumbent and the global cut pool.  The solve's
+SolveStats count each incumbent improvement by where it was found (a
+dive or a node), the LPs the separation rule left with violated cones,
+the root node's simplex iterations, and its bound and end time.
 
 ``simplex.solve_lp_core`` decides how an LP starts and why it stopped;
 the root, a cold retry and ``solve_lp`` give it no start.  A node whose
@@ -54,7 +61,7 @@ from .simplex import Basis, build_lp_data, solve_lp_core
 
 INT_TOL = 1e-6
 CONE_TOL = 1e-6
-MAX_CONE_ROUNDS = 60  # cut rounds per node LP
+MAX_CONE_ROUNDS = 60  # cut rounds of the root LP or of an integral LP
 CONE_CUT_BUDGET = 6000  # cuts in the global pool
 DIVE_EVERY = 25  # nodes between dives
 
@@ -92,6 +99,7 @@ class _LpContext:
         self.model = model
         self.cuts: list[LinRow] = []
         self.cut_signatures: set = set()
+        self.binaries = model.binary_indices()
         self.lp = build_lp_data(model)
 
     def add_cut(self, cut: LinRow) -> bool:
@@ -119,29 +127,42 @@ class _LpContext:
 
 def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
                       limits: SolveLimits, stats: SolveStats,
-                      deadline: float | None = None):
-    """Solve the LP relaxation, adding cone cuts until tight or budget-bound.
+                      deadline: float | None = None,
+                      frac_rounds: int = MAX_CONE_ROUNDS, cutoff: float = INF):
+    """Solve the LP relaxation, adding cone cuts while they can change the
+    search (module docstring).
 
     Returns (LpResult, cone_ok); the result's objective is a valid relaxation
-    bound even when cone_ok is False (outer approximation).  The first LP
-    starts from ``start`` (cold when None), each cut round's from the last
-    basis; every LP gets ``deadline`` (see ``solve_lp_core``).
+    bound whatever cone_ok says (outer approximation).  The loop stops at
+    the first of: the objective reaches ``cutoff`` (cone_ok False: the LP
+    is pruned, or its dive ends); the cones hold (cone_ok True); the
+    binaries are still fractional after ``frac_rounds`` rounds (cone_ok
+    True: the point is branched on or fixed further anyway); the budget,
+    MAX_CONE_ROUNDS or new cuts run out (cone_ok False).  The first and
+    third count in ``unseparated_lps`` when a cone is violated; the
+    defaults are the root's, which has no incumbent yet.  The first
+    LP starts from ``start`` (cold when None), each cut round's from the
+    last basis; every LP gets ``deadline`` (see ``solve_lp_core``).
     """
     bas = start
-    for _ in range(MAX_CONE_ROUNDS + 1):
+    for rnd in range(MAX_CONE_ROUNDS + 1):
         lb, ub = ctx.bounds_with(fixes)
         res = solve_lp_core(ctx.lp.with_bounds(lb, ub), start=bas,
                             deadline=deadline)
         stats.add(res.stats)
-        if res.status != OPTIMAL:
-            return res, True
-        if not ctx.model.cone_rows:
+        if res.status != OPTIMAL or not ctx.model.cone_rows:
             return res, True
         violated = [
             cone for cone in ctx.model.cone_rows
             if cone_violation(cone, res.x) > limits.cone_tol
         ]
+        if res.obj >= cutoff:
+            stats.unseparated_lps += bool(violated)
+            return res, False
         if not violated:
+            return res, True
+        if rnd >= frac_rounds and _fractional(ctx.binaries, res.x):
+            stats.unseparated_lps += 1
             return res, True
         if len(ctx.cuts) >= CONE_CUT_BUDGET:
             return res, False
@@ -254,7 +275,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
     ctx = _LpContext(model)
     sgn = 1.0 if model.sense == "min" else -1.0
     n = len(model.vars)
-    binaries = model.binary_indices()
+    binaries = ctx.binaries
 
     def external(v):  # internal minimization value -> reported objective
         return sgn * v + model.obj_const
@@ -291,10 +312,14 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
                            external(incumbent_obj), external(best_bound()),
                            gap, stats)
 
+    def cutoff():
+        """An LP objective at or past this cannot improve the incumbent."""
+        return incumbent_obj - 1e-12
+
     def try_incumbent(x, obj) -> bool:
         """Keep (x, obj) if it improves the incumbent; True if it did."""
         nonlocal incumbent_x, incumbent_obj
-        if obj < incumbent_obj - 1e-12:
+        if obj < cutoff():
             incumbent_x = x.copy()
             incumbent_obj = obj
             return True
@@ -314,7 +339,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
             v = float(round(res.x[j]))
             fixes[j] = (v, v)
             res, cone_ok = _solve_with_cones(ctx, fixes, res.basis, limits,
-                                             stats, deadline)
+                                             stats, deadline, 1, cutoff())
             if res.status != OPTIMAL or not cone_ok:
                 return
 
@@ -324,11 +349,13 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
     heapq.heappush(heap, root)
 
     def solve_node(node, start):
-        """The node's LP with its cut rounds; the root's iterations also
-        count in root_iters, and its end sets root_time and root_bound."""
+        """The node's LP with its cut rounds (fractional ones at the root
+        only); the root's iterations also count in root_iters, and its end
+        sets root_time and root_bound."""
         before = stats.lp_iters
         out = _solve_with_cones(ctx, node.fixes, start, limits, stats,
-                                deadline)
+                                deadline, MAX_CONE_ROUNDS if node is root
+                                else 0, cutoff())
         if node is root:
             stats.root_iters += stats.lp_iters - before
             stats.root_time = time.perf_counter() - t0
@@ -372,7 +399,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
         if node.branch is not None:
             pseudo.record(*node.branch, node_obj - node.bound)
             stats.branch_obs += 1
-        if incumbent_x is not None and node_obj >= incumbent_obj - 1e-12:
+        if incumbent_x is not None and node_obj >= cutoff():
             continue
 
         frac = _fractional(binaries, res.x)

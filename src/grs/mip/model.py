@@ -175,6 +175,9 @@ class SolveStats:
     crash_cols: int = 0  # structural columns in the start bases of cold LPs
     cuts: int = 0  # cone cuts added to the global pool
     cut_rounds: int = 0  # standard-form extensions by a round of cone cuts
+    # LPs whose cut loop stopped at the incumbent or at fractional binaries
+    # with a cone still violated
+    unseparated_lps: int = 0
     branch_obs: int = 0  # pseudocost observations recorded by B&B children
     root_iters: int = 0  # simplex iterations of the root node, cut rounds included
     dive_incumbents: int = 0  # incumbent improvements found by a dive

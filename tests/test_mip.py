@@ -909,7 +909,8 @@ def test_simplex_matches_frozen_loop_on_case5_soc_cut_rounds(
     seen, enough = _checked_lps(monkeypatch, cut_rounds=20)
     with pytest.raises(enough):
         solve_mip(build_rop(replicate(case5, damage5_all, 3), SOC))
-    # the root LP, its cut rounds and the dive's, 20 rounds in all
+    # the root LP, its 15 cut rounds and the dive's first five steps, one
+    # round each: 20 rounds in all
     assert len(set(seen)) == 21 and seen == sorted(seen)
 
 
@@ -1058,7 +1059,8 @@ def test_solves_log_one_summary_of_their_lp_totals(monkeypatch, caplog):
     assert sol.status == relaxed.status == OPTIMAL and len(results) > 1
     st = sol.stats
     # the solve-level counters; an LP's record fills every other field
-    solve_level = {"nodes", "cuts", "cut_rounds", "branch_obs",
+    solve_level = {"nodes", "cuts", "cut_rounds", "unseparated_lps",
+                   "branch_obs",
                    "root_iters", "dive_incumbents", "node_incumbents",
                    "wall_s"}
     for f in fields(SolveStats):
@@ -1155,6 +1157,113 @@ def test_cut_rounds_count_standard_form_extensions(monkeypatch):
     assert sol.stats.cut_rounds == len(calls) - 1
     assert calls == [False] + [True] * sol.stats.cut_rounds
     assert sol.stats.basis_restarts == 0
+
+
+def _cut_loops(monkeypatch):
+    """Record each cut loop of bnb as (caller, its LPs' results, the index
+    of the LP whose point each cone_cut linearizes); the caller is the
+    closure that ran it, ``solve_node`` or ``dive``."""
+    import sys
+    import grs.mip.bnb
+    loops = []
+    real_loop = grs.mip.bnb._solve_with_cones
+    real_lp = grs.mip.bnb.solve_lp_core
+    real_cut = grs.mip.bnb.cone_cut
+
+    def loop(*args, **kwargs):
+        loops.append((sys._getframe(1).f_code.co_name, [], []))
+        return real_loop(*args, **kwargs)
+
+    def lp(*args, **kwargs):
+        loops[-1][1].append(real_lp(*args, **kwargs))
+        return loops[-1][1][-1]
+
+    def cut(cone, x):
+        loops[-1][2].append(len(loops[-1][1]) - 1)
+        return real_cut(cone, x)
+
+    monkeypatch.setattr(grs.mip.bnb, "_solve_with_cones", loop)
+    monkeypatch.setattr(grs.mip.bnb, "solve_lp_core", lp)
+    monkeypatch.setattr(grs.mip.bnb, "cone_cut", cut)
+    return loops
+
+
+def test_cone_cuts_at_fractional_points_only_at_the_root_and_dive_steps(
+        monkeypatch, case5, damage5_all):
+    from grs.formulations import SOC, build_rop
+    from grs.grid import replicate
+    model = build_rop(replicate(case5, damage5_all, 3), SOC)
+    binaries = model.binary_indices()
+    loops = _cut_loops(monkeypatch)
+    sol = solve_mip(model)
+    assert sol.status == OPTIMAL
+
+    def fractional(x):
+        return any(abs(x[j] - round(x[j])) > 1e-6 for j in binaries)
+
+    seen = set()
+    for k, (caller, lps, cut_at) in enumerate(loops):
+        for i in sorted(set(cut_at)):
+            where = ("root" if k == 0 else caller,
+                     "fractional" if fractional(lps[i].x) else "integral")
+            seen.add(where)
+            if where[1] == "fractional":
+                # the root separates up to MAX_CONE_ROUNDS rounds, a dive
+                # step one, and a node none: it branches anyway
+                assert where[0] == "root" or (caller == "dive" and i == 0)
+    assert {("root", "fractional"), ("dive", "fractional"),
+            ("solve_node", "integral")} <= seen
+    # a node LP left fractional with its cones violated
+    assert any(caller == "solve_node" and not cut_at
+               and fractional(lps[-1].x)
+               and max(cone_violation(c, lps[-1].x)
+                       for c in model.cone_rows) > 1e-6
+               for caller, lps, cut_at in loops[1:])
+    assert sol.stats.unseparated_lps > 0
+
+
+def test_a_node_past_the_incumbent_adds_no_cut(monkeypatch):
+    m = MipModel()  # min 5 z0 + z1 - x - y/2 with (x, y) in the unit disk
+    z0, z1 = (m.add_var(k, 0, 1, BINARY) for k in ("z0", "z1"))
+    x = m.add_var("x", -2.0, 2.0)
+    y = m.add_var("y", -2.0, 2.0)
+    u = m.add_var("u", 1.0, 1.0)
+    v = m.add_var("v", 1.0, 1.0)
+    m.add_cone(x, y, u, v, "disk")
+    m.add_row({z0: 1, z1: 1}, GE, 0.5)
+    m.add_row({x: 1, y: 0.5, z1: -2}, LE, -0.3)
+    m.set_objective("min", {z0: 5, z1: 1, x: -1, y: -0.5})
+    loops = _cut_loops(monkeypatch)
+    sol = solve_mip(m)
+    st = sol.stats
+    # the root takes z1 = 1/2; its dive fixes z1 = 1 and finds the
+    # optimum, 1 - sqrt(5)/2, before either child's LP
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(1.0 - math.sqrt(1.25), abs=1e-6)
+    assert (st.dive_incumbents, st.node_incumbents) == (1, 0)
+    assert [caller for caller, _, _ in loops] == ["solve_node", "dive",
+                                                  "solve_node", "solve_node"]
+    # the down child (z1 = 0, so z0 >= 1/2) costs at least 2.5: its one LP
+    # reaches the incumbent with the disk still violated, and stops there
+    _, lps, cut_at = loops[2]
+    assert len(lps) == 1 and not cut_at
+    assert lps[0].obj >= sol.objective - 1e-12
+    assert cone_violation(m.cone_rows[0], lps[0].x) > 1e-6
+    assert st.unseparated_lps == 1 and st.nodes == 3
+
+
+def test_case5_soc_rop_k4_ends_optimal(case5, damage5_all):
+    # all 11 components damaged: with cut rounds at every fractional node
+    # LP this solve pooled 4 819 cuts and ran about a minute
+    from grs.acvalidate import redispatch_plan
+    from grs.formulations import SOC, build_rop
+    from grs.grid import replicate
+    from grs.workflows import solve_rop
+    case = replicate(case5, damage5_all, 4)
+    plan, sol = solve_rop(case, build_rop(case, SOC), SOC)
+    assert sol.status == OPTIMAL and sol.stats.cuts < 2000
+    assert redispatch_plan(case, plan).true_ens_mwh == pytest.approx(
+        1280.859, abs=1e-3)
 
 
 def test_pseudocost_selection_rule():

@@ -53,6 +53,25 @@ def test_case118_panel_rejects_a_bad_gap(capsys):
     assert "--gap" in capsys.readouterr().err
 
 
+def test_soc_panel_line():
+    panel = _load(ROOT / "scripts" / "soc_panel.py")
+    fields = panel.run_line(ROOT, "all-K2").split()
+    assert fields[:2] == ["all-K2", "optimal"]
+    iters, nodes, cuts, root = map(int, fields[2:6])
+    assert 0 < root <= iters and nodes >= 1 and cuts > 0
+    assert float(fields[6]) == pytest.approx(20.0)  # 2 000 MWh at 100 MVA
+    assert float(fields[7]) > 0.0  # solve seconds
+    objective, estimated, true = map(float, fields[8:11])
+    assert objective == pytest.approx(2000.0)  # MWh served
+    assert estimated <= true == pytest.approx(1000.0)
+
+
+def test_soc_panel_rejects_a_bad_time_limit(capsys):
+    panel = _load(ROOT / "scripts" / "soc_panel.py")
+    assert panel.main(["--time-limit", "nan"]) == 2
+    assert "--time-limit" in capsys.readouterr().err
+
+
 def test_op_digests_compare_marks_each_line():
     digests = _load(ROOT / "scripts" / "op_digests.py")
     ours = ["case5-dc-k5 plain d0e8a4f006e0df72",
