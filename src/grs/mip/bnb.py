@@ -24,22 +24,32 @@ MAX_CONE_ROUNDS.  Every bound stays an outer-approximation bound.
 A deterministic fix-and-round dive runs at the root and every DIVE_EVERY
 nodes to supply incumbents early; it fixes the most fractional binary
 at each step, records no pseudocost, and changes no node's place in the
-heap, only the incumbent and the global cut pool.  The solve's
-SolveStats count each incumbent improvement by where it was found (a
-dive or a node), the LPs the separation rule left with violated cones,
-the root node's simplex iterations, and its bound and end time.
+heap, only the incumbent and the global cut pool.  A dive ends once its
+LP's objective reaches the incumbent, with or without cone rows: each
+further fix can only raise it.  The solve's SolveStats count each
+incumbent improvement by where it was found (a dive or a node), the LPs
+the separation rule left with violated cones, the open nodes the
+integral bound discarded, the root node's simplex iterations, and its
+bound and end time.
+
+A model whose objective is integral (an integer constant, and integer
+costs on binary columns only, as MRSP's repair count) scores a whole
+number at every integer point, so the best bound rounded up,
+ceil(bound - INT_TOL), is a bound too (Achterberg 2007).  Once it
+reaches the incumbent no open node can hold a better point: the heap is
+cleared and the solve ends OPTIMAL at gap 0 with the incumbent it had.
 
 ``simplex.solve_lp_core`` decides how an LP starts and why it stopped;
 the root, a cold retry and ``solve_lp`` give it no start.  A node whose
 warm LP stops at the iteration cap is solved once more cold; a cap there
 too is a NumericalFailure.  Each loop first checks the gap, then the
-limits, so a gap met when a limit is reached ends as a success.  The
-time limit is a deadline that every LP also reads; a node whose LP stops
-at it goes back on the heap, so the reported bound stays valid.  A solve
-stopped short of the gap names its limit: ``TIME_LIMIT``,
-``NODE_LIMIT``, or ``CUT_LIMIT`` for a node that is integral but whose
-cones the cuts could not close (the budget or the rounds ran out, or no
-new cut trims them).
+integral bound, then the limits, so a gap met when a limit is reached
+ends as a success.  The time limit is a deadline that every LP also
+reads; a node whose LP stops at it goes back on the heap, so the
+reported bound stays valid.  A solve stopped short of the gap names its
+limit: ``TIME_LIMIT``, ``NODE_LIMIT``, or ``CUT_LIMIT`` for a node that
+is integral but whose cones the cuts could not close (the budget or the
+rounds ran out, or no new cut trims them).
 """
 
 from __future__ import annotations
@@ -53,10 +63,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import (CUT_LIMIT, GAP_LIMIT, INF, INFEASIBLE, ITERATION_LIMIT,
-                    LE, NODE_LIMIT, OPTIMAL, TIME_LIMIT, UNBOUNDED, ConeRow,
-                    LinRow, MipModel, MipSolution, NumericalFailure,
-                    SolveStats, cone_violation)
+from .model import (BINARY, CUT_LIMIT, GAP_LIMIT, INF, INFEASIBLE,
+                    ITERATION_LIMIT, LE, NODE_LIMIT, OPTIMAL, TIME_LIMIT,
+                    UNBOUNDED, ConeRow, LinRow, MipModel, MipSolution,
+                    NumericalFailure, SolveStats, cone_violation)
 from .simplex import Basis, build_lp_data, solve_lp_core
 
 INT_TOL = 1e-6
@@ -135,14 +145,15 @@ def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
     Returns (LpResult, cone_ok); the result's objective is a valid relaxation
     bound whatever cone_ok says (outer approximation).  The loop stops at
     the first of: the objective reaches ``cutoff`` (cone_ok False: the LP
-    is pruned, or its dive ends); the cones hold (cone_ok True); the
-    binaries are still fractional after ``frac_rounds`` rounds (cone_ok
-    True: the point is branched on or fixed further anyway); the budget,
-    MAX_CONE_ROUNDS or new cuts run out (cone_ok False).  The first and
-    third count in ``unseparated_lps`` when a cone is violated; the
-    defaults are the root's, which has no incumbent yet.  The first
-    LP starts from ``start`` (cold when None), each cut round's from the
-    last basis; every LP gets ``deadline`` (see ``solve_lp_core``).
+    is pruned, or its dive ends); the cones hold, or the model has none
+    (cone_ok True); the binaries are still fractional after
+    ``frac_rounds`` rounds (cone_ok True: the point is branched on or
+    fixed further anyway); the budget, MAX_CONE_ROUNDS or new cuts run out
+    (cone_ok False).  The first and third count in ``unseparated_lps``
+    when a cone is violated; the defaults are the root's, which has no
+    incumbent yet.  The first LP starts from ``start`` (cold when None),
+    each cut round's from the last basis; every LP gets ``deadline`` (see
+    ``solve_lp_core``).
     """
     bas = start
     for rnd in range(MAX_CONE_ROUNDS + 1):
@@ -150,7 +161,7 @@ def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
         res = solve_lp_core(ctx.lp.with_bounds(lb, ub), start=bas,
                             deadline=deadline)
         stats.add(res.stats)
-        if res.status != OPTIMAL or not ctx.model.cone_rows:
+        if res.status != OPTIMAL:
             return res, True
         violated = [
             cone for cone in ctx.model.cone_rows
@@ -179,6 +190,14 @@ def _solve_with_cones(ctx: _LpContext, fixes, start: Basis | None,
         stats.cut_rounds += 1
         bas = res.basis
     return res, False
+
+
+def _integral_objective(model: MipModel) -> bool:
+    """Every integer point scores a whole number: an integer constant, and
+    integer costs on binary columns only."""
+    return float(model.obj_const).is_integer() and all(
+        c == 0.0 or (float(c).is_integer() and model.vars[j].integrality
+                     == BINARY) for j, c in model.obj.items())
 
 
 def _fractional(binaries: list[int], x: np.ndarray) -> list[int]:
@@ -276,6 +295,7 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
     sgn = 1.0 if model.sense == "min" else -1.0
     n = len(model.vars)
     binaries = ctx.binaries
+    integral = _integral_objective(model)
 
     def external(v):  # internal minimization value -> reported objective
         return sgn * v + model.obj_const
@@ -371,6 +391,13 @@ def solve_mip(model: MipModel, limits: SolveLimits | None = None) -> MipSolution
                 return finish(OPTIMAL)
             if g <= limits.gap:
                 return finish(GAP_LIMIT)
+            # no open node can hold a whole number below the incumbent's
+            bound = best_bound()
+            if integral and math.isfinite(bound) and (
+                    math.ceil(bound - INT_TOL) >= incumbent_obj - INT_TOL):
+                stats.integral_prunes += len(heap)
+                heap.clear()
+                return finish(OPTIMAL)
         if deadline is not None and time.perf_counter() > deadline:
             return finish(TIME_LIMIT)
         if limits.nodes is not None and stats.nodes >= limits.nodes:

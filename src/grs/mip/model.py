@@ -178,6 +178,9 @@ class SolveStats:
     # LPs whose cut loop stopped at the incumbent or at fractional binaries
     # with a cone still violated
     unseparated_lps: int = 0
+    # open nodes discarded because the integral objective's rounded-up bound
+    # reached the incumbent
+    integral_prunes: int = 0
     branch_obs: int = 0  # pseudocost observations recorded by B&B children
     root_iters: int = 0  # simplex iterations of the root node, cut rounds included
     dive_incumbents: int = 0  # incumbent improvements found by a dive

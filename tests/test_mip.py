@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -1060,7 +1061,7 @@ def test_solves_log_one_summary_of_their_lp_totals(monkeypatch, caplog):
     st = sol.stats
     # the solve-level counters; an LP's record fills every other field
     solve_level = {"nodes", "cuts", "cut_rounds", "unseparated_lps",
-                   "branch_obs",
+                   "integral_prunes", "branch_obs",
                    "root_iters", "dive_incumbents", "node_incumbents",
                    "wall_s"}
     for f in fields(SolveStats):
@@ -1633,3 +1634,113 @@ def test_met_gap_wins_over_node_limit(case5, damage5_all):
     assert sol.stats.nodes == 1
     assert sol.status == GAP_LIMIT and sol.gap <= 0.05
     assert sol.bound >= highs_milp(model) - 1e-6 >= sol.objective - 1e-6
+
+
+def _case5_mrsp(case5, damage5_all):
+    from grs.formulations import DC, build_mrsp
+    from grs.grid import apply_damage
+    return build_mrsp(apply_damage(case5, damage5_all), DC)
+
+
+def test_integral_mrsp_stops_at_its_rounded_bound(case5, damage5_all):
+    model = _case5_mrsp(case5, damage5_all)
+    sol = solve_mip(model)
+    kept = sorted(model.vars[j].name for j in model.binary_indices()
+                  if sol.values[j] > 0.5)
+    assert sol.status == OPTIMAL and sol.gap == 0.0
+    assert sol.objective == sol.bound == pytest.approx(6.0)
+    assert kept == ["z_branch[4]@0", "z_branch[5]@0", "z_branch[6]@0",
+                    "z_gen[3]@0", "z_gen[4]@0", "z_gen[5]@0"]
+    # the search proved this set in 83 nodes without the rounded bound
+    assert sol.stats.nodes <= 30 and sol.stats.integral_prunes > 0
+
+
+@contextmanager
+def _without_integral_rule():
+    import grs.mip.bnb
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grs.mip.bnb, "_integral_objective", lambda model: False)
+        yield
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_integral_rule_keeps_every_answer(seed):
+    rng = np.random.default_rng(seed)
+    nb, nc = int(rng.integers(2, 9)), int(rng.integers(0, 3))
+    m = MipModel()
+    for i in range(nb):
+        m.add_var(f"z{i}", 0, 1, BINARY)
+    for j in range(nc):  # continuous columns without a cost
+        m.add_var(f"x{j}", -1.0, 2.0)
+    for _ in range(int(rng.integers(1, 6))):
+        cols = rng.choice(nb + nc, size=rng.integers(1, nb + nc + 1),
+                          replace=False)
+        m.add_row({int(c): float(rng.normal()) for c in cols},
+                  (LE, GE)[rng.integers(0, 2)], float(rng.normal() + 1.0))
+    m.set_objective(("min", "max")[rng.integers(0, 2)],
+                    {j: float(rng.integers(-5, 6)) for j in range(nb)})
+    m.obj_const = float(rng.integers(-10, 11))
+    sol = solve_mip(m)
+    with _without_integral_rule():
+        plain = solve_mip(m)
+    assert sol.status == plain.status
+    assert np.array_equal(sol.values, plain.values)
+    assert sol.objective == plain.objective or (
+        math.isnan(sol.objective) and math.isnan(plain.objective))
+    assert sol.stats.nodes <= plain.stats.nodes
+    assert plain.stats.integral_prunes == 0
+
+
+def test_a_continuous_cost_keeps_the_node_count(case5, damage5_all):
+    from grs.mip import CONTINUOUS
+    model = _case5_mrsp(case5, damage5_all)
+    integral = solve_mip(model)
+    # one continuous column with a cost: the objective need not be whole
+    s = model.add_var("s", 0.0, 1.0, CONTINUOUS)
+    model.obj[s] = 0.5
+    sol = solve_mip(model)
+    with _without_integral_rule():
+        plain = solve_mip(model)
+    assert sol.status == OPTIMAL and sol.objective == integral.objective
+    assert sol.stats.nodes == plain.stats.nodes > integral.stats.nodes
+    assert sol.stats.integral_prunes == 0
+
+
+def _dive_lps_past_the_cutoff(model, monkeypatch, parents_dive=False):
+    """Solve model; returns the solution and the number of dive LPs begun
+    from an LP whose objective had reached the cutoff.  With
+    ``parents_dive`` a DC LP past the cutoff does not end its dive."""
+    import sys
+    import grs.mip.bnb
+    real = grs.mip.bnb._solve_with_cones
+    loops = []  # (caller, cutoff, objective)
+
+    def loop(ctx, fixes, start, limits, stats, deadline=None,
+             frac_rounds=grs.mip.bnb.MAX_CONE_ROUNDS, cutoff=math.inf):
+        res, cone_ok = real(ctx, fixes, start, limits, stats, deadline,
+                            frac_rounds, cutoff)
+        loops.append((sys._getframe(1).f_code.co_name, cutoff, res.obj))
+        if parents_dive and res.status == OPTIMAL:
+            cone_ok = True
+        return res, cone_ok
+
+    monkeypatch.setattr(grs.mip.bnb, "_solve_with_cones", loop)
+    sol = solve_mip(model)
+    monkeypatch.undo()
+    past = sum(caller == "dive" and loops[k - 1][2] >= cutoff
+               for k, (caller, cutoff, _) in enumerate(loops))
+    return sol, past
+
+
+def test_dc_dives_end_at_the_incumbent(monkeypatch, case5, damage5_all):
+    from grs.formulations import DC, build_rop
+    from grs.grid import replicate
+    model = build_rop(replicate(case5, damage5_all, 7), DC)
+    sol, past = _dive_lps_past_the_cutoff(model, monkeypatch)
+    old, old_past = _dive_lps_past_the_cutoff(model, monkeypatch, True)
+    assert past == 0 < old_past
+    assert sol.status == old.status == OPTIMAL
+    assert sol.objective == old.objective
+    assert np.array_equal(sol.values, old.values)
+    assert sol.stats.lp_iters < old.stats.lp_iters

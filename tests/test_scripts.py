@@ -72,6 +72,30 @@ def test_soc_panel_rejects_a_bad_time_limit(capsys):
     assert "--time-limit" in capsys.readouterr().err
 
 
+def test_path_spread_on_case5_dc_k2(case5):
+    import grs.mip.simplex
+    from grs.grid import DamageScenario
+    spread = _load(ROOT / "scripts" / "path_spread.py")
+    run = spread.pipeline(case5, DamageScenario.of(branches=[1, 2, 3, 4]),
+                          2, "dc")
+    rows = spread.measure(run, [40, 50])
+    assert grs.mip.simplex.REFACTOR_EVERY == 50  # put back
+    assert [r[0] for r in rows] == [40, 50]
+    assert all(nodes >= 1 and iters > 0 for _, nodes, iters, _ in rows)
+    assert rows[0][3] == pytest.approx(rows[1][3])  # true ENS, MWh
+    table = spread.lines(rows)
+    assert table[0].split() == ["refactor", "nodes", "iters", "true_ens"]
+    assert [line.split()[0] for line in table[1:]] == [
+        "40", "50", "min", "median", "max"]
+    assert float(table[-1].split()[2]) == max(r[2] for r in rows)
+
+
+def test_path_spread_rejects_bad_periods(capsys):
+    spread = _load(ROOT / "scripts" / "path_spread.py")
+    assert spread.main(["--soc", "all-K2", "--refactor", "0,50"]) == 2
+    assert "--refactor" in capsys.readouterr().err
+
+
 def test_op_digests_compare_marks_each_line():
     digests = _load(ROOT / "scripts" / "op_digests.py")
     ours = ["case5-dc-k5 plain d0e8a4f006e0df72",
