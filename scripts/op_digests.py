@@ -6,8 +6,9 @@ operations built by ``perfbench/workloads.py`` at ``--seed``.  Then one line
 ``validator <n> schedules <digest>``: a hash over ``plan_dispatches`` on n
 status schedules drawn from the seed on case118_smoke, case5_restoration and
 case10_radial in turn.  Each result is hashed in a canonical form: dicts by
-sorted items, floats by ``repr`` of the Python float, dataclasses field by
-field, and an exception by its type and message.
+sorted items, floats by ``repr`` of the Python float, numpy arrays element
+by element, dataclasses field by field, and an exception by its type and
+message.
 
 grs and the benchmark are imported from the checkout given by ``--root``
 (default: the one holding this script), so the same script can be run
@@ -55,6 +56,8 @@ def canonical(x):
                                      for f in dataclasses.fields(x)]
     if isinstance(x, dict):
         return [[canonical(k), canonical(v)] for k, v in sorted(x.items())]
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
     if isinstance(x, (list, tuple)):
         return [canonical(v) for v in x]
     if isinstance(x, (bool, np.bool_)):

@@ -20,7 +20,7 @@ own).  Each energized island with loads and generation has an
 positions, branch ends, the Ybus (one ``np.add.at`` over the branch entries
 in branch order, then the shunts) and its cut without the slack's row and
 column, the limits, the loads, the dispatch rule, and one table of the
-generators grouped by bus.  ``plan_dispatches`` carries each period's
+generator buses.  ``plan_dispatches`` carries each period's
 islands into the next, keyed by composition (sorted buses, branches and
 energized generators; the loads follow from the buses), so an island the
 schedule leaves unchanged is built once.  Only one period's islands are
@@ -29,15 +29,17 @@ held, and nothing outlives the ``plan_dispatches`` call; a
 
 ``newton_pf`` solves a given ``IslandData`` from the ramp generators' set
 points and the loads' fractions alone, so the bisection and PV-to-PQ
-solves share the island, and each solve still starts flat.  The island
-keeps every solve's ``PfState``, keyed by the bytes of the served fractions
-(the set points follow from them) and the pinned reactive injections, and
+solves share the island, and each solve still starts flat.  A solve's
+``PfState`` is arrays in its island's orders: voltages per bus, flows per
+branch, the reactive output per generator bus.  The island keeps every
+solve's ``PfState``, keyed by the bytes of the served fractions (the set
+points follow from them) and the pinned reactive injections, and
 ``_attempt`` takes a kept state instead of solving the same inputs again.
 ``IslandData.build`` and ``newton_pf`` are pure functions of those inputs,
 so what is carried or kept is bit for bit what would be computed again,
 and every dispatch is the same as from periods validated alone.  A kept
 state is handed out as it is, so two periods' ``IslandResult`` may share
-one ``PfState``; nothing writes to one after its solve.
+one ``PfState``; nothing writes to its arrays after its solve.
 
 Each solve is a chord Newton iteration: it writes the Jacobian blocks into
 one Fortran-ordered array, factors it in place (LAPACK ``dgetrf``) and
@@ -82,16 +84,17 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class PfState:
+    """One ``newton_pf`` solve, in the orders of its ``IslandData``."""
     converged: bool
     iterations: int
     factorizations: int  # Jacobians the solve factored
     mismatch: float
-    vm: dict[int, float]
-    va: dict[int, float]
-    gen_p: dict[int, float]
-    gen_q: dict[int, float]
-    flow_fr: dict[int, complex]
-    flow_to: dict[int, complex]
+    vm: np.ndarray  # per bus
+    va: np.ndarray
+    s_fr: np.ndarray  # per branch: complex power into its from end
+    s_to: np.ndarray  # and into its to end
+    slack_p: float  # the slack generator's active output
+    q_group: np.ndarray  # per generator bus (group): reactive output
 
 
 @dataclass
@@ -203,8 +206,8 @@ class IslandData:
     losses; the others (the ramp) run at pmin + beta (pmax - pmin), with one
     beta per solve.  The generators are grouped by bus once, groups in order
     of their first generator: the one table behind the PV buses, their
-    voltage set points and summed Q limits, and the split of each bus's
-    reactive output among its generators.
+    voltage set points and summed Q limits.  A solve's ``PfState`` runs over
+    ``buses``, ``branches`` and these groups.
     """
     buses: list[int]  # bus i of the arrays below is buses[i]
     pos: dict[int, int]
@@ -232,9 +235,6 @@ class IslandData:
     ramp_span: np.ndarray  # pmax - pmin
     pmin: float  # summed over all the generators
     rng: float  # summed pmax - pmin
-    gens: list[int]  # all the generators, group by group
-    group_of: np.ndarray  # group of each of gens
-    shares: np.ndarray  # each of gens' share of its group's reactive output
     groups: np.ndarray  # per group: its bus position
     vg: np.ndarray  # voltage set point: the slack's, else the first gen's
     qmin: np.ndarray  # the group's summed limits
@@ -244,7 +244,11 @@ class IslandData:
     # every newton_pf solve run on the island, by its inputs (_attempt)
     solved: dict[tuple[bytes, bytes], PfState] = field(
         default_factory=dict, repr=False, compare=False)
+    # what the validation did on the island: solves taken from solved, PV
+    # buses pinned at a reactive limit, and bisection steps
     reused: int = field(default=0, repr=False, compare=False)
+    pins: int = field(default=0, repr=False, compare=False)
+    bisections: int = field(default=0, repr=False, compare=False)
 
     @classmethod
     def build(cls, net: Network, buses: list[int], branches: list[int],
@@ -276,14 +280,10 @@ class IslandData:
         by_bus: dict[int, list[int]] = {}
         for g in gens:
             by_bus.setdefault(gen[g].bus, []).append(g)
-        members = list(by_bus.values())
         slack_group = list(by_bus).index(slack_bus)
-        shares, vg, qmin, qmax = [], [], [], []
-        for gids in members:
+        vg, qmin, qmax = [], [], []
+        for gids in by_bus.values():
             gs = [gen[g] for g in gids]
-            qr = [max(g.qmax - g.qmin, 0.0) for g in gs]
-            tot = sum(qr)
-            shares += [r / tot if tot > 0 else 1.0 / len(gs) for r in qr]
             vg.append(gs[0].vg)
             qmin.append(sum([g.qmin for g in gs]))
             qmax.append(sum([g.qmax for g in gs]))
@@ -300,10 +300,6 @@ class IslandData:
             np.array([gen[g].pmax - gen[g].pmin for g in ramp], dtype=float),
             sum(gen[g].pmin for g in gens),
             sum(gen[g].pmax - gen[g].pmin for g in gens),
-            [g for gids in members for g in gids],
-            np.array([k for k, gids in enumerate(members) for _ in gids],
-                     dtype=int),
-            np.array(shares, dtype=float),
             np.array([pos[b] for b in by_bus], dtype=int),
             np.array(vg, dtype=float), np.array(qmin, dtype=float),
             np.array(qmax, dtype=float), slack_group,
@@ -332,7 +328,7 @@ def _ds_blocks(Y, v, ibus, vm_cols):
     return dva, dvm
 
 
-def newton_pf(net: Network, isl: IslandData, pg, fr,
+def newton_pf(isl: IslandData, pg, fr,
               q_fixed: dict[int, float] | None = None) -> PfState:
     """Chord Newton-Raphson polar power flow on the island isl.
 
@@ -422,22 +418,13 @@ def _pf_state(isl: IslandData, vm, va, pg, fr, converged, iterations,
     qd = np.zeros(len(isl.buses))
     np.add.at(pd, isl.load_at, fr * isl.pd)
     np.add.at(qd, isl.load_at, fr * isl.qd)
-    pg = pg.tolist()
-    gen_p = dict(zip(isl.ramp, pg))
     s = isl.groups[isl.slack_group]
-    gen_p[isl.slack] = s_calc.real[s] + pd[s] - sum(pg[k] for k in isl.others)
-    q_bus = s_calc.imag[isl.groups] + qd[isl.groups]
-    gen_q = dict(zip(isl.gens, (q_bus[isl.group_of] * isl.shares).tolist()))
-
+    slack_p = float(s_calc.real[s] + pd[s] - sum(pg[isl.others].tolist()))
     vf, vt = v[isl.f], v[isl.t]
-    s_fr = vf * (isl.yff * vf + isl.yft * vt).conjugate()
-    s_to = vt * (isl.ytf * vf + isl.ytt * vt).conjugate()
-
-    return PfState(converged, iterations, factorizations, mismatch,
-                   dict(zip(isl.buses, vm.tolist())),
-                   dict(zip(isl.buses, va.tolist())),
-                   gen_p, gen_q, dict(zip(isl.branches, s_fr.tolist())),
-                   dict(zip(isl.branches, s_to.tolist())))
+    return PfState(converged, iterations, factorizations, mismatch, vm, va,
+                   vf * (isl.yff * vf + isl.yft * vt).conjugate(),
+                   vt * (isl.ytf * vf + isl.ytt * vt).conjugate(), slack_p,
+                   s_calc.imag[isl.groups] + qd[isl.groups])
 
 
 def _attempt(net, isl: IslandData, fr, binding):
@@ -459,46 +446,40 @@ def _attempt(net, isl: IslandData, fr, binding):
                np.array([*q_fixed.items()], dtype=float).tobytes())
         pf = isl.solved.get(key)
         if pf is None:
-            pf = isl.solved[key] = newton_pf(net, isl, pg, fr, q_fixed)
+            pf = isl.solved[key] = newton_pf(isl, pg, fr, q_fixed)
         else:
             isl.reused += 1
         if not pf.converged:
             binding.append("non-convergence")
             return pf, False
-        # each generator bus's reactive output, summed generator by
-        # generator; a PV bus past a limit is pinned there
-        qbus = np.zeros(len(isl.groups))
-        np.add.at(qbus, isl.group_of, [pf.gen_q[g] for g in isl.gens])
-        over = qbus > isl.qmax + LIMIT_TOL
-        under = qbus < isl.qmin - LIMIT_TOL
+        # a PV bus whose reactive output is past a limit is pinned there
+        over = pf.q_group > isl.qmax + LIMIT_TOL
+        under = pf.q_group < isl.qmin - LIMIT_TOL
         switch = ((over | under) & ~held).nonzero()[0]
         if not switch.size:
             break
+        isl.pins += switch.size
         for k in switch.tolist():
             q_fixed[isl.buses[isl.groups[k]]] = (isl.qmax[k] if over[k]
                                                  else isl.qmin[k])
         held[switch] = True
 
     ok = True
-    vm = np.array([pf.vm[b] for b in isl.buses], dtype=float)
-    for k in ((vm < isl.vlo) | (vm > isl.vhi)).nonzero()[0].tolist():
+    for k in ((pf.vm < isl.vlo) | (pf.vm > isl.vhi)).nonzero()[0].tolist():
         binding.append(f"voltage bus {isl.buses[k]}")
         ok = False
     # np.abs may differ from abs() in the last bit: the array screen keeps
-    # a margin, and abs() on the screened branches decides
-    rated = (isl.smax < math.inf).nonzero()[0]
-    cut = isl.smax[rated] * (1.0 - 1e-9)
-    s_fr = np.array([pf.flow_fr[isl.branches[k]] for k in rated],
-                    dtype=complex)
-    s_to = np.array([pf.flow_to[isl.branches[k]] for k in rated],
-                    dtype=complex)
-    for k in rated[(np.abs(s_fr) > cut) | (np.abs(s_to) > cut)].tolist():
-        bid, lim = isl.branches[k], isl.smax[k]
-        if abs(pf.flow_fr[bid]) > lim or abs(pf.flow_to[bid]) > lim:
-            binding.append(f"thermal branch {bid}")
+    # a margin (unrated branches, at inf, never pass it), and abs() on the
+    # screened branches decides
+    cut = isl.smax * (1.0 - 1e-9)
+    screen = (np.abs(pf.s_fr) > cut) | (np.abs(pf.s_to) > cut)
+    for k in screen.nonzero()[0].tolist():
+        lim = isl.smax[k]
+        if abs(pf.s_fr[k].item()) > lim or abs(pf.s_to[k].item()) > lim:
+            binding.append(f"thermal branch {isl.branches[k]}")
             ok = False
     slack = net.gens[isl.slack]
-    sp = pf.gen_p[isl.slack]
+    sp = pf.slack_p
     if sp < slack.pmin - LIMIT_TOL or sp > slack.pmax + LIMIT_TOL:
         binding.append(f"p-limit slack gen {isl.slack}")
         ok = False
@@ -587,6 +568,7 @@ def max_load_delivery(net: Network, energized: dict[tuple[str, int], bool],
             pf, ok = feasible(lam)
             while ok and hi - lam > LAMBDA_TOL:
                 mid = 0.5 * (lam + hi)
+                isl.bisections += 1
                 pfm, okm = feasible(mid)
                 if okm:
                     lam = mid
@@ -637,14 +619,18 @@ def plan_dispatches(net: Network, status: dict[tuple[str, int], list[int]],
             uses += len(carry)
             seen.update((id(isl), isl) for isl in carry.values())
     if debug:
-        runs = [pf for isl in seen.values() for pf in isl.solved.values()]
+        isls = seen.values()
+        runs = [pf for isl in isls for pf in isl.solved.values()]
         log.debug("plan_dispatches: periods=%d islands_built=%d "
                   "islands_carried=%d newton_run=%d newton_reused=%d "
-                  "newton_iters=%d newton_factorizations=%d", periods + 1,
-                  len(seen), uses - len(seen), len(runs),
-                  sum(isl.reused for isl in seen.values()),
+                  "newton_iters=%d newton_factorizations=%d pv_pq_pins=%d "
+                  "bisection_steps=%d", periods + 1, len(seen),
+                  uses - len(seen), len(runs),
+                  sum(isl.reused for isl in isls),
                   sum(pf.iterations for pf in runs),
-                  sum(pf.factorizations for pf in runs))
+                  sum(pf.factorizations for pf in runs),
+                  sum(isl.pins for isl in isls),
+                  sum(isl.bisections for isl in isls))
     return out
 
 

@@ -9,19 +9,25 @@ The AC helpers are read by the tests only.  ``branch_flows`` and
 ``residual_injections`` recompute bus injections branch by branch from the
 validator's branch admittances, apart from the Newton solver's Ybus, and
 ``power_flow_jacobian`` is the whole-network Jacobian from the validator's
-own ``_ds_blocks``.
+own ``_ds_blocks``.  ``island_of`` rebuilds the ``IslandData`` whose orders
+a solve's ``PfState`` runs in, and ``bus_generation`` recomputes each bus's
+generation of a solve from the dispatch rule.  ``canonical`` is
+``scripts/op_digests.py``'s canonical form, so tests compare results bit
+for bit as the digest does.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from grs.acvalidate import _branch_admittances, _ds_blocks
+from grs.acvalidate import IslandData, _branch_admittances, _ds_blocks
 from grs.formulations import DC
 from grs.grid import BRANCH, BUS, GEN, MultiPeriodCase, Network
 from grs.mip import BINARY, EQ, GE, LE, MipModel
@@ -230,13 +236,16 @@ def branch_flows(net: Network, bid: int, vf: complex, vt: complex):
 
 
 def residual_injections(net: Network, buses: list[int], branches: list[int],
-                        vm: dict[int, float], va: dict[int, float]) -> dict[int, complex]:
-    """Bus power injections recomputed from per-branch flows and shunts.
+                        vm, va) -> dict[int, complex]:
+    """Bus power injections recomputed from per-branch flows and shunts,
+    with the voltages vm and va given per bus of buses, in their order.
 
     Independent of the Newton solver's Ybus path; used to cross-check
     converged states.
     """
-    v = {b: vm[b] * complex(math.cos(va[b]), math.sin(va[b])) for b in buses}
+    mag = dict(zip(buses, vm))
+    v = {b: m * complex(math.cos(a), math.sin(a))
+         for (b, m), a in zip(mag.items(), va)}
     inj = {b: 0j for b in buses}
     for bid in branches:
         br = net.branches[bid]
@@ -245,8 +254,53 @@ def residual_injections(net: Network, buses: list[int], branches: list[int],
         inj[br.t_bus] += s_to
     for s in net.shunts.values():
         if s.bus in inj:
-            inj[s.bus] += (vm[s.bus] ** 2) * complex(s.gs, -s.bs)
+            inj[s.bus] += (mag[s.bus] ** 2) * complex(s.gs, -s.bs)
     return inj
+
+
+def island_of(net: Network, energized: dict, buses: list[int]) -> IslandData:
+    """The island over buses as ``max_load_delivery`` solves it: the live
+    branches between its buses and the live generators on them that are on
+    (energized, else not damaged), and the live loads on its buses."""
+    def on(kind, i, comp):
+        return energized.get((kind, i), not comp.damaged)
+
+    live, inside = net.live(), set(buses)
+    brs, gens, loads = net.branches, net.gens, net.loads
+    return IslandData.build(
+        net, buses,
+        [k for k in live.branches if on(BRANCH, k, brs[k])
+         and brs[k].f_bus in inside and brs[k].t_bus in inside],
+        [g for g in live.gens if on(GEN, g, gens[g]) and gens[g].bus in inside],
+        [i for i in live.loads if loads[i].bus in inside])
+
+
+def bus_generation(net: Network, isl: IslandData, pf,
+                   fr) -> dict[int, complex]:
+    """Each bus's generation in the solve pf on isl, with its loads served
+    at the fractions fr (in ``isl.loads`` order): the ramp generators at the
+    dispatch rule's set points, recomputed from net, the slack's
+    ``slack_p``, and each generator bus's reactive output."""
+    target = sum(f * net.loads[i].pd for i, f in zip(isl.loads, fr))
+    gens = [net.gens[g] for g in [isl.slack, *isl.ramp]]
+    pmin = sum(g.pmin for g in gens)
+    span = sum(g.pmax - g.pmin for g in gens)
+    beta = 0.0 if span <= 0 else min(1.0, max(0.0, (target - pmin) / span))
+    out = {b: 0j for b in isl.buses}
+    for g in gens[1:]:
+        out[g.bus] += g.pmin + beta * (g.pmax - g.pmin)
+    out[gens[0].bus] += pf.slack_p
+    for k, q in zip(isl.groups.tolist(), pf.q_group.tolist()):
+        out[isl.buses[k]] += 1j * q
+    return out
+
+
+_spec = importlib.util.spec_from_file_location(
+    "_op_digests",
+    Path(__file__).resolve().parent.parent / "scripts" / "op_digests.py")
+_op_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_op_digests)
+canonical = _op_digests.canonical
 
 
 def power_flow_jacobian(Y: np.ndarray, v: np.ndarray):

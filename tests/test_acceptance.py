@@ -24,8 +24,8 @@ from grs.mip import (INFEASIBLE, OPTIMAL, GAP_LIMIT, MipModel, SolveLimits,
 from grs.workflows import (pipeline_result_to_dict, run_mrsp_then_rop,
                            run_rop_then_redispatch)
 from tests.conftest import make_two_bus
-from tests.oracles import (enumerate_rop_orders, power_flow_jacobian,
-                           residual_injections)
+from tests.oracles import (bus_generation, enumerate_rop_orders, island_of,
+                           power_flow_jacobian, residual_injections)
 from tests.test_mip import _random_milp, milp_enumeration_oracle
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -175,21 +175,20 @@ def test_criterion_3_power_flow_verification():
 
     # converged-state residual via the independent evaluator
     disp = max_load_delivery(net, {})
-    isl = [i for i in disp.islands if len(i.buses) == 5][0]
-    pf = isl.pf
+    res = [i for i in disp.islands if len(i.buses) == 5][0]
+    pf, isl = res.pf, island_of(net, {}, res.buses)
     inj2 = residual_injections(net, isl.buses, branches, pf.vm, pf.va)
+    gen = bus_generation(net, isl, pf, [1.0] * len(isl.loads))
     max_resid = 0.0
     for b in isl.buses:
-        gen = sum(complex(pf.gen_p[g], pf.gen_q[g])
-                  for g in pf.gen_p if net.gens[g].bus == b)
         load = sum(complex(d.pd, d.qd) for d in net.loads.values() if d.bus == b)
-        max_resid = max(max_resid, abs(inj2[b] - (gen - load)))
+        max_resid = max(max_resid, abs(inj2[b] - (gen[b] - load)))
     assert max_resid <= 1e-7
 
     two = make_two_bus(load_pu=0.5, rate=0.0, n_branches=1, condenser_at_2=True)
-    pf2 = newton_pf(two, IslandData.build(two, [1, 2], [1], [1, 2], [2]),
+    pf2 = newton_pf(IslandData.build(two, [1, 2], [1], [1, 2], [2]),
                     [0.0], [1.0])
-    theta = pf2.va[1] - pf2.va[2]
+    theta = pf2.va[0] - pf2.va[1]  # buses 1 and 2
     assert theta == pytest.approx(math.asin(0.05), abs=1e-6)
     report(3, f"Jacobian FD rel err {worst:.2e} < 1e-5; residual {max_resid:.2e}"
               f" <= 1e-7; arcsin angle err {abs(theta - math.asin(0.05)):.2e}")

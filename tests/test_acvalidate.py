@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import logging
 import math
@@ -21,7 +23,8 @@ from grs.acvalidate import (NetworkData, _branch_admittances, ens_report,
                             plan_dispatches)
 from grs.workflows import heuristic_order
 from tests.conftest import CASES, make_two_bus
-from tests.oracles import (branch_flows, power_flow_jacobian,
+from tests.oracles import (branch_flows, bus_generation, canonical,
+                           island_of, power_flow_jacobian,
                            residual_injections)
 
 
@@ -55,7 +58,7 @@ def _full_newton_pf(net, isl, pg, fr, q_fixed=None):
     pg_set = dict(zip(isl.ramp, pg))
     load_frac = dict(zip(isl.loads, fr))
     pv_gens = {}
-    for g in isl.gens:
+    for g in sorted([isl.slack, *isl.ramp]):
         pv_gens.setdefault(net.gens[g].bus, []).append(g)
     buses, pos, Y = isl.buses, isl.pos, isl.Y
     n = len(buses)
@@ -123,9 +126,9 @@ def test_single_bus_trivial():
     net = Network(100.0, {1: Bus(1, 3, 0.9, 1.1)}, {},
                   {1: Generator(1, 1, 0.0, 1.0, -1.0, 1.0, 1.0)}, {}, {},
                   frozenset([1])).validate()
-    pf = newton_pf(net, IslandData.build(net, [1], [], [1], []), [], [])
+    pf = newton_pf(IslandData.build(net, [1], [], [1], []), [], [])
     assert pf.converged
-    assert pf.vm[1] == 1.0 and pf.va[1] == 0.0
+    assert pf.vm.tolist() == [1.0] and pf.va.tolist() == [0.0]
     assert pf.iterations == 0 and pf.factorizations == 0
 
 
@@ -133,20 +136,21 @@ def test_two_bus_lossless_arcsin():
     # both ends held at 1.0 pu (condenser at the load bus), so the flow is
     # exactly sin(theta)/x and theta = arcsin(p*x)
     net = make_two_bus(load_pu=0.5, rate=0.0, n_branches=1, condenser_at_2=True)
-    pf = newton_pf(net, IslandData.build(net, [1, 2], [1], [1, 2], [2]),
+    pf = newton_pf(IslandData.build(net, [1, 2], [1], [1, 2], [2]),
                    [0.0], [1.0])
     assert pf.converged and pf.mismatch <= 1e-8
-    theta = pf.va[1] - pf.va[2]
+    theta = pf.va[0] - pf.va[1]  # buses 1 and 2
     assert theta == pytest.approx(math.asin(0.05), abs=1e-6)
 
 
 def test_five_bus_full_load_physical(case5):
     disp = max_load_delivery(case5, {})
     assert disp.served_mw == pytest.approx(1000.0, abs=1e-3)
-    isl = [i for i in disp.islands if len(i.buses) == 5][0]
-    pf = isl.pf
+    res = [i for i in disp.islands if len(i.buses) == 5][0]
+    pf, isl = res.pf, island_of(case5, {}, res.buses)
     assert pf.converged and pf.mismatch <= 1e-8
-    total_gen = sum(pf.gen_p.values())
+    gen = bus_generation(case5, isl, pf, [1.0] * len(isl.loads))
+    total_gen = sum(gen.values()).real
     assert total_gen * case5.base_mva >= 1000.0 - 1e-6  # losses >= 0
 
 
@@ -184,25 +188,25 @@ def test_jacobian_matches_finite_differences(case5):
 
 def test_residual_check_independent(case5):
     disp = max_load_delivery(case5, {})
-    isl = [i for i in disp.islands if len(i.buses) == 5][0]
-    pf = isl.pf
+    res = [i for i in disp.islands if len(i.buses) == 5][0]
+    pf, isl = res.pf, island_of(case5, {}, res.buses)
     inj = residual_injections(case5, isl.buses, sorted(case5.branches),
                               pf.vm, pf.va)
+    gen = bus_generation(case5, isl, pf, [1.0] * len(isl.loads))
     for b in isl.buses:
-        gen = sum(complex(pf.gen_p[g], pf.gen_q[g])
-                  for g in pf.gen_p if case5.gens[g].bus == b)
         load = sum(complex(d.pd, d.qd) for d in case5.loads.values()
                    if d.bus == b)
-        assert abs(inj[b] - (gen - load)) < 1e-7
+        assert abs(inj[b] - (gen[b] - load)) < 1e-7
 
 
 def test_energy_conservation(case5):
     disp = max_load_delivery(case5, {})
-    isl = [i for i in disp.islands if len(i.buses) == 5][0]
-    pf = isl.pf
-    loss = sum((pf.flow_fr[k] + pf.flow_to[k]).real for k in pf.flow_fr)
+    res = [i for i in disp.islands if len(i.buses) == 5][0]
+    pf, isl = res.pf, island_of(case5, {}, res.buses)
+    loss = sum((pf.s_fr + pf.s_to).real.tolist())
     assert loss >= -1e-9
-    gen = sum(pf.gen_p.values())
+    gen = sum(bus_generation(case5, isl, pf,
+                             [1.0] * len(isl.loads)).values()).real
     served = disp.served_mw / case5.base_mva
     assert gen - served == pytest.approx(loss, abs=1e-6)
 
@@ -297,14 +301,15 @@ def test_redispatch_mismatch_raises(case5, damage5_all, two_bus_parallel):
 def test_branch_flow_convention(case5):
     # from-side and to-side powers of one branch sum to the series loss
     disp = max_load_delivery(case5, {})
-    pf = [i for i in disp.islands if len(i.buses) == 5][0].pf
-    for k in sorted(case5.branches):
+    res = [i for i in disp.islands if len(i.buses) == 5][0]
+    pf, isl = res.pf, island_of(case5, {}, res.buses)
+    v = pf.vm * np.exp(1j * pf.va)
+    assert isl.branches == sorted(case5.branches)
+    for j, k in enumerate(isl.branches):
         br = case5.branches[k]
-        s_fr, s_to = branch_flows(
-            case5, k,
-            pf.vm[br.f_bus] * np.exp(1j * pf.va[br.f_bus]),
-            pf.vm[br.t_bus] * np.exp(1j * pf.va[br.t_bus]))
-        assert s_fr == pytest.approx(pf.flow_fr[k], abs=1e-9)
+        s_fr, s_to = branch_flows(case5, k, v[isl.pos[br.f_bus]],
+                                  v[isl.pos[br.t_bus]])
+        assert s_fr == pytest.approx(pf.s_fr[j], abs=1e-9)
         assert (s_fr + s_to).real >= -1e-9
 
 
@@ -322,10 +327,8 @@ def _jacobian_by_diag_products(Y, v):
 def test_jacobian_matches_diag_products_case118(case118_area1):
     net, energized = case118_area1
     disp = max_load_delivery(net, energized)
-    isl = max(disp.islands, key=lambda i: len(i.buses))
-    buses = isl.buses
-    Y = IslandData.build(net, buses, sorted(isl.pf.flow_fr),
-                         sorted(isl.pf.gen_p), []).Y
+    buses = max(disp.islands, key=lambda i: len(i.buses)).buses
+    Y = island_of(net, energized, buses).Y
     rng = np.random.default_rng(5)
     vm = 1.0 + 0.05 * rng.standard_normal(len(buses))
     va = 0.2 * rng.standard_normal(len(buses))
@@ -351,24 +354,23 @@ def test_multi_island_flows_and_residuals(case118_area1):
     disp = max_load_delivery(net, energized)
     solved = [i for i in disp.islands if i.pf is not None]
     assert len(solved) >= 2
-    for isl in solved:
-        pf = isl.pf
+    for res in solved:
+        pf, isl = res.pf, island_of(net, energized, res.buses)
         assert pf.converged
-        v = {b: pf.vm[b] * complex(math.cos(pf.va[b]), math.sin(pf.va[b]))
-             for b in isl.buses}
-        for k in pf.flow_fr:
+        v = {b: m * complex(math.cos(a), math.sin(a))
+             for b, m, a in zip(isl.buses, pf.vm.tolist(), pf.va.tolist())}
+        for j, k in enumerate(isl.branches):
             br = net.branches[k]
             s_fr, s_to = branch_flows(net, k, v[br.f_bus], v[br.t_bus])
-            assert abs(pf.flow_fr[k] - s_fr) <= 1e-12
-            assert abs(pf.flow_to[k] - s_to) <= 1e-12
-        inj = residual_injections(net, isl.buses, sorted(pf.flow_fr),
-                                  pf.vm, pf.va)
+            assert abs(pf.s_fr[j] - s_fr) <= 1e-12
+            assert abs(pf.s_to[j] - s_to) <= 1e-12
+        inj = residual_injections(net, isl.buses, isl.branches, pf.vm, pf.va)
+        gen = bus_generation(net, isl, pf,
+                             [disp.fractions[lid] for lid in isl.loads])
         for b in isl.buses:
-            gen = sum(complex(pf.gen_p[g], pf.gen_q.get(g, 0.0))
-                      for g in pf.gen_p if net.gens[g].bus == b)
             load = sum(disp.fractions[lid] * complex(d.pd, d.qd)
                        for lid, d in net.loads.items() if d.bus == b)
-            assert abs(inj[b] - (gen - load)) < 1e-7
+            assert abs(inj[b] - (gen[b] - load)) < 1e-7
 
 
 def test_ybus_built_once_per_served_island(case118_area1, monkeypatch):
@@ -392,58 +394,50 @@ def test_ybus_built_once_per_served_island(case118_area1, monkeypatch):
     assert calls["newton_pf"] > calls["_ybus"]
 
 
-def _paired(monkeypatch, pairs):
-    """Make every newton_pf call also run the reference loop on the same
-    arguments; pairs collects (chord, reference, q_fixed at the call)."""
+def _paired(monkeypatch, pairs, net):
+    """Make every newton_pf call on an island of net also run the reference
+    loop on the same arguments; pairs collects (chord, reference, q_fixed
+    at the call)."""
     chord = grs.acvalidate.newton_pf
 
     def both(*args):
         pf = chord(*args)
-        pairs.append((pf, _full_newton_pf(*args), dict(args[-1] or {})))
+        pairs.append((pf, _full_newton_pf(net, *args), dict(args[-1] or {})))
         return pf
     monkeypatch.setattr(grs.acvalidate, "newton_pf", both)
 
 
 def _served_islands(net, energized):
-    """(IslandData, gens, loads) of each island max_load_delivery solves."""
-    live = net.live()
-    out = []
-    for res in max_load_delivery(net, energized).islands:
-        if res.pf is None:
-            continue
-        gens = [g for g in live.gens if net.gens[g].bus in res.buses
-                and energized.get((GEN, g), True)]
-        loads = [lid for lid in live.loads if net.loads[lid].bus in res.buses]
-        isl = IslandData.build(net, res.buses, sorted(res.pf.flow_fr), gens,
-                               loads)
-        out.append((isl, gens, loads))
-    return out
+    """The IslandData of each island max_load_delivery solves."""
+    return [island_of(net, energized, res.buses)
+            for res in max_load_delivery(net, energized).islands
+            if res.pf is not None]
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.7, 1.0])
 def test_chord_matches_full_newton(case5, case118_area1, monkeypatch, lam):
     pinned = 0
     for net, energized in ((case5, {}), case118_area1):
-        for isl, gens, loads in _served_islands(net, energized):
-            fractions = [lam] * len(loads)
+        for isl in _served_islands(net, energized):
+            fractions = [lam] * len(isl.loads)
             pairs = []
             with monkeypatch.context() as m:
-                _paired(m, pairs)
+                _paired(m, pairs, net)
                 chord_binding = []
                 _, ok = _attempt(net, isl, fractions, chord_binding)
             ref_binding = []
             isl.solved.clear()  # solve again, with the full Newton loop
             with monkeypatch.context() as m:
-                m.setattr(grs.acvalidate, "newton_pf", _full_newton_pf)
+                m.setattr(grs.acvalidate, "newton_pf",
+                          functools.partial(_full_newton_pf, net))
                 _, ref_ok = _attempt(net, isl, fractions, ref_binding)
             assert (ok, chord_binding) == (ref_ok, ref_binding)
             for pf, ref, q_fixed in pairs:
                 pinned += bool(q_fixed)
                 assert pf.converged and ref.converged
                 assert pf.factorizations <= ref.iterations
-                for b in isl.buses:
-                    assert abs(pf.vm[b] - ref.vm[b]) <= 1e-7
-                    assert abs(pf.va[b] - ref.va[b]) <= 1e-7
+                assert np.abs(pf.vm - ref.vm).max() <= 1e-7
+                assert np.abs(pf.va - ref.va).max() <= 1e-7
     assert pinned > 0  # some solves ran with PV buses pinned as PQ
 
 
@@ -451,7 +445,7 @@ def test_nan_load_stops_at_once(case5):
     isl = IslandData.build(case5, sorted(case5.buses), sorted(case5.branches),
                            sorted(case5.gens), sorted(case5.loads))
     fractions = [math.nan] + [1.0] * (len(isl.loads) - 1)
-    pf = newton_pf(case5, isl, [0.0] * len(isl.ramp), fractions)
+    pf = newton_pf(isl, [0.0] * len(isl.ramp), fractions)
     assert not pf.converged
     assert pf.iterations == 0 and pf.factorizations == 0
 
@@ -459,8 +453,7 @@ def test_nan_load_stops_at_once(case5):
 def test_singular_jacobian_ends_unconverged():
     # bus 2 has no branch in the island: its rows of the Jacobian are zero
     net = make_two_bus(load_pu=0.5)
-    pf = newton_pf(net, IslandData.build(net, [1, 2], [], [1], [2]), [],
-                   [1.0])
+    pf = newton_pf(IslandData.build(net, [1, 2], [], [1], [2]), [], [1.0])
     assert not pf.converged
     assert pf.iterations == 0 and pf.factorizations == 1
 
@@ -468,7 +461,7 @@ def test_singular_jacobian_ends_unconverged():
 def test_heuristic_factors_fewer_jacobians_than_full_newton(area1_scenario,
                                                              monkeypatch):
     pairs = []
-    _paired(monkeypatch, pairs)
+    _paired(monkeypatch, pairs, area1_scenario[0])
     run_heuristic(*area1_scenario, 10)
     assert pairs and all(pf.converged and ref.converged
                          for pf, ref, _ in pairs)
@@ -522,14 +515,14 @@ def _assert_bit_identical(net, energized):
         m.setattr(grs.acvalidate, "_ds_blocks", record_blocks)
         m.setattr(grs.acvalidate, "dgetrf", record_factors)
         disp = max_load_delivery(net, energized)
-    solved = [i for i in disp.islands if i.pf is not None]
-    for res in solved:
-        branches = sorted(res.pf.flow_fr)
-        isl = IslandData.build(net, res.buses, branches, sorted(res.pf.gen_p),
-                               [])
+    for res in disp.islands:
+        if res.pf is None:
+            continue
+        isl = island_of(net, energized, res.buses)
         adm = np.array([_branch_admittances(net.branches[k])
-                        for k in branches], dtype=complex).reshape(-1, 4)
-        assert np.array_equal(isl.Y, _ybus_loop(net, isl.pos, branches, adm))
+                        for k in isl.branches], dtype=complex).reshape(-1, 4)
+        assert np.array_equal(isl.Y, _ybus_loop(net, isl.pos, isl.branches,
+                                                adm))
     assert len(blocks) == len(factored)
     for (dva, dvm, pq_at), (jac, lu, piv) in zip(blocks, factored):
         ref = _block_jacobian(dva, dvm, pq_at)
@@ -587,7 +580,7 @@ def test_validation_built_once_matches_each_period_alone(area1_scenario,
     for n, (dispatch, after) in enumerate(dispatches):
         energized = {item: bool(zs[n]) for item, zs in plan.status.items()}
         alone = max_load_delivery(case.base, energized, fractions, period=n)
-        assert alone == dispatch
+        assert canonical(alone) == canonical(dispatch)
         fractions = after
     assert len(builds) == 1 + len(dispatches)  # each call alone built its own
 
@@ -630,22 +623,31 @@ def test_carried_islands_match_each_period_alone(small_nets, name, data):
                                        max_size=periods + 1))
               for item in off}
     carried = plan_dispatches(net, status, periods)
-    assert repr(carried) == repr(_each_period_alone(net, status, periods))
+    assert canonical(carried) == canonical(_each_period_alone(net, status,
+                                                              periods))
 
 
-def _held(dispatches):
+def _held(net, status, dispatches):
     """Per period: the composition (buses, branches, generators) of every
     island solved, as plan_dispatches keys it."""
-    return [{(tuple(i.buses), tuple(i.pf.flow_fr), tuple(sorted(i.pf.gen_p)))
-             for i in d.islands if i.pf is not None} for d, _ in dispatches]
+    held = []
+    for n, (d, _) in enumerate(dispatches):
+        energized = {item: bool(zs[n]) for item, zs in status.items()}
+        isls = [island_of(net, energized, i.buses)
+                for i in d.islands if i.pf is not None]
+        held.append({(tuple(isl.buses), tuple(isl.branches),
+                      tuple(sorted([isl.slack, *isl.ramp]))) for isl in isls})
+    return held
 
 
 def _count_work(monkeypatch, forget=False):
-    """Count IslandData.build (by period and composition) and newton_pf
-    calls (with their iterations and factorizations); with forget, no
-    island keeps a solve."""
-    builds, solves = [], []
+    """Count IslandData.build (by period and composition), newton_pf calls
+    (with their iterations and factorizations, and the buses each pinned)
+    and _attempt calls (by period and island); with forget, no island keeps
+    a solve."""
+    builds, solves, pinned, attempts = [], [], [], []
     build = IslandData.build.__func__
+    attempt = grs.acvalidate._attempt
     period = [0]
 
     class Forgetful(dict):
@@ -660,9 +662,14 @@ def _count_work(monkeypatch, forget=False):
             isl.solved = Forgetful()
         return isl
 
-    def counted_pf(*args, **kwargs):
-        solves.append(newton_pf(*args, **kwargs))
+    def counted_pf(isl, pg, fr, q_fixed=None):
+        pinned.append(len(q_fixed or {}))  # _attempt adds to it later
+        solves.append(newton_pf(isl, pg, fr, q_fixed))
         return solves[-1]
+
+    def counted_attempt(net, isl, *args):
+        attempts.append((period[0], id(isl)))
+        return attempt(net, isl, *args)
 
     def counted_mld(*args, **kwargs):
         period[0] = kwargs["period"]
@@ -671,7 +678,8 @@ def _count_work(monkeypatch, forget=False):
     monkeypatch.setattr(IslandData, "build", classmethod(counted_build))
     monkeypatch.setattr(grs.acvalidate, "newton_pf", counted_pf)
     monkeypatch.setattr(grs.acvalidate, "max_load_delivery", counted_mld)
-    return builds, solves
+    monkeypatch.setattr(grs.acvalidate, "_attempt", counted_attempt)
+    return builds, solves, pinned, attempts
 
 
 def test_carry_builds_and_solves_less(area1_scenario, monkeypatch):
@@ -681,15 +689,15 @@ def test_carry_builds_and_solves_less(area1_scenario, monkeypatch):
     net, dmg = area1_scenario
     case = replicate(net, dmg, 10)
     plan = heuristic_order(net, dmg, 10)
-    builds, solves = _count_work(monkeypatch)
+    builds, solves, _, _ = _count_work(monkeypatch)
     dispatches = plan_dispatches(case.base, plan.status, case.periods)
     carried_builds, carried_solves = list(builds), len(solves)
     builds.clear()
     solves.clear()
     alone = _each_period_alone(case.base, plan.status, case.periods)
-    assert repr(alone) == repr(dispatches)
+    assert canonical(alone) == canonical(dispatches)
     assert len(carried_builds) < len(builds) and carried_solves < len(solves)
-    held = _held(dispatches)
+    held = _held(case.base, plan.status, dispatches)
     built = [set() for _ in held]
     for n, key in carried_builds:
         built[n].add(key)
@@ -702,30 +710,42 @@ def test_validation_debug_line_counts(area1_scenario, monkeypatch, caplog):
     net, dmg = area1_scenario
     case = replicate(net, dmg, 10)
     plan = heuristic_order(net, dmg, 10)
-    builds, solves = _count_work(monkeypatch, forget=True)
+    _, solves, pinned, attempts = _count_work(monkeypatch, forget=True)
     unkept = plan_dispatches(case.base, plan.status, case.periods)
-    attempts = len(solves)  # every solve _attempt asked for
+    asked = len(solves)  # every solve _attempt asked for
+    # a solve with pinned buses follows the one before it in its _attempt,
+    # which pinned the difference; each island's attempts in a period run
+    # back to back: the first at full service, then the floor, then one per
+    # bisection step
+    pins = sum(now - before for before, now in zip([0, *pinned], pinned)
+               if now)
+    steps = sum(max(len(list(runs)) - 2, 0)
+                for _, runs in itertools.groupby(attempts))
     monkeypatch.undo()
-    builds, solves = _count_work(monkeypatch)
+    builds, solves, _, _ = _count_work(monkeypatch)
     caplog.clear()
     caplog.set_level(logging.DEBUG, logger="grs.acvalidate")
     dispatches = plan_dispatches(case.base, plan.status, case.periods)
-    assert repr(unkept) == repr(dispatches)
+    built = len(builds)  # before _held builds islands of its own
+    assert canonical(unkept) == canonical(dispatches)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "grs.acvalidate"]
     assert len(lines) == 1 and lines[0].startswith("plan_dispatches: ")
     counts = {k: int(v) for k, v in
               (field.split("=") for field in lines[0].split()[1:])}
-    used = sum(len(now) for now in _held(dispatches))
+    used = sum(len(now) for now in _held(case.base, plan.status, dispatches))
     assert counts == {
         "periods": case.periods + 1,
-        "islands_built": len(builds),
-        "islands_carried": used - len(builds),
+        "islands_built": built,
+        "islands_carried": used - built,
         "newton_run": len(solves),
-        "newton_reused": attempts - len(solves),
+        "newton_reused": asked - len(solves),
         "newton_iters": sum(pf.iterations for pf in solves),
-        "newton_factorizations": sum(pf.factorizations for pf in solves)}
+        "newton_factorizations": sum(pf.factorizations for pf in solves),
+        "pv_pq_pins": pins,
+        "bisection_steps": steps}
     assert 0 < counts["islands_carried"] and 0 < counts["newton_reused"]
+    assert 0 < counts["pv_pq_pins"] and 0 < counts["bisection_steps"]
 
 
 def test_island_branch_outside_island_rejected(case5):
